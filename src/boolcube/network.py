@@ -27,6 +27,9 @@ T = TypeVar("T")
 
 _MISSING = object()
 
+# Widest random or sampled network: its table has 2^16 entries.
+RANDOM_WIDTH_CAP = 16
+
 
 class WidthCapError(ValueError):
     """Raised when an operation would exceed its documented width cap."""
@@ -90,45 +93,50 @@ def conjugate_codes(f: BooleanNetwork) -> tuple[int, ...]:
     return cached(f, "_conj_codes", lambda: tuple(v ^ x for x, v in enumerate(f.table)))
 
 
+def table_fixed_point_codes(table: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x for x, v in enumerate(table) if v == x)
+
+
 def fixed_point_codes(f: BooleanNetwork) -> tuple[int, ...]:
-    return cached(
-        f, "_fixed_codes", lambda: tuple(x for x, v in enumerate(f.table) if v == x)
-    )
+    return cached(f, "_fixed_codes", lambda: table_fixed_point_codes(f.table))
 
 
 def fixed_points(f: BooleanNetwork) -> tuple[Point, ...]:
     return tuple(Point(f.components, x) for x in fixed_point_codes(f))
 
 
-def is_self_dual(f: BooleanNetwork) -> bool:
+def table_is_self_dual(table: tuple[int, ...]) -> bool:
     """f(x xor 1) == f(x) xor 1 for the all-ones point 1."""
-
-    def compute() -> bool:
-        table = f.table
-        full = len(table) - 1
-        return all(table[x ^ full] == table[x] ^ full for x in range(len(table) // 2 or 1))
-
-    return cached(f, "_self_dual", compute)
+    full = len(table) - 1
+    return all(table[x ^ full] == table[x] ^ full for x in range(len(table) // 2 or 1))
 
 
-def parity_class(f: BooleanNetwork) -> ParityClass:
+def is_self_dual(f: BooleanNetwork) -> bool:
+    return cached(f, "_self_dual", lambda: table_is_self_dual(f.table))
+
+
+def table_parity(table: tuple[int, ...]) -> ParityClass:
     """Even (odd) when the conjugate's image is exactly the even (odd) points.
 
     Containment is not enough: the image must cover the whole parity class,
     which pins its size to half the cube.
     """
+    image = {v ^ x for x, v in enumerate(table)}
+    if 2 * len(image) == len(table):
+        parities = {c.bit_count() & 1 for c in image}
+        if parities == {0}:
+            return ParityClass.EVEN
+        if parities == {1}:
+            return ParityClass.ODD
+    return ParityClass.NEITHER
 
-    def compute() -> ParityClass:
-        image = {v ^ x for x, v in enumerate(f.table)}
-        if 2 * len(image) == len(f.table):
-            parities = {c.bit_count() & 1 for c in image}
-            if parities == {0}:
-                return ParityClass.EVEN
-            if parities == {1}:
-                return ParityClass.ODD
-        return ParityClass.NEITHER
 
-    return cached(f, "_parity", compute)
+def parity_class(f: BooleanNetwork) -> ParityClass:
+    return cached(f, "_parity", lambda: table_parity(f.table))
+
+
+def table_is_eosd(table: tuple[int, ...]) -> bool:
+    return table_parity(table) is not ParityClass.NEITHER and table_is_self_dual(table)
 
 
 def eosd_class(f: BooleanNetwork) -> ParityClass | None:
@@ -161,12 +169,12 @@ def is_non_expansive(f: BooleanNetwork) -> bool:
     return cached(f, "_non_expansive", compute)
 
 
-def is_conjugate_bijective(f: BooleanNetwork) -> bool:
-    def compute() -> bool:
-        table = f.table
-        return len({v ^ x for x, v in enumerate(table)}) == len(table)
+def table_is_conjugate_bijective(table: tuple[int, ...]) -> bool:
+    return len({v ^ x for x, v in enumerate(table)}) == len(table)
 
-    return cached(f, "_conj_bijective", compute)
+
+def is_conjugate_bijective(f: BooleanNetwork) -> bool:
+    return cached(f, "_conj_bijective", lambda: table_is_conjugate_bijective(f.table))
 
 
 def xor_output(f: BooleanNetwork, members: Iterable[str]) -> BooleanNetwork:
@@ -210,6 +218,8 @@ def enumerate_networks(n: int, components: tuple[str, ...] | None = None) -> Ite
 
 def random_network(n: int, seed: int, components: tuple[str, ...] | None = None) -> BooleanNetwork:
     """The width-n network drawn from a fresh PRNG with the given seed."""
+    if n > RANDOM_WIDTH_CAP:
+        raise WidthCapError(f"random networks are capped at width {RANDOM_WIDTH_CAP}, got {n}")
     index = random.Random(seed).getrandbits(n << n)
     return network_from_index(n, index, components)
 

@@ -135,7 +135,7 @@ def discrete_derivative(f: BooleanNetwork, i: str, j: str, x: Point) -> int:
     return (1 if hi & bi else 0) - (1 if lo & bi else 0)
 
 
-def _raw_local_rows(
+def table_local_rows(
     n: int, table: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     out = []
@@ -153,25 +153,34 @@ def _raw_local_rows(
     return tuple(out)
 
 
+def table_global_rows(
+    n: int, table: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Union of the local rows; each pair (x, x | bit j) is visited once."""
+    pos = [0] * n
+    neg = [0] * n
+    for x in range(1 << n):
+        for j in range(n):
+            bj = 1 << j
+            if x & bj:
+                continue
+            hi = table[x | bj]
+            lo = table[x]
+            diff = hi ^ lo
+            pos[j] |= diff & hi
+            neg[j] |= diff & lo
+    return tuple(pos), tuple(neg)
+
+
 def local_rows(
     f: BooleanNetwork,
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Per point x: (positive, negative) target masks indexed by source."""
-    return cached(f, "_local_rows", lambda: _raw_local_rows(f.width, f.table))
+    return cached(f, "_local_rows", lambda: table_local_rows(f.width, f.table))
 
 
 def global_rows(f: BooleanNetwork) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    def compute() -> tuple[tuple[int, ...], tuple[int, ...]]:
-        n = f.width
-        pos = [0] * n
-        neg = [0] * n
-        for p, m in local_rows(f):
-            for j in range(n):
-                pos[j] |= p[j]
-                neg[j] |= m[j]
-        return tuple(pos), tuple(neg)
-
-    return cached(f, "_global_rows", compute)
+    return cached(f, "_global_rows", lambda: table_global_rows(f.width, f.table))
 
 
 def local_interaction_graph(f: BooleanNetwork, x: Point) -> SignedDigraph:
@@ -276,18 +285,24 @@ def enumerate_cycles(g: SignedDigraph) -> tuple[Cycle, ...]:
     )
 
 
-def is_chordless(g: SignedDigraph, cycle: Cycle) -> bool:
-    """No arc of |g| joins two cycle vertices besides the cycle's own arcs."""
+def _cycle_indices(g: SignedDigraph, cycle: Cycle) -> tuple[int, ...]:
     index = {v: k for k, v in enumerate(g.vertices)}
-    members = 0
     for v in cycle.vertices:
         if v not in index:
             raise ValueError(f"cycle vertex {v!r} is not in the graph")
-        members |= 1 << index[v]
-    own = {(index[src], index[dst]) for src, _, dst in cycle.arcs()}
-    pos, neg = graph_rows(g)
-    for v in cycle.vertices:
-        j = index[v]
+    return tuple(index[v] for v in cycle.vertices)
+
+
+def rows_chordless(
+    verts: tuple[int, ...], pos: tuple[int, ...], neg: tuple[int, ...]
+) -> bool:
+    """No arc joins two cycle vertices besides the cycle's own arcs."""
+    members = 0
+    for v in verts:
+        members |= 1 << v
+    length = len(verts)
+    own = {(verts[k], verts[(k + 1) % length]) for k in range(length)}
+    for j in verts:
         targets = (pos[j] | neg[j]) & members
         while targets:
             low = targets & -targets
@@ -298,20 +313,32 @@ def is_chordless(g: SignedDigraph, cycle: Cycle) -> bool:
     return True
 
 
+def rows_delocalizers(
+    verts: tuple[int, ...], pos: tuple[int, ...], neg: tuple[int, ...]
+) -> int:
+    """Mask of the vertices sending a positive and a negative arc into
+    distinct cycle vertices."""
+    members = 0
+    for v in verts:
+        members |= 1 << v
+    out = 0
+    for j, (p, m) in enumerate(zip(pos, neg)):
+        p &= members
+        m &= members
+        if p and m and (p | m).bit_count() >= 2:
+            out |= 1 << j
+    return out
+
+
+def is_chordless(g: SignedDigraph, cycle: Cycle) -> bool:
+    """No arc of |g| joins two cycle vertices besides the cycle's own arcs."""
+    return rows_chordless(_cycle_indices(g, cycle), *graph_rows(g))
+
+
 def delocalizing_vertices(g: SignedDigraph, cycle: Cycle) -> tuple[str, ...]:
     """Vertices sending a positive and a negative arc into distinct cycle vertices."""
-    index = {v: k for k, v in enumerate(g.vertices)}
-    members = 0
-    for v in cycle.vertices:
-        members |= 1 << index[v]
-    pos, neg = graph_rows(g)
-    out = []
-    for j, v in enumerate(g.vertices):
-        p = pos[j] & members
-        m = neg[j] & members
-        if p and m and (p | m).bit_count() >= 2:
-            out.append(v)
-    return tuple(out)
+    found = rows_delocalizers(_cycle_indices(g, cycle), *graph_rows(g))
+    return tuple(v for j, v in enumerate(g.vertices) if found >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -354,34 +381,20 @@ class CircularForm:
         return SignedDigraph(self.components, frozenset(arcs))
 
 
-def circular_network(form: CircularForm) -> BooleanNetwork:
-    n = len(form.components)
+def _circular_table(n: int, pred: tuple[int, ...], constant: int) -> tuple[int, ...]:
     table = []
     for x in range(1 << n):
         out = 0
         for i in range(n):
-            if (x >> form.predecessor[i] & 1) ^ (form.constant >> i & 1):
+            if (x >> pred[i] & 1) ^ (constant >> i & 1):
                 out |= 1 << i
         table.append(out)
-    return BooleanNetwork(form.components, tuple(table))
+    return tuple(table)
 
 
-def _table_global_rows(
-    n: int, table: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    pos = [0] * n
-    neg = [0] * n
-    for x in range(1 << n):
-        for j in range(n):
-            bj = 1 << j
-            if x & bj:
-                continue
-            hi = table[x | bj]
-            lo = table[x]
-            diff = hi ^ lo
-            pos[j] |= diff & hi
-            neg[j] |= diff & lo
-    return tuple(pos), tuple(neg)
+def circular_network(form: CircularForm) -> BooleanNetwork:
+    table = _circular_table(len(form.components), form.predecessor, form.constant)
+    return BooleanNetwork(form.components, table)
 
 
 def _rows_circular_pred(
@@ -410,50 +423,28 @@ def _rows_circular_pred(
     return tuple(pred), constant
 
 
-def _table_circular_pred(
+def table_circular_pred(
     n: int, table: tuple[int, ...]
 ) -> tuple[tuple[int, ...], int] | None:
-    found = _rows_circular_pred(n, *_table_global_rows(n, table))
-    if found is None:
+    """(predecessor map, constant) of the table's circular form, if it has one."""
+    found = _rows_circular_pred(n, *table_global_rows(n, table))
+    if found is None or _circular_table(n, *found) != table:
         return None
-    pred, constant = found
-    for x in range(1 << n):
-        out = 0
-        for i in range(n):
-            if (x >> pred[i] & 1) ^ (constant >> i & 1):
-                out |= 1 << i
-        if out != table[x]:
-            return None
     return found
 
 
 def detect_circular(f: BooleanNetwork) -> CircularForm | None:
     """The circular form of f, when G(f) is a cycle through every component."""
-
-    def compute() -> tuple[tuple[int, ...], int] | None:
-        found = _rows_circular_pred(f.width, *global_rows(f))
-        if found is None:
-            return None
-        pred, constant = found
-        form = CircularForm(f.components, pred, constant)
-        if circular_network(form).table != f.table:
-            return None
-        return found
-
-    found = cached(f, "_circular_pred", compute)
+    found = cached(f, "_circular_pred", lambda: table_circular_pred(f.width, f.table))
     if found is None:
         return None
     return CircularForm(f.components, found[0], found[1])
 
 
-def and_net(g: SignedDigraph) -> BooleanNetwork:
-    """The conjunctive network of a simple graph: f_i is the AND of its
-    in-neighbors, each read positively or negatively per the arc sign; a
-    vertex with no in-arc gets the constant 1."""
-    if not g.is_simple:
-        raise ValueError("and-nets are defined over simple graphs")
-    pos, neg = graph_rows(g)
-    n = len(g.vertices)
+def and_net_table(
+    n: int, pos: tuple[int, ...], neg: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The table of and_net for the (positive, negative) rows of a simple graph."""
     pos_in = [0] * n
     neg_in = [0] * n
     for j in range(n):
@@ -470,7 +461,16 @@ def and_net(g: SignedDigraph) -> BooleanNetwork:
                 continue
             out |= 1 << i
         table.append(out)
-    return BooleanNetwork(g.vertices, tuple(table))
+    return tuple(table)
+
+
+def and_net(g: SignedDigraph) -> BooleanNetwork:
+    """The conjunctive network of a simple graph: f_i is the AND of its
+    in-neighbors, each read positively or negatively per the arc sign; a
+    vertex with no in-arc gets the constant 1."""
+    if not g.is_simple:
+        raise ValueError("and-nets are defined over simple graphs")
+    return BooleanNetwork(g.vertices, and_net_table(len(g.vertices), *graph_rows(g)))
 
 
 def is_and_net(f: BooleanNetwork) -> bool:
@@ -478,12 +478,12 @@ def is_and_net(f: BooleanNetwork) -> bool:
         pos, neg = global_rows(f)
         if any(p & m for p, m in zip(pos, neg)):
             return False
-        return and_net(global_interaction_graph(f)).table == f.table
+        return and_net_table(f.width, pos, neg) == f.table
 
     return cached(f, "_is_and_net", compute)
 
 
-def _acyclic(n: int, adj: tuple[int, ...]) -> bool:
+def acyclic(n: int, adj: tuple[int, ...]) -> bool:
     """Peel vertices with no outgoing arcs; a cycle survives every round."""
     mask = (1 << n) - 1
     while mask:
@@ -501,7 +501,7 @@ def _acyclic(n: int, adj: tuple[int, ...]) -> bool:
     return True
 
 
-def _cycle_signs_present(
+def cycle_signs_present(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> tuple[bool, bool]:
     """(has positive cycle, has negative cycle); both-sign arcs give both."""
@@ -521,7 +521,7 @@ def _cycle_signs_present(
 
 def has_cycle_of_sign(g: SignedDigraph, sign: int) -> bool:
     pos, neg = graph_rows(g)
-    has_pos, has_neg = _cycle_signs_present(len(g.vertices), pos, neg)
+    has_pos, has_neg = cycle_signs_present(len(g.vertices), pos, neg)
     return has_pos if sign == 1 else has_neg
 
 
@@ -531,7 +531,7 @@ def shih_dong_condition(f: BooleanNetwork) -> bool:
     def compute() -> bool:
         n = f.width
         return all(
-            _acyclic(n, tuple(p | m for p, m in zip(pos, neg)))
+            acyclic(n, tuple(p | m for p, m in zip(pos, neg)))
             for pos, neg in local_rows(f)
         )
 
@@ -549,25 +549,6 @@ def _cycles_by_rows(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(_signed_cycles(n, pos, neg))
-
-
-def _rows_chordless(
-    verts: tuple[int, ...], pos: tuple[int, ...], neg: tuple[int, ...]
-) -> bool:
-    members = 0
-    for v in verts:
-        members |= 1 << v
-    length = len(verts)
-    own = {(verts[k], verts[(k + 1) % length]) for k in range(length)}
-    for j in verts:
-        targets = (pos[j] | neg[j]) & members
-        while targets:
-            low = targets & -targets
-            i = low.bit_length() - 1
-            targets ^= low
-            if (j, i) not in own:
-                return False
-    return True
 
 
 def _min_filtered_cycle_len(
@@ -596,7 +577,7 @@ def _min_filtered_cycle_len(
             s *= k
         if s != want:
             continue
-        if _rows_chordless(verts, cpos, cneg):
+        if rows_chordless(verts, cpos, cneg):
             best = len(verts)
     return best
 

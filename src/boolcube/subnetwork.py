@@ -28,6 +28,9 @@ from .network import (
     default_components,
     enumerate_networks,
     fixed_point_codes,
+    is_eosd,
+    table_fixed_point_codes,
+    table_is_eosd,
 )
 
 
@@ -149,29 +152,8 @@ def subnetworks(
         yield spec, induced_subnetwork(f, spec)
 
 
-def _table_parity(table: tuple[int, ...]) -> int:
-    """0 (even), 1 (odd) or -1: the conjugate image equals the even/odd points."""
-    image = {v ^ x for x, v in enumerate(table)}
-    if 2 * len(image) != len(table):
-        return -1
-    first = (table[0]).bit_count() & 1
-    for c in image:
-        if c.bit_count() & 1 != first:
-            return -1
-    return first
-
-
-def _table_is_self_dual(table: tuple[int, ...]) -> bool:
-    full = len(table) - 1
-    return all(table[x ^ full] == table[x] ^ full for x in range(len(table) // 2 or 1))
-
-
-def _table_is_eosd(table: tuple[int, ...]) -> bool:
-    return _table_parity(table) >= 0 and _table_is_self_dual(table)
-
-
-def _spec_items(f: BooleanNetwork) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(free_mask, fixed_code, table) for every subnetwork including f itself."""
+def spec_items(f: BooleanNetwork) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(free_mask, fixed_code, table) for every subnetwork, f itself last."""
 
     def compute() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         return tuple(
@@ -182,14 +164,30 @@ def _spec_items(f: BooleanNetwork) -> tuple[tuple[int, int, tuple[int, ...]], ..
     return cached(f, "_spec_items", compute)
 
 
+def item_fixed_point_counts(f: BooleanNetwork) -> dict[tuple[int, int], int]:
+    """Fixed-point count per subnetwork item (free mask, frozen code), f last."""
+    return cached(
+        f,
+        "_item_fps",
+        lambda: {
+            (mask, code): len(table_fixed_point_codes(table))
+            for mask, code, table in spec_items(f)
+        },
+    )
+
+
+def _strict_fp_counts(f: BooleanNetwork) -> tuple[int, ...]:
+    return tuple(item_fixed_point_counts(f).values())[:-1]
+
+
 def find_eosd_subnetwork(
     f: BooleanNetwork,
 ) -> tuple[SubnetworkSpec, BooleanNetwork] | None:
     """First even- or odd-self-dual subnetwork in enumeration order, if any."""
 
     def compute() -> tuple[int, int] | None:
-        for free_mask, fixed_code, table in _spec_items(f):
-            if _table_is_eosd(table):
+        for free_mask, fixed_code, table in spec_items(f):
+            if table_is_eosd(table):
                 return free_mask, fixed_code
         return None
 
@@ -202,18 +200,6 @@ def find_eosd_subnetwork(
 
 def has_eosd_subnetwork(f: BooleanNetwork) -> bool:
     return find_eosd_subnetwork(f) is not None
-
-
-def _strict_fp_counts(f: BooleanNetwork) -> tuple[int, ...]:
-    def compute() -> tuple[int, ...]:
-        full = (1 << f.width) - 1
-        return tuple(
-            sum(1 for x, v in enumerate(table) if v == x)
-            for free_mask, _, table in _spec_items(f)
-            if free_mask != full
-        )
-
-    return cached(f, "_strict_fp_counts", compute)
 
 
 @dataclass(frozen=True)
@@ -256,31 +242,15 @@ def is_zero_critical(f: BooleanNetwork) -> bool:
 
 def is_critical_eosd(f: BooleanNetwork) -> bool:
     """Even- or odd-self-dual with no strict subnetwork of either kind."""
-    from .network import is_eosd
-
     if not is_eosd(f):
         return False
-    full = (1 << f.width) - 1
-    return not any(
-        _table_is_eosd(table)
-        for free_mask, _, table in _spec_items(f)
-        if free_mask != full
-    )
+    return not any(table_is_eosd(table) for _, _, table in spec_items(f)[:-1])
 
 
 def all_subnetworks_fixed_point_census(f: BooleanNetwork) -> tuple[int, int]:
     """(min, max) fixed-point count over every subnetwork, f included."""
-
-    def compute() -> tuple[int, int]:
-        lo = hi = len(fixed_point_codes(f))
-        for count in _strict_fp_counts(f):
-            if count < lo:
-                lo = count
-            elif count > hi:
-                hi = count
-        return lo, hi
-
-    return cached(f, "_census", compute)
+    counts = item_fixed_point_counts(f).values()
+    return min(counts), max(counts)
 
 
 class BaseProperty(Enum):
@@ -288,27 +258,26 @@ class BaseProperty(Enum):
     AT_LEAST_ONE = "AtLeastOne"
     EXACTLY_ONE = "ExactlyOne"
 
-
-def _base_holds(prop: BaseProperty, fp_count: int) -> bool:
-    if prop is BaseProperty.AT_MOST_ONE:
-        return fp_count <= 1
-    if prop is BaseProperty.AT_LEAST_ONE:
-        return fp_count >= 1
-    return fp_count == 1
+    def holds(self, fp_count: int) -> bool:
+        if self is BaseProperty.AT_MOST_ONE:
+            return fp_count <= 1
+        if self is BaseProperty.AT_LEAST_ONE:
+            return fp_count >= 1
+        return fp_count == 1
 
 
 def satisfies_everywhere(prop: BaseProperty, f: BooleanNetwork) -> bool:
     """The closed property: every subnetwork of f (f included) passes the base."""
-    if not _base_holds(prop, len(fixed_point_codes(f))):
+    if not prop.holds(len(fixed_point_codes(f))):
         return False
-    return all(_base_holds(prop, c) for c in _strict_fp_counts(f))
+    return all(prop.holds(c) for c in _strict_fp_counts(f))
 
 
 def is_minimal_violation(prop: BaseProperty, f: BooleanNetwork) -> bool:
     """f fails the base while every strict subnetwork passes it."""
-    if _base_holds(prop, len(fixed_point_codes(f))):
+    if prop.holds(len(fixed_point_codes(f))):
         return False
-    return all(_base_holds(prop, c) for c in _strict_fp_counts(f))
+    return all(prop.holds(c) for c in _strict_fp_counts(f))
 
 
 def minimal_forbidden_set(prop: BaseProperty, n: int) -> Iterator[BooleanNetwork]:

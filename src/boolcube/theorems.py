@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Callable, Iterable, Union
 
 from .dynamics import attractor_summary, weak_convergence
-from .hypercube import Point, gather_bits, scatter_bits
+from .hypercube import Point, format_code, gather_bits, scatter_bits
 from .network import (
+    RANDOM_WIDTH_CAP,
     BooleanNetwork,
     ParityClass,
     WidthCapError,
@@ -33,31 +35,40 @@ from .network import (
     is_conjugate_bijective,
     is_non_expansive,
     network_from_index,
+    parity_class,
     render_bn,
+    table_is_conjugate_bijective,
 )
 from .siggraph import (
     CircularForm,
     CycleFilter,
-    _acyclic,
-    _cycle_signs_present,
     _cycles_by_rows,
-    _rows_chordless,
-    _table_circular_pred,
+    acyclic,
+    and_net_table,
     circular_network,
     counting_condition,
+    cycle_signs_present,
+    detect_circular,
     global_rows,
     is_and_net,
     local_rows,
+    rows_chordless,
+    rows_delocalizers,
     shih_dong_condition,
     simple_digraph_count,
     simple_digraph_rows_from_index,
+    table_circular_pred,
+    table_local_rows,
 )
 from .subnetwork import (
-    _spec_items,
+    BaseProperty,
     all_subnetworks_fixed_point_census,
     has_eosd_subnetwork,
     is_two_critical,
     is_zero_critical,
+    item_fixed_point_counts,
+    spec_items,
+    sub_table,
 )
 
 
@@ -116,7 +127,7 @@ def _fp_count(f: BooleanNetwork) -> int:
 
 def _global_cycle_signs(f: BooleanNetwork) -> tuple[bool, bool]:
     return cached(
-        f, "_gsigns", lambda: _cycle_signs_present(f.width, *global_rows(f))
+        f, "_gsigns", lambda: cycle_signs_present(f.width, *global_rows(f))
     )
 
 
@@ -125,7 +136,7 @@ def _local_cycle_signs(f: BooleanNetwork) -> tuple[bool, bool]:
         has_pos = has_neg = False
         n = f.width
         for pos, neg in local_rows(f):
-            p, m = _cycle_signs_present(n, pos, neg)
+            p, m = cycle_signs_present(n, pos, neg)
             has_pos = has_pos or p
             has_neg = has_neg or m
             if has_pos and has_neg:
@@ -138,7 +149,7 @@ def _local_cycle_signs(f: BooleanNetwork) -> tuple[bool, bool]:
 def _global_acyclic(f: BooleanNetwork) -> bool:
     def compute() -> bool:
         pos, neg = global_rows(f)
-        return _acyclic(f.width, tuple(p | m for p, m in zip(pos, neg)))
+        return acyclic(f.width, tuple(p | m for p, m in zip(pos, neg)))
 
     return cached(f, "_gacyclic", compute)
 
@@ -174,22 +185,8 @@ def _strongly_connected_with_arc(f: BooleanNetwork) -> bool:
 
 
 def _circular_sign(f: BooleanNetwork) -> int | None:
-    from .siggraph import detect_circular
-
     form = detect_circular(f)
     return None if form is None else form.sign
-
-
-def _item_fp_map(f: BooleanNetwork) -> dict[tuple[int, int], int]:
-    """Fixed-point count per subnetwork item (free mask, frozen code)."""
-
-    def compute() -> dict[tuple[int, int], int]:
-        return {
-            (mask, code): sum(1 for x, v in enumerate(table) if v == x)
-            for mask, code, table in _spec_items(f)
-        }
-
-    return cached(f, "_item_fps", compute)
 
 
 def _iter_strict_subitems(mask: int, code: int):
@@ -207,7 +204,7 @@ def _iter_strict_subitems(mask: int, code: int):
 
 
 def _has_critical_sub(f: BooleanNetwork, want_two: bool) -> bool:
-    fps = _item_fp_map(f)
+    fps = item_fixed_point_counts(f)
     for (mask, code), count in fps.items():
         if want_two:
             if count < 2:
@@ -227,8 +224,8 @@ def _item_circular_signs(f: BooleanNetwork) -> tuple[int, ...]:
 
     def compute() -> tuple[int, ...]:
         out = []
-        for mask, _, table in _spec_items(f):
-            found = _table_circular_pred(mask.bit_count(), table)
+        for mask, _, table in spec_items(f):
+            found = table_circular_pred(mask.bit_count(), table)
             if found is None:
                 out.append(0)
             else:
@@ -244,13 +241,11 @@ def _has_circular_sub(f: BooleanNetwork) -> tuple[bool, bool]:
 
 
 def _all_subs_conjugate_bijective(f: BooleanNetwork) -> bool:
-    def compute() -> bool:
-        return all(
-            len({x ^ v for x, v in enumerate(table)}) == len(table)
-            for _, _, table in _spec_items(f)
-        )
-
-    return cached(f, "_subs_bij", compute)
+    return cached(
+        f,
+        "_subs_bij",
+        lambda: all(table_is_conjugate_bijective(table) for _, _, table in spec_items(f)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +304,9 @@ def _graph_cycle_analysis(
             total = 1
             for s in signs:
                 total *= s
-            members = 0
-            for v in verts:
-                members |= 1 << v
-            deloc = any(
-                pos[j] & members
-                and neg[j] & members
-                and ((pos[j] | neg[j]) & members).bit_count() >= 2
-                for j in range(n)
-            )
-            out.append(
-                (verts, signs, total, _rows_chordless(verts, pos, neg), deloc)
-            )
+            chordless = rows_chordless(verts, pos, neg)
+            deloc = bool(rows_delocalizers(verts, pos, neg))
+            out.append((verts, signs, total, chordless, deloc))
         return tuple(out)
 
     return cached(f, "_gcycles", compute)
@@ -355,24 +341,16 @@ def _concl_critical_dynamics(f: BooleanNetwork) -> bool:
     return True
 
 
-def _base_ok(kind: str, count: int) -> bool:
-    if kind == "le1":
-        return count <= 1
-    if kind == "ge1":
-        return count >= 1
-    return count == 1
-
-
 def _concl_minimal_forbidden(f: BooleanNetwork) -> bool:
-    fps = _item_fp_map(f)
-    for kind in ("le1", "ge1", "eq1"):
-        all_ok = all(_base_ok(kind, c) for c in fps.values())
+    fps = item_fixed_point_counts(f)
+    for prop in BaseProperty:
+        all_ok = all(prop.holds(c) for c in fps.values())
         minimal_found = False
         for (mask, code), count in fps.items():
-            if _base_ok(kind, count):
+            if prop.holds(count):
                 continue
             if all(
-                _base_ok(kind, fps[item])
+                prop.holds(fps[item])
                 for item in _iter_strict_subitems(mask, code)
             ):
                 minimal_found = True
@@ -391,10 +369,7 @@ def _concl_cor11(f: BooleanNetwork) -> bool:
 
 def _concl_dynamics_iso(f: BooleanNetwork) -> bool:
     table = f.table
-    full = (1 << f.width) - 1
-    for mask, code, sub in _spec_items(f):
-        if mask == full:
-            continue
+    for mask, code, sub in spec_items(f)[:-1]:
         for y, v in enumerate(sub):
             x = code | scatter_bits(y, mask)
             if gather_bits((table[x] ^ x) & mask, mask) != v ^ y:
@@ -403,16 +378,11 @@ def _concl_dynamics_iso(f: BooleanNetwork) -> bool:
 
 
 def _concl_local_subgraph(f: BooleanNetwork) -> bool:
-    from .siggraph import _raw_local_rows
-
     lrows = local_rows(f)
-    full = (1 << f.width) - 1
-    for mask, code, sub in _spec_items(f):
-        if mask == full:
-            continue
+    for mask, code, sub in spec_items(f)[:-1]:
         m = mask.bit_count()
         free = [k for k in range(f.width) if mask >> k & 1]
-        srows = _raw_local_rows(m, sub)
+        srows = table_local_rows(m, sub)
         for y in range(1 << m):
             x = code | scatter_bits(y, mask)
             fpos, fneg = lrows[x]
@@ -435,20 +405,16 @@ def _concl_eosd_andnet(f: BooleanNetwork) -> bool:
 
 
 def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
-    from .subnetwork import sub_table
-
     n = f.width
     gpos, gneg = global_rows(f)
     for x, (pos, neg) in enumerate(local_rows(f)):
         for verts, signs in _cycles_by_rows(n, pos, neg):
-            if not _rows_chordless(verts, gpos, gneg):
+            if not rows_chordless(verts, gpos, gneg):
                 continue
             mask = 0
             for v in verts:
                 mask |= 1 << v
-            found = _table_circular_pred(
-                len(verts), sub_table(f.table, mask, x & ~mask)
-            )
+            found = table_circular_pred(len(verts), sub_table(f.table, mask, x & ~mask))
             if found is None:
                 return False
             pred, constant = found
@@ -469,12 +435,12 @@ def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
 def _concl_circular_subnetworks(f: BooleanNetwork) -> bool:
     """Realized circular-subnetwork graphs == chord-free delocalizer-free cycles."""
     realized = set()
-    items = _spec_items(f)
+    items = spec_items(f)
     signs = _item_circular_signs(f)
     for (mask, _, table), sign in zip(items, signs):
         if sign == 0:
             continue
-        found = _table_circular_pred(mask.bit_count(), table)
+        found = table_circular_pred(mask.bit_count(), table)
         assert found is not None
         pred, constant = found
         free = [k for k in range(f.width) if mask >> k & 1]
@@ -502,8 +468,6 @@ def _concl_circular_subnetworks(f: BooleanNetwork) -> bool:
 
 
 def _parity_even_or_odd(f: BooleanNetwork) -> bool:
-    from .network import parity_class
-
     return parity_class(f) is not ParityClass.NEITHER
 
 
@@ -633,8 +597,6 @@ def _subset_conclusion(n: int, members: int) -> bool:
 
 
 def _subset_payload(n: int, members: int) -> str:
-    from .hypercube import format_code
-
     points = [format_code(c, n) for c in range(1 << n) if members >> c & 1]
     return f"subset width={n}\npoints " + " ".join(points) + "\n"
 
@@ -718,8 +680,8 @@ def generator_count(gen: Generator) -> int:
             raise WidthCapError(f"exhaustive sweeps are capped at width 3, got {gen.n}")
         return 1 << (gen.n << gen.n)
     if isinstance(gen, (Sample, NonExpansiveFiltered)):
-        if gen.n > 16:
-            raise WidthCapError(f"sampling is capped at width 16, got {gen.n}")
+        if gen.n > RANDOM_WIDTH_CAP:
+            raise WidthCapError(f"sampling is capped at width {RANDOM_WIDTH_CAP}, got {gen.n}")
         return gen.count
     if isinstance(gen, AndNets):
         if gen.n > 3:
@@ -759,45 +721,72 @@ def circular_candidate(n: int, index: int) -> BooleanNetwork:
     )
 
 
-def _and_net_candidate(n: int, index: int) -> BooleanNetwork:
-    pos, neg = simple_digraph_rows_from_index(n, index)
-    pos_in = [0] * n
-    neg_in = [0] * n
-    for j in range(n):
-        for i in range(n):
-            if pos[j] >> i & 1:
-                pos_in[i] |= 1 << j
-            if neg[j] >> i & 1:
-                neg_in[i] |= 1 << j
-    table = []
-    for x in range(1 << n):
-        out = 0
-        for i in range(n):
-            if pos_in[i] & ~x or neg_in[i] & x:
-                continue
-            out |= 1 << i
-        table.append(out)
-    return BooleanNetwork(default_components(n), tuple(table))
-
-
 def candidate_network(gen: Generator, index: int) -> BooleanNetwork:
     if isinstance(gen, Exhaustive):
         return network_from_index(gen.n, index)
     if isinstance(gen, (Sample, NonExpansiveFiltered)):
         return network_from_index(gen.n, sample_table_index(gen.n, gen.seed, index))
     if isinstance(gen, AndNets):
-        return _and_net_candidate(gen.n, index)
+        table = and_net_table(gen.n, *simple_digraph_rows_from_index(gen.n, index))
+        return BooleanNetwork(default_components(gen.n), table)
     if isinstance(gen, Circular):
         return circular_candidate(gen.n, index)
     raise ValueError("subset generators do not yield networks")
 
 
+# Open questions: a candidate that meets the hypothesis and misses the
+# conjectured conclusion is a discovery to report, not a failure.
+
+_QUESTIONS: dict[
+    str, tuple[Callable[[BooleanNetwork], bool], Callable[[BooleanNetwork], bool]]
+] = {
+    # Does every network without negative local cycles have a fixed point?
+    "Q1_NEG_LOCAL_CYCLES": (
+        lambda f: not _local_cycle_signs(f)[1],
+        lambda f: _fp_count(f) >= 1,
+    ),
+    # Is every 0-critical and-net a negative circular network?
+    "Q2_0CRITICAL_ANDNET": (
+        lambda f: is_and_net(f) and is_zero_critical(f),
+        lambda f: _circular_sign(f) == -1,
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
-# Sweeping.
+# Reports.
+
+
+class _Report:
+    """A versioned header, then key=value lines in alphabetical order with the
+    notes as note.*, then one indented payload block per candidate."""
+
+    def _render(self, wall_time_s: float | None) -> str:
+        header, values, label, payloads = self._parts()
+        lines = [f"{key}={value}" for key, value in values.items()]
+        lines.extend(f"note.{note}" for note in self.notes)
+        if wall_time_s is not None:
+            lines.append(f"wall_time_s={wall_time_s:.3f}")
+        lines = [f"# {header} report v1", *sorted(lines)]
+        for index, payload in payloads:
+            lines.append("")
+            lines.append(f"{label} candidate={index}")
+            lines.extend("  " + row for row in payload.rstrip("\n").splitlines())
+        return "\n".join(lines) + "\n"
+
+    def canonical_text(self) -> str:
+        """Byte-stable rendering: everything except the wall-time line."""
+        return self._render(None)
+
+    def text(self) -> str:
+        return self._render(self.wall_time_s)
+
+    def __str__(self) -> str:
+        return self.text()
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Report):
     theorem: str
     generator: str
     candidates: int
@@ -811,34 +800,45 @@ class SweepReport:
     def counterexample_count(self) -> int:
         return len(self.counterexamples)
 
-    def _lines(self, include_wall: bool) -> list[str]:
-        lines = [
-            "# sweep report v1",
-            f"candidates={self.candidates}",
-            f"confirmed={self.confirmed}",
-            f"counterexamples={self.counterexample_count}",
-            f"generator={self.generator}",
-        ]
-        lines.extend(f"note.{note}" for note in sorted(self.notes))
-        lines.append(f"theorem={self.theorem}")
-        lines.append(f"vacuous={self.vacuous}")
-        if include_wall:
-            lines.append(f"wall_time_s={self.wall_time_s:.3f}")
-        for index, payload in self.counterexamples:
-            lines.append("")
-            lines.append(f"counterexample candidate={index}")
-            lines.extend("  " + row for row in payload.rstrip("\n").splitlines())
-        return lines
+    def _parts(self):
+        values = {
+            "candidates": self.candidates,
+            "confirmed": self.confirmed,
+            "counterexamples": self.counterexample_count,
+            "generator": self.generator,
+            "theorem": self.theorem,
+            "vacuous": self.vacuous,
+        }
+        return "sweep", values, "counterexample", self.counterexamples
 
-    def canonical_text(self) -> str:
-        """Byte-stable rendering: everything except the wall-time line."""
-        return "\n".join(self._lines(include_wall=False)) + "\n"
 
-    def text(self) -> str:
-        return "\n".join(self._lines(include_wall=True)) + "\n"
+@dataclass(frozen=True)
+class SearchReport(_Report):
+    question: str
+    generator: str
+    examined: int
+    hypothesis_hits: int
+    discoveries: tuple[tuple[int, str], ...]
+    notes: tuple[str, ...] = ()
+    wall_time_s: float = 0.0
 
-    def __str__(self) -> str:
-        return self.text()
+    @property
+    def discovery_count(self) -> int:
+        return len(self.discoveries)
+
+    def _parts(self):
+        values = {
+            "discoveries": self.discovery_count,
+            "examined": self.examined,
+            "generator": self.generator,
+            "hypothesis_hits": self.hypothesis_hits,
+            "question": self.question,
+        }
+        return "search", values, "discovery", self.discoveries
+
+
+# ---------------------------------------------------------------------------
+# The driver shared by sweeps and searches.
 
 
 @dataclass
@@ -848,6 +848,11 @@ class _Tally:
     counterexamples: list[tuple[int, str]] = field(default_factory=list)
     weak_confirmed: int = 0
     weak_counterexamples: int = 0
+
+    def add(self, other: _Tally) -> None:
+        """Every field is a count or a list, so chunks add up field by field."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _evaluate_keys(
@@ -876,7 +881,7 @@ def _evaluate_keys(
             continue
         for key in keys:
             tally = tallies[key]
-            hyp, concl = NETWORK_CATALOG[key]
+            hyp, concl = NETWORK_CATALOG.get(key) or _QUESTIONS[key]
             if not hyp(f):
                 tally.vacuous += 1
                 continue
@@ -892,28 +897,51 @@ def _evaluate_keys(
     return tallies, rejected
 
 
-def _sweep_chunk(args: tuple[tuple[str, ...], Generator, int, int]):
-    keys, gen, lo, hi = args
-    tallies, rejected = _evaluate_keys(keys, gen, lo, hi)
-    return (
-        {
-            key: (
-                tally.vacuous,
-                tally.confirmed,
-                tally.counterexamples,
-                tally.weak_confirmed,
-                tally.weak_counterexamples,
-            )
-            for key, tally in tallies.items()
-        },
-        rejected,
-    )
-
-
 def _chunk_ranges(count: int, jobs: int) -> list[tuple[int, int]]:
     chunks = max(1, min(count, jobs * 4))
-    step = (count + chunks - 1) // chunks
+    step = max(1, (count + chunks - 1) // chunks)
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _worker_count(jobs: int, chunks: int) -> int:
+    """Worker processes to start: no more than the jobs asked for, the chunks
+    to run or the CPUs present."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, chunks, os.cpu_count() or 1)
+
+
+def _drive(
+    keys: tuple[str, ...], generator: Generator, count: int, jobs: int
+) -> tuple[dict[str, _Tally], int, tuple[str, ...], float]:
+    """Tally each key over candidates [0, count), in this process when one
+    worker suffices, else chunk by chunk in a process pool.
+
+    Returns the tallies, the number of candidates the generator accepted, the
+    report notes and the wall time.
+    """
+    started = time.perf_counter()
+    ranges = _chunk_ranges(count, jobs)
+    workers = _worker_count(jobs, len(ranges))
+    if workers < 2:
+        chunks = [_evaluate_keys(keys, generator, 0, count)]
+    else:
+        los, his = zip(*ranges)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(
+                pool.map(_evaluate_keys, repeat(keys), repeat(generator), los, his)
+            )
+    merged = {key: _Tally() for key in keys}
+    rejected = 0
+    for tallies, chunk_rejected in chunks:
+        rejected += chunk_rejected
+        for key, tally in tallies.items():
+            merged[key].add(tally)
+    accepted = count - rejected
+    notes = ()
+    if isinstance(generator, NonExpansiveFiltered):
+        notes = (f"accepted={accepted}/{count}",)
+    return merged, accepted, notes, time.perf_counter() - started
 
 
 def sweep_many(
@@ -929,51 +957,25 @@ def sweep_many(
                 "LEMMA1_HYPERCUBE sweeps over subsets; every other id sweeps networks"
             )
     count = generator_count(generator)
-    started = time.perf_counter()
-    merged = {key: _Tally() for key in keys}
-    rejected_total = 0
-    if jobs <= 1 or count < 2:
-        tallies, rejected_total = _evaluate_keys(keys, generator, 0, count)
-        merged = tallies
-    else:
-        ranges = _chunk_ranges(count, jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk, rejected in pool.map(
-                _sweep_chunk, [(keys, generator, lo, hi) for lo, hi in ranges]
-            ):
-                rejected_total += rejected
-                for key, (vac, conf, cexs, wconf, wcex) in chunk.items():
-                    tally = merged[key]
-                    tally.vacuous += vac
-                    tally.confirmed += conf
-                    tally.counterexamples.extend(cexs)
-                    tally.weak_confirmed += wconf
-                    tally.weak_counterexamples += wcex
-    wall = time.perf_counter() - started
+    tallies, accepted, notes, wall = _drive(keys, generator, count, jobs)
     descriptor = describe_generator(generator)
     reports = {}
     for key in keys:
-        tally = merged[key]
-        notes = []
-        if isinstance(generator, NonExpansiveFiltered):
-            accepted = count - rejected_total
-            notes.append(f"accepted={accepted}/{count}")
+        tally = tallies[key]
+        key_notes = notes
         if key == "DICHOTOMY_UNIQUE":
-            notes.append(f"weak_at_most_two_confirmed={tally.weak_confirmed}")
-            notes.append(
-                f"weak_at_most_two_counterexamples={tally.weak_counterexamples}"
+            key_notes += (
+                f"weak_at_most_two_confirmed={tally.weak_confirmed}",
+                f"weak_at_most_two_counterexamples={tally.weak_counterexamples}",
             )
-        candidates = count - (
-            rejected_total if isinstance(generator, NonExpansiveFiltered) else 0
-        )
         reports[key] = SweepReport(
             theorem=key,
             generator=descriptor,
-            candidates=candidates,
+            candidates=accepted,
             vacuous=tally.vacuous,
             confirmed=tally.confirmed,
             counterexamples=tuple(sorted(tally.counterexamples)),
-            notes=tuple(notes),
+            notes=key_notes,
             wall_time_s=wall,
         )
     return reports
@@ -984,6 +986,33 @@ def sweep(
 ) -> SweepReport:
     key = _resolve(theorem)
     return sweep_many([key], generator, jobs=jobs)[key]
+
+
+def open_question_search(
+    question: Union[OpenQuestion, str],
+    generator: Generator,
+    budget: int | None = None,
+    jobs: int = 1,
+) -> SearchReport:
+    key = question.name if isinstance(question, OpenQuestion) else str(question)
+    if key not in _QUESTIONS:
+        raise ValueError(f"unknown open question {key!r}")
+    if isinstance(generator, Subsets):
+        raise ValueError("open questions sweep networks, not subsets")
+    count = generator_count(generator)
+    if budget is not None:
+        count = min(count, budget)
+    tallies, accepted, notes, wall = _drive((key,), generator, count, jobs)
+    tally = tallies[key]
+    return SearchReport(
+        question=key,
+        generator=describe_generator(generator),
+        examined=accepted,
+        hypothesis_hits=accepted - tally.vacuous,
+        discoveries=tuple(sorted(tally.counterexamples)),
+        notes=notes,
+        wall_time_s=wall,
+    )
 
 
 def check(
@@ -1004,117 +1033,3 @@ def check(
     if concl(candidate):
         return Verdict(VerdictKind.CONFIRMED)
     return Verdict(VerdictKind.COUNTEREXAMPLE, render_bn(candidate))
-
-
-# ---------------------------------------------------------------------------
-# Open questions: violations are discoveries to report, not failures.
-
-_QUESTIONS: dict[
-    str, tuple[Callable[[BooleanNetwork], bool], Callable[[BooleanNetwork], bool]]
-] = {
-    # Does every network without negative local cycles have a fixed point?
-    "Q1_NEG_LOCAL_CYCLES": (
-        lambda f: not _local_cycle_signs(f)[1],
-        lambda f: _fp_count(f) == 0,
-    ),
-    # Is every 0-critical and-net a negative circular network?
-    "Q2_0CRITICAL_ANDNET": (
-        lambda f: is_and_net(f) and is_zero_critical(f),
-        lambda f: _circular_sign(f) != -1,
-    ),
-}
-
-
-@dataclass(frozen=True)
-class SearchReport:
-    question: str
-    generator: str
-    examined: int
-    hypothesis_hits: int
-    discoveries: tuple[tuple[int, str], ...]
-    notes: tuple[str, ...] = ()
-    wall_time_s: float = 0.0
-
-    @property
-    def discovery_count(self) -> int:
-        return len(self.discoveries)
-
-    def _lines(self, include_wall: bool) -> list[str]:
-        lines = [
-            "# search report v1",
-            f"discoveries={self.discovery_count}",
-            f"examined={self.examined}",
-            f"generator={self.generator}",
-            f"hypothesis_hits={self.hypothesis_hits}",
-        ]
-        lines.extend(f"note.{note}" for note in sorted(self.notes))
-        lines.append(f"question={self.question}")
-        if include_wall:
-            lines.append(f"wall_time_s={self.wall_time_s:.3f}")
-        for index, payload in self.discoveries:
-            lines.append("")
-            lines.append(f"discovery candidate={index}")
-            lines.extend("  " + row for row in payload.rstrip("\n").splitlines())
-        return lines
-
-    def canonical_text(self) -> str:
-        return "\n".join(self._lines(include_wall=False)) + "\n"
-
-    def text(self) -> str:
-        return "\n".join(self._lines(include_wall=True)) + "\n"
-
-    def __str__(self) -> str:
-        return self.text()
-
-
-def _search_chunk(args: tuple[str, Generator, int, int]):
-    key, gen, lo, hi = args
-    hyp, is_discovery = _QUESTIONS[key]
-    hits = 0
-    discoveries: list[tuple[int, str]] = []
-    for index in range(lo, hi):
-        f = candidate_network(gen, index)
-        if not hyp(f):
-            continue
-        hits += 1
-        if is_discovery(f):
-            discoveries.append((index, render_bn(f)))
-    return hits, discoveries
-
-
-def open_question_search(
-    question: Union[OpenQuestion, str],
-    generator: Generator,
-    budget: int | None = None,
-    jobs: int = 1,
-) -> SearchReport:
-    key = question.name if isinstance(question, OpenQuestion) else str(question)
-    if key not in _QUESTIONS:
-        raise ValueError(f"unknown open question {key!r}")
-    if isinstance(generator, Subsets):
-        raise ValueError("open questions sweep networks, not subsets")
-    count = generator_count(generator)
-    if budget is not None:
-        count = min(count, budget)
-    started = time.perf_counter()
-    hits = 0
-    discoveries: list[tuple[int, str]] = []
-    if jobs <= 1 or count < 2:
-        hits, discoveries = _search_chunk((key, generator, 0, count))
-    else:
-        ranges = _chunk_ranges(count, jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk_hits, chunk_discoveries in pool.map(
-                _search_chunk, [(key, generator, lo, hi) for lo, hi in ranges]
-            ):
-                hits += chunk_hits
-                discoveries.extend(chunk_discoveries)
-    wall = time.perf_counter() - started
-    return SearchReport(
-        question=key,
-        generator=describe_generator(generator),
-        examined=count,
-        hypothesis_hits=hits,
-        discoveries=tuple(sorted(discoveries)),
-        wall_time_s=wall,
-    )

@@ -197,6 +197,8 @@ def test_verify_family(capsys):
         ("export-dot", "--input", EX1, "--what", "gf", "000", "--out", "/tmp/x.dot"),
         ("export-dot", "--input", EX1, "--what", "nope", "--out", "/tmp/x.dot"),
         ("export-dot", "--input", str(DATA / "example1.sg"), "--what", "gamma", "--out", "/tmp/x.dot"),
+        ("verify", "--theorem", "ROBERT", "--mode", "exhaustive", "--n", "2", "--jobs", "0"),
+        ("search", "--question", "Q1_NEG_LOCAL_CYCLES", "--mode", "exhaustive", "--n", "2", "--jobs", "0"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -211,6 +213,35 @@ def test_width_cap_exits_3(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+def test_gen_random_width_cap_exits_3(capsys):
+    code, out, err = run(capsys, "gen", "--random", "17", "1")
+    assert code == 3
+    assert out == ""
+    assert "capped at width 16" in err
+
+
+def test_search_examines_only_accepted_candidates(capsys):
+    code, out, _ = run(
+        capsys,
+        "search",
+        "--question",
+        "Q1_NEG_LOCAL_CYCLES",
+        "--mode",
+        "family",
+        "--family",
+        "nonexpansive",
+        "--n",
+        "2",
+        "--count",
+        "200",
+        "--seed",
+        "1",
+    )
+    assert code == 0
+    assert "examined=66\n" in out
+    assert "note.accepted=66/200\n" in out
 
 
 def test_search_reports_no_discoveries(capsys):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from boolcube import BooleanNetwork, SearchReport, WidthCapError, check, sweep_m
 from boolcube.hypercube import all_points, parse_point
 from boolcube.network import network_from_index
 from boolcube.siggraph import and_net, detect_circular, enumerate_simple_digraphs
+from boolcube import theorems
 from boolcube.theorems import (
     NETWORK_CATALOG,
     PROPERTY_IDS,
@@ -229,6 +233,55 @@ def test_open_question_searches():
         open_question_search("Q1_NEG_LOCAL_CYCLES", Subsets(2))
     with pytest.raises(ValueError):
         open_question_search("Q9_UNKNOWN", Exhaustive(2))
+
+
+def test_searches_apply_the_non_expansive_filter():
+    gen = NonExpansiveFiltered(2, 200, seed=1)
+    report = open_question_search("Q1_NEG_LOCAL_CYCLES", gen)
+    # RICHARD2011 has the Q1 hypothesis plus non-expansiveness, which the
+    # filter already guarantees, so its hits are the search's hits.
+    richard = sweep("RICHARD2011", gen)
+    assert report.notes == richard.notes == ("accepted=66/200",)
+    assert report.examined == richard.candidates == 66
+    assert report.hypothesis_hits == richard.candidates - richard.vacuous
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    assert theorems._worker_count(1, 100) == 1
+    assert theorems._worker_count(8, 3) == 2
+    assert theorems._worker_count(8, 1) == 1
+    assert theorems._worker_count(1000, 4000) == 2
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 64)
+    assert theorems._worker_count(1000, 4000) == 64
+    assert theorems._worker_count(8, 3) == 3
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: None)
+    assert theorems._worker_count(8, 32) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_are_rejected(jobs):
+    with pytest.raises(ValueError):
+        sweep("ROBERT", Exhaustive(1), jobs=jobs)
+    with pytest.raises(ValueError):
+        open_question_search("Q1_NEG_LOCAL_CYCLES", Exhaustive(1), jobs=jobs)
+
+
+def test_theorems_imports_no_private_kernels():
+    """The catalog uses the public kernels of the other modules; the one
+    exception is the cycle cache, whose name the benchmark reads."""
+    tree = ast.parse(Path(theorems.__file__).read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "boolcube"
+        ):
+            private += [
+                alias.name
+                for alias in node.names
+                if alias.name.startswith("_") and alias.name != "_cycles_by_rows"
+            ]
+    assert private == []
 
 
 def test_sweep_report_rendering():
