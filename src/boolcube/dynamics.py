@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypercube import Point
-from .network import BooleanNetwork, WidthCapError, cached, fixed_point_codes
+from .network import BooleanNetwork, WidthCapError, fixed_point_codes, memo
 
 WIDTH_CAP = 20
 
@@ -147,30 +147,26 @@ def _terminal_components(table: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
     return tuple(terminal), acyclic
 
 
+@memo
 def _term_info(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    return cached(f, "_term_info", lambda: _terminal_components(f.table))
+    return _terminal_components(f.table)
 
 
+@memo
 def attractors(f: BooleanNetwork) -> tuple[Attractor, ...]:
     _check_width(f)
-
-    def compute() -> tuple[Attractor, ...]:
-        terminal, _ = _term_info(f)
-        return tuple(Attractor(f.components, frozenset(comp)) for comp in terminal)
-
-    return cached(f, "_attractors", compute)
+    terminal, _ = _term_info(f)
+    return tuple(Attractor(f.components, frozenset(comp)) for comp in terminal)
 
 
+@memo
 def attractor_summary(f: BooleanNetwork) -> tuple[int, bool]:
     """(number of attractors, whether any is cyclic); cached for sweeps."""
-
-    def compute() -> tuple[int, bool]:
-        atts = attractors(f)
-        return len(atts), any(a.cyclic for a in atts)
-
-    return cached(f, "_att_summary", compute)
+    atts = attractors(f)
+    return len(atts), any(a.cyclic for a in atts)
 
 
+@memo
 def weak_convergence(f: BooleanNetwork) -> bool:
     """A unique fixed point reachable from every state along a geodesic.
 
@@ -178,47 +174,40 @@ def weak_convergence(f: BooleanNetwork) -> bool:
     that decrease the distance to it.
     """
     _check_width(f)
-
-    def compute() -> bool:
-        fixed = fixed_point_codes(f)
-        if len(fixed) != 1:
-            return False
-        target = fixed[0]
-        table = f.table
-        n = f.width
-        seen = bytearray(len(table))
-        seen[target] = 1
-        frontier = [target]
-        reached = 1
-        while frontier:
-            new_frontier = []
-            for y in frontier:
-                agree = ~(y ^ target)
-                for i in range(n):
-                    if not agree >> i & 1:
-                        continue
-                    x = y ^ (1 << i)
-                    if seen[x]:
-                        continue
-                    # arc x -> y exists iff component i is unstable at x
-                    if (table[x] ^ x) >> i & 1:
-                        seen[x] = 1
-                        new_frontier.append(x)
-                        reached += 1
-            frontier = new_frontier
-        return reached == len(table)
-
-    return cached(f, "_weak_convergence", compute)
+    fixed = fixed_point_codes(f)
+    if len(fixed) != 1:
+        return False
+    target = fixed[0]
+    table = f.table
+    n = f.width
+    seen = bytearray(len(table))
+    seen[target] = 1
+    frontier = [target]
+    reached = 1
+    while frontier:
+        new_frontier = []
+        for y in frontier:
+            agree = ~(y ^ target)
+            for i in range(n):
+                if not agree >> i & 1:
+                    continue
+                x = y ^ (1 << i)
+                if seen[x]:
+                    continue
+                # arc x -> y exists iff component i is unstable at x
+                if (table[x] ^ x) >> i & 1:
+                    seen[x] = 1
+                    new_frontier.append(x)
+                    reached += 1
+        frontier = new_frontier
+    return reached == len(table)
 
 
+@memo
 def strong_convergence(f: BooleanNetwork) -> bool:
     """A unique fixed point and an acyclic state graph."""
     _check_width(f)
-
-    def compute() -> bool:
-        if len(fixed_point_codes(f)) != 1:
-            return False
-        _, acyclic = _term_info(f)
-        return acyclic
-
-    return cached(f, "_strong_convergence", compute)
+    if len(fixed_point_codes(f)) != 1:
+        return False
+    _, acyclic = _term_info(f)
+    return acyclic

@@ -5,6 +5,11 @@ to a point of the same hypercube.  The table is the ground truth: entry
 table[x] is the code of f at the point with code x.  All classification below
 is in terms of the conjugate network x -> f(x) xor x, whose zeros are exactly
 the fixed points of f.
+
+Facts derived from a network are memoized with @memo, per instance: only
+one-argument functions of the instance are memoized, each in the instance's
+__dict__ under a key derived from the function's module and qualified name, so
+the cached data lives and dies with the network.  An exception is never cached.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import wraps
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .hypercube import (
@@ -23,6 +29,7 @@ from .hypercube import (
     parse_code,
 )
 
+S = TypeVar("S")
 T = TypeVar("T")
 
 _MISSING = object()
@@ -35,13 +42,19 @@ class WidthCapError(ValueError):
     """Raised when an operation would exceed its documented width cap."""
 
 
-def cached(obj: object, key: str, compute: Callable[[], T]) -> T:
-    """Memoize per instance: derived data lives and dies with the network."""
-    d = obj.__dict__
-    value = d.get(key, _MISSING)
-    if value is _MISSING:
-        value = d[key] = compute()
-    return value
+def memo(compute: Callable[[S], T]) -> Callable[[S], T]:
+    """Memoize a one-argument function in its argument's __dict__."""
+    key = f"{compute.__module__}.{compute.__qualname__}"
+
+    @wraps(compute)
+    def wrapper(obj: S) -> T:
+        d = obj.__dict__
+        value = d.get(key, _MISSING)
+        if value is _MISSING:
+            value = d[key] = compute(obj)
+        return value
+
+    return wrapper
 
 
 class ParityClass(Enum):
@@ -89,16 +102,18 @@ def conjugate(f: BooleanNetwork) -> BooleanNetwork:
     return BooleanNetwork(f.components, tuple(v ^ x for x, v in enumerate(f.table)))
 
 
+@memo
 def conjugate_codes(f: BooleanNetwork) -> tuple[int, ...]:
-    return cached(f, "_conj_codes", lambda: tuple(v ^ x for x, v in enumerate(f.table)))
+    return tuple(v ^ x for x, v in enumerate(f.table))
 
 
 def table_fixed_point_codes(table: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x for x, v in enumerate(table) if v == x)
 
 
+@memo
 def fixed_point_codes(f: BooleanNetwork) -> tuple[int, ...]:
-    return cached(f, "_fixed_codes", lambda: table_fixed_point_codes(f.table))
+    return table_fixed_point_codes(f.table)
 
 
 def fixed_points(f: BooleanNetwork) -> tuple[Point, ...]:
@@ -111,8 +126,9 @@ def table_is_self_dual(table: tuple[int, ...]) -> bool:
     return all(table[x ^ full] == table[x] ^ full for x in range(len(table) // 2 or 1))
 
 
+@memo
 def is_self_dual(f: BooleanNetwork) -> bool:
-    return cached(f, "_self_dual", lambda: table_is_self_dual(f.table))
+    return table_is_self_dual(f.table)
 
 
 def table_parity(table: tuple[int, ...]) -> ParityClass:
@@ -131,8 +147,9 @@ def table_parity(table: tuple[int, ...]) -> ParityClass:
     return ParityClass.NEITHER
 
 
+@memo
 def parity_class(f: BooleanNetwork) -> ParityClass:
-    return cached(f, "_parity", lambda: table_parity(f.table))
+    return table_parity(f.table)
 
 
 def table_is_eosd(table: tuple[int, ...]) -> bool:
@@ -151,30 +168,28 @@ def is_eosd(f: BooleanNetwork) -> bool:
     return eosd_class(f) is not None
 
 
+@memo
 def is_non_expansive(f: BooleanNetwork) -> bool:
     """d(f(x), f(y)) <= d(x, y); adjacent pairs suffice by the triangle inequality."""
-
-    def compute() -> bool:
-        table = f.table
-        for x in range(len(table)):
-            fx = table[x]
-            y = x
-            while y:
-                low = y & -y
-                if (fx ^ table[x ^ low]).bit_count() > 1:
-                    return False
-                y ^= low
-        return True
-
-    return cached(f, "_non_expansive", compute)
+    table = f.table
+    for x in range(len(table)):
+        fx = table[x]
+        y = x
+        while y:
+            low = y & -y
+            if (fx ^ table[x ^ low]).bit_count() > 1:
+                return False
+            y ^= low
+    return True
 
 
 def table_is_conjugate_bijective(table: tuple[int, ...]) -> bool:
     return len({v ^ x for x, v in enumerate(table)}) == len(table)
 
 
+@memo
 def is_conjugate_bijective(f: BooleanNetwork) -> bool:
-    return cached(f, "_conj_bijective", lambda: table_is_conjugate_bijective(f.table))
+    return table_is_conjugate_bijective(f.table)
 
 
 def xor_output(f: BooleanNetwork, members: Iterable[str]) -> BooleanNetwork:

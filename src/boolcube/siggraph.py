@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .hypercube import FormatError, Point, check_components
-from .network import BooleanNetwork, cached
+from .network import BooleanNetwork, memo
 
 Arc = tuple[str, int, str]
 
@@ -46,21 +46,18 @@ class SignedDigraph:
         )
 
 
+@memo
 def graph_rows(g: SignedDigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(positive, negative) adjacency masks indexed by source vertex."""
-
-    def compute() -> tuple[tuple[int, ...], tuple[int, ...]]:
-        index = {v: k for k, v in enumerate(g.vertices)}
-        pos = [0] * len(g.vertices)
-        neg = [0] * len(g.vertices)
-        for src, sign, dst in g.arcs:
-            if sign == 1:
-                pos[index[src]] |= 1 << index[dst]
-            else:
-                neg[index[src]] |= 1 << index[dst]
-        return tuple(pos), tuple(neg)
-
-    return cached(g, "_rows", compute)
+    index = {v: k for k, v in enumerate(g.vertices)}
+    pos = [0] * len(g.vertices)
+    neg = [0] * len(g.vertices)
+    for src, sign, dst in g.arcs:
+        if sign == 1:
+            pos[index[src]] |= 1 << index[dst]
+        else:
+            neg[index[src]] |= 1 << index[dst]
+    return tuple(pos), tuple(neg)
 
 
 def graph_from_rows(
@@ -74,6 +71,12 @@ def graph_from_rows(
             if neg[j] >> i & 1:
                 arcs.add((src, -1, dst))
     return SignedDigraph(vertices, frozenset(arcs))
+
+
+def cycle_sign(signs: tuple[int, ...]) -> int:
+    """The sign of a cycle from its arc signs: positive iff the number of
+    negative arcs is even."""
+    return -1 if signs.count(-1) & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -101,11 +104,7 @@ class Cycle:
 
     @property
     def sign(self) -> int:
-        """Positive iff the number of negative arcs is even."""
-        out = 1
-        for s in self.signs:
-            out *= s
-        return out
+        return cycle_sign(self.signs)
 
     def arcs(self) -> tuple[Arc, ...]:
         n = len(self.vertices)
@@ -172,15 +171,17 @@ def table_global_rows(
     return tuple(pos), tuple(neg)
 
 
+@memo
 def local_rows(
     f: BooleanNetwork,
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Per point x: (positive, negative) target masks indexed by source."""
-    return cached(f, "_local_rows", lambda: table_local_rows(f.width, f.table))
+    return table_local_rows(f.width, f.table)
 
 
+@memo
 def global_rows(f: BooleanNetwork) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return cached(f, "_global_rows", lambda: table_global_rows(f.width, f.table))
+    return table_global_rows(f.width, f.table)
 
 
 def local_interaction_graph(f: BooleanNetwork, x: Point) -> SignedDigraph:
@@ -424,18 +425,26 @@ def _rows_circular_pred(
 
 
 def table_circular_pred(
-    n: int, table: tuple[int, ...]
+    n: int,
+    table: tuple[int, ...],
+    rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
-    """(predecessor map, constant) of the table's circular form, if it has one."""
-    found = _rows_circular_pred(n, *table_global_rows(n, table))
+    """(predecessor map, constant) of the table's circular form, if it has one.
+
+    rows are the table's global rows, built from the table when not given.
+    """
+    if rows is None:
+        rows = table_global_rows(n, table)
+    found = _rows_circular_pred(n, *rows)
     if found is None or _circular_table(n, *found) != table:
         return None
     return found
 
 
+@memo
 def detect_circular(f: BooleanNetwork) -> CircularForm | None:
     """The circular form of f, when G(f) is a cycle through every component."""
-    found = cached(f, "_circular_pred", lambda: table_circular_pred(f.width, f.table))
+    found = table_circular_pred(f.width, f.table, global_rows(f))
     if found is None:
         return None
     return CircularForm(f.components, found[0], found[1])
@@ -473,14 +482,12 @@ def and_net(g: SignedDigraph) -> BooleanNetwork:
     return BooleanNetwork(g.vertices, and_net_table(len(g.vertices), *graph_rows(g)))
 
 
+@memo
 def is_and_net(f: BooleanNetwork) -> bool:
-    def compute() -> bool:
-        pos, neg = global_rows(f)
-        if any(p & m for p, m in zip(pos, neg)):
-            return False
-        return and_net_table(f.width, pos, neg) == f.table
-
-    return cached(f, "_is_and_net", compute)
+    pos, neg = global_rows(f)
+    if any(p & m for p, m in zip(pos, neg)):
+        return False
+    return and_net_table(f.width, pos, neg) == f.table
 
 
 def acyclic(n: int, adj: tuple[int, ...]) -> bool:
@@ -506,11 +513,8 @@ def cycle_signs_present(
 ) -> tuple[bool, bool]:
     """(has positive cycle, has negative cycle); both-sign arcs give both."""
     has_pos = has_neg = False
-    for verts, signs in _signed_cycles(n, pos, neg):
-        s = 1
-        for k in signs:
-            s *= k
-        if s == 1:
+    for _, signs in _signed_cycles(n, pos, neg):
+        if cycle_sign(signs) == 1:
             has_pos = True
         else:
             has_neg = True
@@ -525,17 +529,14 @@ def has_cycle_of_sign(g: SignedDigraph, sign: int) -> bool:
     return has_pos if sign == 1 else has_neg
 
 
+@memo
 def shih_dong_condition(f: BooleanNetwork) -> bool:
     """Every local interaction graph is acyclic."""
-
-    def compute() -> bool:
-        n = f.width
-        return all(
-            acyclic(n, tuple(p | m for p, m in zip(pos, neg)))
-            for pos, neg in local_rows(f)
-        )
-
-    return cached(f, "_shih_dong", compute)
+    n = f.width
+    return all(
+        acyclic(n, tuple(p | m for p, m in zip(pos, neg)))
+        for pos, neg in local_rows(f)
+    )
 
 
 class CycleFilter(Enum):
@@ -572,10 +573,7 @@ def _min_filtered_cycle_len(
     for verts, signs in _cycles_by_rows(n, pos, neg):
         if best is not None and len(verts) >= best:
             continue
-        s = 1
-        for k in signs:
-            s *= k
-        if s != want:
+        if cycle_sign(signs) != want:
             continue
         if rows_chordless(verts, cpos, cneg):
             best = len(verts)

@@ -24,11 +24,11 @@ from .hypercube import (
 from .network import (
     BooleanNetwork,
     WidthCapError,
-    cached,
     default_components,
     enumerate_networks,
     fixed_point_codes,
     is_eosd,
+    memo,
     table_fixed_point_codes,
     table_is_eosd,
 )
@@ -152,50 +152,48 @@ def subnetworks(
         yield spec, induced_subnetwork(f, spec)
 
 
+@memo
 def spec_items(f: BooleanNetwork) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(free_mask, fixed_code, table) for every subnetwork, f itself last."""
-
-    def compute() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        return tuple(
-            (spec.free_mask, spec.fixed_code, sub_table(f.table, spec.free_mask, spec.fixed_code))
-            for spec in subnetwork_specs(f.components, include_self=True)
-        )
-
-    return cached(f, "_spec_items", compute)
-
-
-def item_fixed_point_counts(f: BooleanNetwork) -> dict[tuple[int, int], int]:
-    """Fixed-point count per subnetwork item (free mask, frozen code), f last."""
-    return cached(
-        f,
-        "_item_fps",
-        lambda: {
-            (mask, code): len(table_fixed_point_codes(table))
-            for mask, code, table in spec_items(f)
-        },
+    return tuple(
+        (spec.free_mask, spec.fixed_code, sub_table(f.table, spec.free_mask, spec.fixed_code))
+        for spec in subnetwork_specs(f.components, include_self=True)
     )
 
 
-def _strict_fp_counts(f: BooleanNetwork) -> tuple[int, ...]:
-    return tuple(item_fixed_point_counts(f).values())[:-1]
+@memo
+def item_fixed_point_counts(f: BooleanNetwork) -> dict[tuple[int, int], int]:
+    """Fixed-point count per subnetwork item (free mask, frozen code), f last."""
+    return {
+        (mask, code): len(table_fixed_point_codes(table))
+        for mask, code, table in spec_items(f)
+    }
 
 
+def strict_subitems(mask: int, code: int) -> Iterator[tuple[int, int]]:
+    """(mask', code') of every strict subnetwork item below (mask, code)."""
+    sub = (mask - 1) & mask
+    while sub:
+        diff = mask ^ sub
+        w = diff
+        while True:
+            yield sub, code | w
+            if w == 0:
+                break
+            w = (w - 1) & diff
+        sub = (sub - 1) & mask
+
+
+@memo
 def find_eosd_subnetwork(
     f: BooleanNetwork,
 ) -> tuple[SubnetworkSpec, BooleanNetwork] | None:
     """First even- or odd-self-dual subnetwork in enumeration order, if any."""
-
-    def compute() -> tuple[int, int] | None:
-        for free_mask, fixed_code, table in spec_items(f):
-            if table_is_eosd(table):
-                return free_mask, fixed_code
-        return None
-
-    witness = cached(f, "_eosd_witness", compute)
-    if witness is None:
-        return None
-    spec = SubnetworkSpec(f.components, witness[0], witness[1])
-    return spec, induced_subnetwork(f, spec)
+    for free_mask, fixed_code, table in spec_items(f):
+        if table_is_eosd(table):
+            spec = SubnetworkSpec(f.components, free_mask, fixed_code)
+            return spec, induced_subnetwork(f, spec)
+    return None
 
 
 def has_eosd_subnetwork(f: BooleanNetwork) -> bool:
@@ -214,30 +212,22 @@ class CriticalityReport:
 
 
 def criticality(f: BooleanNetwork) -> CriticalityReport:
-    own = len(fixed_point_codes(f))
-    counts = _strict_fp_counts(f)
-    strict_min = min(counts) if counts else None
-    strict_max = max(counts) if counts else None
+    counts = tuple(item_fixed_point_counts(f).values())[:-1]
     return CriticalityReport(
-        fixed_point_count=own,
-        two_critical=own >= 2 and (strict_max is None or strict_max <= 1),
-        zero_critical=own == 0 and (strict_min is None or strict_min >= 1),
-        strict_min=strict_min,
-        strict_max=strict_max,
+        fixed_point_count=len(fixed_point_codes(f)),
+        two_critical=is_two_critical(f),
+        zero_critical=is_zero_critical(f),
+        strict_min=min(counts) if counts else None,
+        strict_max=max(counts) if counts else None,
     )
 
 
 def is_two_critical(f: BooleanNetwork) -> bool:
-    if len(fixed_point_codes(f)) < 2:
-        return False
-    counts = _strict_fp_counts(f)
-    return all(c <= 1 for c in counts)
+    return is_minimal_violation(BaseProperty.AT_MOST_ONE, f)
 
 
 def is_zero_critical(f: BooleanNetwork) -> bool:
-    if fixed_point_codes(f):
-        return False
-    return all(c >= 1 for c in _strict_fp_counts(f))
+    return is_minimal_violation(BaseProperty.AT_LEAST_ONE, f)
 
 
 def is_critical_eosd(f: BooleanNetwork) -> bool:
@@ -270,14 +260,27 @@ def satisfies_everywhere(prop: BaseProperty, f: BooleanNetwork) -> bool:
     """The closed property: every subnetwork of f (f included) passes the base."""
     if not prop.holds(len(fixed_point_codes(f))):
         return False
-    return all(prop.holds(c) for c in _strict_fp_counts(f))
+    return all(prop.holds(c) for c in item_fixed_point_counts(f).values())
+
+
+def item_is_minimal_violation(
+    prop: BaseProperty, fps: dict[tuple[int, int], int], item: tuple[int, int]
+) -> bool:
+    """The item fails the base while every strict sub-item passes it; fps is
+    item_fixed_point_counts of the network the item belongs to."""
+    return not prop.holds(fps[item]) and all(
+        prop.holds(fps[sub]) for sub in strict_subitems(*item)
+    )
 
 
 def is_minimal_violation(prop: BaseProperty, f: BooleanNetwork) -> bool:
     """f fails the base while every strict subnetwork passes it."""
+    # f's own count decides most networks before any subnetwork table is built.
     if prop.holds(len(fixed_point_codes(f))):
         return False
-    return all(prop.holds(c) for c in _strict_fp_counts(f))
+    return item_is_minimal_violation(
+        prop, item_fixed_point_counts(f), ((1 << f.width) - 1, 0)
+    )
 
 
 def minimal_forbidden_set(prop: BaseProperty, n: int) -> Iterator[BooleanNetwork]:

@@ -28,12 +28,12 @@ from .network import (
     BooleanNetwork,
     ParityClass,
     WidthCapError,
-    cached,
     default_components,
     eosd_class,
     fixed_point_codes,
     is_conjugate_bijective,
     is_non_expansive,
+    memo,
     network_from_index,
     parity_class,
     render_bn,
@@ -47,6 +47,7 @@ from .siggraph import (
     and_net_table,
     circular_network,
     counting_condition,
+    cycle_sign,
     cycle_signs_present,
     detect_circular,
     global_rows,
@@ -67,6 +68,7 @@ from .subnetwork import (
     is_two_critical,
     is_zero_critical,
     item_fixed_point_counts,
+    item_is_minimal_violation,
     spec_items,
     sub_table,
 )
@@ -125,63 +127,56 @@ def _fp_count(f: BooleanNetwork) -> int:
     return len(fixed_point_codes(f))
 
 
+@memo
 def _global_cycle_signs(f: BooleanNetwork) -> tuple[bool, bool]:
-    return cached(
-        f, "_gsigns", lambda: cycle_signs_present(f.width, *global_rows(f))
-    )
+    return cycle_signs_present(f.width, *global_rows(f))
 
 
+@memo
 def _local_cycle_signs(f: BooleanNetwork) -> tuple[bool, bool]:
-    def compute() -> tuple[bool, bool]:
-        has_pos = has_neg = False
-        n = f.width
-        for pos, neg in local_rows(f):
-            p, m = cycle_signs_present(n, pos, neg)
-            has_pos = has_pos or p
-            has_neg = has_neg or m
-            if has_pos and has_neg:
-                break
-        return has_pos, has_neg
-
-    return cached(f, "_lsigns", compute)
+    has_pos = has_neg = False
+    n = f.width
+    for pos, neg in local_rows(f):
+        p, m = cycle_signs_present(n, pos, neg)
+        has_pos = has_pos or p
+        has_neg = has_neg or m
+        if has_pos and has_neg:
+            break
+    return has_pos, has_neg
 
 
+@memo
 def _global_acyclic(f: BooleanNetwork) -> bool:
-    def compute() -> bool:
-        pos, neg = global_rows(f)
-        return acyclic(f.width, tuple(p | m for p, m in zip(pos, neg)))
-
-    return cached(f, "_gacyclic", compute)
+    pos, neg = global_rows(f)
+    return acyclic(f.width, tuple(p | m for p, m in zip(pos, neg)))
 
 
+@memo
 def _strongly_connected_with_arc(f: BooleanNetwork) -> bool:
-    def compute() -> bool:
-        pos, neg = global_rows(f)
-        n = f.width
-        adj = tuple(p | m for p, m in zip(pos, neg))
-        if not any(adj):
+    pos, neg = global_rows(f)
+    n = f.width
+    adj = tuple(p | m for p, m in zip(pos, neg))
+    if not any(adj):
+        return False
+    radj = tuple(
+        sum(1 << j for j in range(n) if adj[j] >> i & 1) for i in range(n)
+    )
+    full = (1 << n) - 1
+    for rows in (adj, radj):
+        reached = 1
+        frontier = 1
+        while frontier:
+            step = 0
+            probe = frontier
+            while probe:
+                low = probe & -probe
+                probe ^= low
+                step |= rows[low.bit_length() - 1]
+            frontier = step & ~reached
+            reached |= frontier
+        if reached != full:
             return False
-        radj = tuple(
-            sum(1 << j for j in range(n) if adj[j] >> i & 1) for i in range(n)
-        )
-        full = (1 << n) - 1
-        for rows in (adj, radj):
-            reached = 1
-            frontier = 1
-            while frontier:
-                step = 0
-                probe = frontier
-                while probe:
-                    low = probe & -probe
-                    probe ^= low
-                    step |= rows[low.bit_length() - 1]
-                frontier = step & ~reached
-                reached |= frontier
-            if reached != full:
-                return False
-        return True
-
-    return cached(f, "_sconn", compute)
+    return True
 
 
 def _circular_sign(f: BooleanNetwork) -> int | None:
@@ -189,63 +184,55 @@ def _circular_sign(f: BooleanNetwork) -> int | None:
     return None if form is None else form.sign
 
 
-def _iter_strict_subitems(mask: int, code: int):
-    """(mask', code') of every strict subnetwork item below (mask, code)."""
-    sub = (mask - 1) & mask
-    while sub:
-        diff = mask ^ sub
-        w = diff
-        while True:
-            yield sub, code | w
-            if w == 0:
-                break
-            w = (w - 1) & diff
-        sub = (sub - 1) & mask
-
-
-def _has_critical_sub(f: BooleanNetwork, want_two: bool) -> bool:
+def _has_minimal_violation(f: BooleanNetwork, prop: BaseProperty) -> bool:
+    """Some subnetwork of f, f included, is a minimal violation of prop."""
     fps = item_fixed_point_counts(f)
-    for (mask, code), count in fps.items():
-        if want_two:
-            if count < 2:
-                continue
-            if all(fps[item] <= 1 for item in _iter_strict_subitems(mask, code)):
-                return True
-        else:
-            if count != 0:
-                continue
-            if all(fps[item] >= 1 for item in _iter_strict_subitems(mask, code)):
-                return True
-    return False
+    return any(item_is_minimal_violation(prop, fps, item) for item in fps)
 
 
-def _item_circular_signs(f: BooleanNetwork) -> tuple[int, ...]:
-    """Per item: +1/-1 when the item is a circular network, else 0."""
-
-    def compute() -> tuple[int, ...]:
-        out = []
-        for mask, _, table in spec_items(f):
-            found = table_circular_pred(mask.bit_count(), table)
-            if found is None:
-                out.append(0)
-            else:
-                out.append(1 if found[1].bit_count() % 2 == 0 else -1)
-        return tuple(out)
-
-    return cached(f, "_item_circ", compute)
+@memo
+def _item_circular_forms(
+    f: BooleanNetwork,
+) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
+    """Per item: (predecessor map, constant) when the item is a circular
+    network, else None; f's own entry last."""
+    forms = [
+        table_circular_pred(mask.bit_count(), table) for mask, _, table in spec_items(f)[:-1]
+    ]
+    own = detect_circular(f)
+    forms.append(None if own is None else (own.predecessor, own.constant))
+    return tuple(forms)
 
 
 def _has_circular_sub(f: BooleanNetwork) -> tuple[bool, bool]:
-    signs = _item_circular_signs(f)
-    return 1 in signs, -1 in signs
+    """(has a positive, has a negative) circular subnetwork, f included: a
+    form is positive when its constant has an even number of set bits."""
+    parities = {
+        constant.bit_count() & 1 for _, constant in filter(None, _item_circular_forms(f))
+    }
+    return 0 in parities, 1 in parities
 
 
+def _cycle_form(
+    verts: tuple[int, ...], signs: tuple[int, ...]
+) -> tuple[int, tuple[tuple[int, ...], int]]:
+    """(free mask, (predecessor map, constant)) of the circular subnetwork
+    whose graph is this cycle of G(f); an item realizes the cycle exactly when
+    it has this mask and this solved form."""
+    free = sorted(verts)
+    pred = [0] * len(free)
+    constant = 0
+    for k, dst in enumerate(verts):
+        b = free.index(dst)
+        pred[b] = free.index(verts[k - 1])
+        if signs[k - 1] == -1:
+            constant |= 1 << b
+    return sum(1 << v for v in verts), (tuple(pred), constant)
+
+
+@memo
 def _all_subs_conjugate_bijective(f: BooleanNetwork) -> bool:
-    return cached(
-        f,
-        "_subs_bij",
-        lambda: all(table_is_conjugate_bijective(table) for _, _, table in spec_items(f)),
-    )
+    return all(table_is_conjugate_bijective(table) for _, _, table in spec_items(f))
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +278,22 @@ def _concl_andnet_2critical(f: BooleanNetwork) -> bool:
     return (_circular_sign(f) == 1) == (is_and_net(f) and is_two_critical(f))
 
 
+@memo
 def _graph_cycle_analysis(
     f: BooleanNetwork,
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, bool, bool], ...]:
     """Per cycle of G(f): (vertices, signs, sign, chordless, has delocalizer)."""
-
-    def compute():
-        pos, neg = global_rows(f)
-        n = f.width
-        out = []
-        for verts, signs in _cycles_by_rows(n, pos, neg):
-            total = 1
-            for s in signs:
-                total *= s
-            chordless = rows_chordless(verts, pos, neg)
-            deloc = bool(rows_delocalizers(verts, pos, neg))
-            out.append((verts, signs, total, chordless, deloc))
-        return tuple(out)
-
-    return cached(f, "_gcycles", compute)
+    pos, neg = global_rows(f)
+    return tuple(
+        (
+            verts,
+            signs,
+            cycle_sign(signs),
+            rows_chordless(verts, pos, neg),
+            bool(rows_delocalizers(verts, pos, neg)),
+        )
+        for verts, signs in _cycles_by_rows(f.width, pos, neg)
+    )
 
 
 def _concl_andnet_chordless(f: BooleanNetwork) -> bool:
@@ -333,31 +317,20 @@ def _concl_odd_outdegree(f: BooleanNetwork) -> bool:
 
 def _concl_critical_dynamics(f: BooleanNetwork) -> bool:
     count, has_cyclic = attractor_summary(f)
-    if count >= 2 and not _has_critical_sub(f, want_two=True):
+    if count >= 2 and not _has_minimal_violation(f, BaseProperty.AT_MOST_ONE):
         return False
     if is_non_expansive(f) and has_cyclic:
-        if _fp_count(f) != 0 or not _has_critical_sub(f, want_two=False):
+        if _fp_count(f) != 0 or not _has_minimal_violation(f, BaseProperty.AT_LEAST_ONE):
             return False
     return True
 
 
 def _concl_minimal_forbidden(f: BooleanNetwork) -> bool:
     fps = item_fixed_point_counts(f)
-    for prop in BaseProperty:
-        all_ok = all(prop.holds(c) for c in fps.values())
-        minimal_found = False
-        for (mask, code), count in fps.items():
-            if prop.holds(count):
-                continue
-            if all(
-                prop.holds(fps[item])
-                for item in _iter_strict_subitems(mask, code)
-            ):
-                minimal_found = True
-                break
-        if all_ok != (not minimal_found):
-            return False
-    return True
+    return all(
+        all(prop.holds(c) for c in fps.values()) != _has_minimal_violation(f, prop)
+        for prop in BaseProperty
+    )
 
 
 def _concl_cor11(f: BooleanNetwork) -> bool:
@@ -411,55 +384,24 @@ def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
         for verts, signs in _cycles_by_rows(n, pos, neg):
             if not rows_chordless(verts, gpos, gneg):
                 continue
-            mask = 0
-            for v in verts:
-                mask |= 1 << v
-            found = table_circular_pred(len(verts), sub_table(f.table, mask, x & ~mask))
-            if found is None:
+            mask, form = _cycle_form(verts, signs)
+            if table_circular_pred(len(verts), sub_table(f.table, mask, x & ~mask)) != form:
                 return False
-            pred, constant = found
-            free = [k for k in range(n) if mask >> k & 1]
-            length = len(verts)
-            for k in range(length):
-                src = verts[k]
-                dst = verts[(k + 1) % length]
-                b = free.index(dst)
-                if free[pred[b]] != src:
-                    return False
-                want_neg = signs[k] == -1
-                if bool(constant >> b & 1) != want_neg:
-                    return False
     return True
 
 
 def _concl_circular_subnetworks(f: BooleanNetwork) -> bool:
     """Realized circular-subnetwork graphs == chord-free delocalizer-free cycles."""
-    realized = set()
-    items = spec_items(f)
-    signs = _item_circular_signs(f)
-    for (mask, _, table), sign in zip(items, signs):
-        if sign == 0:
-            continue
-        found = table_circular_pred(mask.bit_count(), table)
-        assert found is not None
-        pred, constant = found
-        free = [k for k in range(f.width) if mask >> k & 1]
-        arcs = frozenset(
-            (free[pred[b]], -1 if constant >> b & 1 else 1, free[b])
-            for b in range(len(free))
-        )
-        realized.add(arcs)
-    wanted = set()
-    for verts, signs_, _, chordless, deloc in _graph_cycle_analysis(f):
-        if not chordless or deloc:
-            continue
-        length = len(verts)
-        wanted.add(
-            frozenset(
-                (verts[k], signs_[k], verts[(k + 1) % length])
-                for k in range(length)
-            )
-        )
+    realized = {
+        (mask, form)
+        for (mask, _, _), form in zip(spec_items(f), _item_circular_forms(f))
+        if form is not None
+    }
+    wanted = {
+        _cycle_form(verts, signs)
+        for verts, signs, _, chordless, deloc in _graph_cycle_analysis(f)
+        if chordless and not deloc
+    }
     return realized == wanted
 
 

@@ -2,11 +2,12 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from boolcube import load_bn, render_bn
+from boolcube import load_bn, random_network, render_bn
 from boolcube.cli import main
 from boolcube.dotfmt import validate_dot
 
@@ -220,6 +221,17 @@ def test_gen_random_width_cap_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "capped at width 16" in err
+
+
+def test_analyze_width_cap_exits_3(tmp_path, capsys):
+    path = tmp_path / "wide.bn"
+    path.write_text(render_bn(random_network(11, 0)), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - started < 30
+    assert code == 3
+    assert out == ""
+    assert "capped at width 10" in err
 
 
 def test_search_examines_only_accepted_candidates(capsys):

@@ -1,11 +1,13 @@
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from boolcube import (
     BooleanNetwork,
+    WidthCapError,
     asynchronous_state_graph,
     attractor_summary,
     attractors,
@@ -13,6 +15,7 @@ from boolcube import (
     strong_convergence,
     weak_convergence,
 )
+from boolcube import dynamics
 from boolcube.network import constant_network, identity_network, negation_network
 
 DATA = Path(__file__).parent / "data"
@@ -125,3 +128,12 @@ def test_convergence_exhaustive_width_two():
         assert weak_convergence(f) == oracles.weakly_convergent(f)
         assert strong_convergence(f) == oracles.strongly_convergent(f)
         assert [a.states for a in attractors(f)] == oracles.attractor_sets(f)
+
+
+def test_width_cap_raises_on_every_call(monkeypatch):
+    monkeypatch.setattr(dynamics, "WIDTH_CAP", 1)
+    f = identity_network(2)
+    for check in (asynchronous_state_graph, attractors, weak_convergence, strong_convergence):
+        for _ in range(2):
+            with pytest.raises(WidthCapError):
+                check(f)

@@ -33,6 +33,7 @@ from boolcube.network import (
     fixed_points,
     identity_network,
     load_bn,
+    memo,
     negation_network,
     network_from_index,
     network_index,
@@ -247,3 +248,24 @@ def test_parse_bn_accepts_any_row_order_and_comments():
 def test_parse_bn_rejects(text):
     with pytest.raises(FormatError):
         parse_bn(text)
+
+
+def test_memo_is_per_instance_and_never_caches_an_exception():
+    computed = []
+
+    @memo
+    def probe(f):
+        computed.append(f)
+        if f.table[0]:
+            raise ValueError("no value for this table")
+        return len(computed)
+
+    a, b = identity_network(1), identity_network(1)
+    assert probe(a) == probe(a) == 1
+    assert probe(b) == 2  # an equal network is another instance
+    bad = negation_network(1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            probe(bad)
+    assert len(computed) == 4
+    assert probe.__name__ == "probe"

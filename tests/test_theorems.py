@@ -9,7 +9,7 @@ from boolcube import BooleanNetwork, SearchReport, WidthCapError, check, sweep_m
 from boolcube.hypercube import all_points, parse_point
 from boolcube.network import network_from_index
 from boolcube.siggraph import and_net, detect_circular, enumerate_simple_digraphs
-from boolcube import theorems
+from boolcube import siggraph, theorems
 from boolcube.theorems import (
     NETWORK_CATALOG,
     PROPERTY_IDS,
@@ -265,6 +265,28 @@ def test_jobs_below_one_are_rejected(jobs):
         sweep("ROBERT", Exhaustive(1), jobs=jobs)
     with pytest.raises(ValueError):
         open_question_search("Q1_NEG_LOCAL_CYCLES", Exhaustive(1), jobs=jobs)
+
+
+def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
+    """Circular detection reads the rows global_rows(f) built, and every
+    subnetwork item's circular form is solved once."""
+    calls = {}
+    build = siggraph.table_global_rows
+
+    def counting(n, table):
+        calls[n] = calls.get(n, 0) + 1
+        return build(n, table)
+
+    monkeypatch.setattr(siggraph, "table_global_rows", counting)
+    keys = (
+        "ANDNET_2CRITICAL",
+        "EOSD_ANDNET_CIRCULAR",
+        "CIRCULAR_SUBNETWORK_CRITERION",
+        "ANDNET_CHORDLESS",
+    )
+    sweep_many(keys, AndNets(2))
+    # 81 networks, each with 4 width-1 subnetwork items
+    assert calls == {2: 81, 1: 324}
 
 
 def test_theorems_imports_no_private_kernels():
