@@ -18,6 +18,7 @@ from .dynamics import (
 )
 from .hypercube import FormatError, format_code, parse_point
 from .network import (
+    RANDOM_WIDTH_CAP,
     ParityClass,
     WidthCapError,
     eosd_class,
@@ -69,8 +70,12 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_COUNTEREXAMPLE = 4
 
-# Widest network analyze accepts: at width 10 it takes about 46 s and 1 GB.
+# Widest network analyze and subnets accept: at width 10 analyze takes about
+# 46 s and 1 GB, subnets about 6 s.
 ANALYZE_WIDTH_CAP = 10
+# Widest network graph accepts: for a random width-7 network it prints 166k
+# lines in about 5 s and 80 MB, nearly all of them global cycles.
+GRAPH_WIDTH_CAP = 7
 
 
 def _bool_text(value: bool) -> str:
@@ -81,11 +86,15 @@ def _point_set_text(codes, width: int) -> str:
     return "{" + ",".join(format_code(c, width) for c in sorted(codes)) + "}"
 
 
+def _check_width(what: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise WidthCapError(f"{what} is capped at width {cap}, got {n}")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     f = load_bn(args.network)
     n = f.width
-    if n > ANALYZE_WIDTH_CAP:
-        raise WidthCapError(f"analyze is capped at width {ANALYZE_WIDTH_CAP}, got {n}")
+    _check_width("analyze", n, ANALYZE_WIDTH_CAP)
     atts = attractors(f)
     att_text = " ".join(_point_set_text(a.states, n) for a in atts)
     form = detect_circular(f)
@@ -121,6 +130,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_subnets(args: argparse.Namespace) -> int:
     f = load_bn(args.network)
+    _check_width("subnets", f.width, ANALYZE_WIDTH_CAP)
     shown = 0
     for spec, sub in subnetworks(f, include_self=args.include_self):
         cls = eosd_class(sub)
@@ -138,6 +148,7 @@ def _cmd_subnets(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     f = load_bn(args.network)
+    _check_width("graph", f.width, GRAPH_WIDTH_CAP)
     if args.at is not None:
         g = local_interaction_graph(f, parse_point(args.at, f.components))
     else:
@@ -262,7 +273,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         components = tuple(str(i) for i in range(1, n + 1))
         f = circular_network(CircularForm(components, pred, constant))
     elif args.andnet:
-        f = and_net(load_sg(args.andnet))
+        g = load_sg(args.andnet)
+        _check_width("gen --andnet", len(g.vertices), RANDOM_WIDTH_CAP)
+        f = and_net(g)
     else:
         n_text, seed_text = args.random
         try:

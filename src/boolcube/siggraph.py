@@ -196,59 +196,57 @@ def global_interaction_graph(f: BooleanNetwork) -> SignedDigraph:
     return graph_from_rows(f.components, pos, neg)
 
 
+def transpose(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of the reversed graph: bit j of out[i] is bit i of rows[j]."""
+    out = [0] * n
+    for j, targets in enumerate(rows):
+        while targets:
+            low = targets & -targets
+            out[low.bit_length() - 1] |= 1 << j
+            targets ^= low
+    return tuple(out)
+
+
+def rows_reach(rows: tuple[int, ...], start: int, allowed: int = -1) -> int:
+    """Mask of the vertices reached from the vertex mask start by one or more
+    arcs, each ending inside the vertex mask allowed."""
+    reached = 0
+    frontier = start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            step |= rows[low.bit_length() - 1]
+        frontier = step & allowed & ~reached
+        reached |= frontier
+    return reached
+
+
 def _unsigned_cycles(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Simple cycles as index tuples starting at their smallest vertex.
 
-    Johnson's blocked search, run once per start vertex over the subgraph of
-    vertices >= start; loops are collected separately first.
+    A backtracking search from each start s that enters only the vertices
+    above s able to get back to s (Tiernan's search, pruned by reachability).
     """
-    cycles: list[tuple[int, ...]] = [(v,) for v in range(n) if adj[v] >> v & 1]
+    radj = transpose(n, adj)
+    cycles: list[tuple[int, ...]] = []
     for s in range(n):
-        allowed = ~((1 << s) - 1)
-        blocked = [False] * n
-        blist: list[int] = [0] * n
-        path: list[int] = []
+        live = rows_reach(radj, 1 << s, -(2 << s))
+        path = [s]
 
-        def unblock(u: int) -> None:
-            stack = [u]
-            while stack:
-                w = stack.pop()
-                if blocked[w]:
-                    blocked[w] = False
-                    todo = blist[w]
-                    blist[w] = 0
-                    while todo:
-                        low = todo & -todo
-                        stack.append(low.bit_length() - 1)
-                        todo ^= low
-        def circuit(v: int) -> bool:
-            found = False
-            path.append(v)
-            blocked[v] = True
-            targets = adj[v] & allowed & ~(1 << v)
+        def extend(v: int, seen: int) -> None:
+            if adj[v] >> s & 1:
+                cycles.append(tuple(path))
+            targets = adj[v] & live & ~seen
             while targets:
                 low = targets & -targets
-                w = low.bit_length() - 1
                 targets ^= low
-                if w == s:
-                    if len(path) > 1:
-                        cycles.append(tuple(path))
-                    found = True
-                elif not blocked[w] and circuit(w):
-                    found = True
-            if found:
-                unblock(v)
-            else:
-                targets = adj[v] & allowed & ~(1 << v)
-                while targets:
-                    low = targets & -targets
-                    w = low.bit_length() - 1
-                    targets ^= low
-                    blist[w] |= 1 << v
-            path.pop()
-            return found
+                path.append(low.bit_length() - 1)
+                extend(path[-1], seen | low)
+                path.pop()
 
-        circuit(s)
+        extend(s, 0)
     return cycles
 
 
@@ -454,14 +452,8 @@ def and_net_table(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> tuple[int, ...]:
     """The table of and_net for the (positive, negative) rows of a simple graph."""
-    pos_in = [0] * n
-    neg_in = [0] * n
-    for j in range(n):
-        for i in range(n):
-            if pos[j] >> i & 1:
-                pos_in[i] |= 1 << j
-            if neg[j] >> i & 1:
-                neg_in[i] |= 1 << j
+    pos_in = transpose(n, pos)
+    neg_in = transpose(n, neg)
     table = []
     for x in range(1 << n):
         out = 0
@@ -491,21 +483,8 @@ def is_and_net(f: BooleanNetwork) -> bool:
 
 
 def acyclic(n: int, adj: tuple[int, ...]) -> bool:
-    """Peel vertices with no outgoing arcs; a cycle survives every round."""
-    mask = (1 << n) - 1
-    while mask:
-        removable = 0
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if not adj[v] & mask:
-                removable |= low
-        if not removable:
-            return False
-        mask ^= removable
-    return True
+    """No vertex reaches itself."""
+    return not any(rows_reach(adj, 1 << v) >> v & 1 for v in range(n))
 
 
 def cycle_signs_present(

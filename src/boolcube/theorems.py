@@ -55,11 +55,13 @@ from .siggraph import (
     local_rows,
     rows_chordless,
     rows_delocalizers,
+    rows_reach,
     shih_dong_condition,
     simple_digraph_count,
     simple_digraph_rows_from_index,
     table_circular_pred,
     table_local_rows,
+    transpose,
 )
 from .subnetwork import (
     BaseProperty,
@@ -154,29 +156,11 @@ def _global_acyclic(f: BooleanNetwork) -> bool:
 @memo
 def _strongly_connected_with_arc(f: BooleanNetwork) -> bool:
     pos, neg = global_rows(f)
-    n = f.width
     adj = tuple(p | m for p, m in zip(pos, neg))
-    if not any(adj):
-        return False
-    radj = tuple(
-        sum(1 << j for j in range(n) if adj[j] >> i & 1) for i in range(n)
+    full = (1 << f.width) - 1
+    return any(adj) and all(
+        rows_reach(rows, 1) | 1 == full for rows in (adj, transpose(f.width, adj))
     )
-    full = (1 << n) - 1
-    for rows in (adj, radj):
-        reached = 1
-        frontier = 1
-        while frontier:
-            step = 0
-            probe = frontier
-            while probe:
-                low = probe & -probe
-                probe ^= low
-                step |= rows[low.bit_length() - 1]
-            frontier = step & ~reached
-            reached |= frontier
-        if reached != full:
-            return False
-    return True
 
 
 def _circular_sign(f: BooleanNetwork) -> int | None:
@@ -380,12 +364,16 @@ def _concl_eosd_andnet(f: BooleanNetwork) -> bool:
 def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
     n = f.width
     gpos, gneg = global_rows(f)
+    solved: dict[tuple[int, int], tuple[tuple[int, ...], int] | None] = {}
     for x, (pos, neg) in enumerate(local_rows(f)):
         for verts, signs in _cycles_by_rows(n, pos, neg):
             if not rows_chordless(verts, gpos, gneg):
                 continue
             mask, form = _cycle_form(verts, signs)
-            if table_circular_pred(len(verts), sub_table(f.table, mask, x & ~mask)) != form:
+            item = (mask, x & ~mask)
+            if item not in solved:
+                solved[item] = table_circular_pred(len(verts), sub_table(f.table, *item))
+            if solved[item] != form:
                 return False
     return True
 
@@ -471,6 +459,13 @@ NETWORK_CATALOG: dict[
     "EOSD_ANDNET_CIRCULAR": (_TRUE, _concl_eosd_andnet),
     "CHORDLESS_LOCAL_CYCLE_CIRCULAR": (_TRUE, _concl_chordless_local_circular),
     "CIRCULAR_SUBNETWORK_CRITERION": (is_and_net, _concl_circular_subnetworks),
+}
+
+
+# A key whose sweep report also notes the tally of a second key over the same
+# candidates, under a note prefix: the weaker conclusion <= 2 of the dichotomy.
+_NOTED_TALLIES: dict[str, tuple[str, str]] = {
+    "DICHOTOMY_UNIQUE": ("DICHOTOMY_UNIQUE_WEAK", "weak_at_most_two"),
 }
 
 
@@ -788,8 +783,6 @@ class _Tally:
     vacuous: int = 0
     confirmed: int = 0
     counterexamples: list[tuple[int, str]] = field(default_factory=list)
-    weak_confirmed: int = 0
-    weak_counterexamples: int = 0
 
     def add(self, other: _Tally) -> None:
         """Every field is a count or a list, so chunks add up field by field."""
@@ -827,11 +820,6 @@ def _evaluate_keys(
             if not hyp(f):
                 tally.vacuous += 1
                 continue
-            if key == "DICHOTOMY_UNIQUE":
-                if _fp_count(f) <= 2:
-                    tally.weak_confirmed += 1
-                else:
-                    tally.weak_counterexamples += 1
             if concl(f):
                 tally.confirmed += 1
             else:
@@ -899,16 +887,20 @@ def sweep_many(
                 "LEMMA1_HYPERCUBE sweeps over subsets; every other id sweeps networks"
             )
     count = generator_count(generator)
-    tallies, accepted, notes, wall = _drive(keys, generator, count, jobs)
+    noted = tuple(_NOTED_TALLIES[key][0] for key in keys if key in _NOTED_TALLIES)
+    tallies, accepted, notes, wall = _drive(
+        tuple(dict.fromkeys(keys + noted)), generator, count, jobs
+    )
     descriptor = describe_generator(generator)
     reports = {}
     for key in keys:
         tally = tallies[key]
         key_notes = notes
-        if key == "DICHOTOMY_UNIQUE":
+        if key in _NOTED_TALLIES:
+            other, prefix = _NOTED_TALLIES[key]
             key_notes += (
-                f"weak_at_most_two_confirmed={tally.weak_confirmed}",
-                f"weak_at_most_two_counterexamples={tally.weak_counterexamples}",
+                f"{prefix}_confirmed={tallies[other].confirmed}",
+                f"{prefix}_counterexamples={len(tallies[other].counterexamples)}",
             )
         reports[key] = SweepReport(
             theorem=key,

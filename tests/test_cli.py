@@ -234,6 +234,33 @@ def test_analyze_width_cap_exits_3(tmp_path, capsys):
     assert "capped at width 10" in err
 
 
+@pytest.mark.parametrize(
+    "command, width, cap",
+    [
+        (("graph",), 8, 7),
+        (("graph", "--at", "0" * 8), 8, 7),
+        (("subnets",), 11, 10),
+        (("gen", "--andnet"), 17, 16),
+    ],
+)
+def test_per_file_width_caps_exit_3(tmp_path, capsys, command, width, cap):
+    if command[0] == "gen":
+        path = tmp_path / "ring.sg"
+        labels = [f"v{k}" for k in range(width)]
+        lines = ["vertices " + " ".join(labels)]
+        lines += [f"{labels[k - 1]} + {labels[k]}" for k in range(width)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        path = tmp_path / "wide.bn"
+        path.write_text(render_bn(random_network(width, 0)), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(capsys, *command, str(path))
+    assert time.perf_counter() - started < 30
+    assert code == 3
+    assert out == ""
+    assert f"is capped at width {cap}, got {width}" in err
+
+
 def test_search_examines_only_accepted_candidates(capsys):
     code, out, _ = run(
         capsys,

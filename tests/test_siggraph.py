@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -35,13 +36,16 @@ from boolcube.network import (
     negation_network,
 )
 from boolcube.siggraph import (
+    acyclic,
     enumerate_simple_digraphs,
     graph_from_rows,
     graph_rows,
     has_cycle_of_sign,
     load_sg,
+    rows_reach,
     simple_digraph_count,
     simple_digraph_from_index,
+    transpose,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -163,6 +167,46 @@ def test_cycles_of_the_worked_example():
 @given(graphs(5))
 def test_cycle_enumeration_matches_brute_force(g):
     assert {(c.vertices, c.signs) for c in enumerate_cycles(g)} == oracles.cycle_set(g)
+
+
+def test_sparse_wide_graphs_match_brute_force():
+    """Sparse graphs on 6-8 vertices, where the cycle search's reachability
+    pruning cuts paths; loops and opposite-sign pairs included."""
+    rng = random.Random(1302)
+    acyclic_seen = cyclic_seen = 0
+    for _ in range(300):
+        n = rng.randint(6, 8)
+        density = rng.uniform(0.1, 0.4)
+        verts = labels(n)
+        arcs = set()
+        for src in verts:
+            for dst in verts:
+                if rng.random() < density:
+                    signs = rng.choice(((1,), (-1,), (1, -1)))
+                    arcs.update((src, sign, dst) for sign in signs)
+        g = SignedDigraph(verts, frozenset(arcs))
+        expected = oracles.cycle_set(g)
+        assert {(c.vertices, c.signs) for c in enumerate_cycles(g)} == expected
+        pos, neg = graph_rows(g)
+        adj = tuple(p | m for p, m in zip(pos, neg))
+        assert acyclic(n, adj) == (not expected)
+        acyclic_seen += not expected
+        cyclic_seen += bool(expected)
+        succ = {j: {i for i in range(n) if adj[j] >> i & 1} for j in range(n)}
+        assert transpose(n, adj) == tuple(
+            sum(1 << j for j in range(n) if i in succ[j]) for i in range(n)
+        )
+        allowed = rng.getrandbits(n)
+        for v in range(n):
+            reached = set()
+            frontier = {w for w in succ[v] if allowed >> w & 1}
+            while frontier:
+                reached |= frontier
+                frontier = {w for u in frontier for w in succ[u] if allowed >> w & 1} - reached
+            assert rows_reach(adj, 1 << v, allowed) == sum(1 << w for w in reached)
+            on_cycle = any(verts[v] in vs for vs, _ in expected)
+            assert rows_reach(adj, 1 << v) >> v & 1 == on_cycle
+    assert acyclic_seen and cyclic_seen
 
 
 @given(graphs(4))

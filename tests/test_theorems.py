@@ -203,6 +203,24 @@ def test_sweep_many_matches_individual_sweeps():
     assert combined["MAIN_EOSD"].canonical_text() == sweep(
         "MAIN_EOSD", Exhaustive(2)
     ).canonical_text()
+    # DICHOTOMY_UNIQUE notes the tally of DICHOTOMY_UNIQUE_WEAK, whether that
+    # key is swept with it or not, and at any worker count.
+    alone = sweep("DICHOTOMY_UNIQUE", Exhaustive(2)).canonical_text()
+    assert "note.weak_at_most_two_confirmed=" in alone
+    both = sweep_many(["DICHOTOMY_UNIQUE", "DICHOTOMY_UNIQUE_WEAK"], Exhaustive(2))
+    assert set(both) == {"DICHOTOMY_UNIQUE", "DICHOTOMY_UNIQUE_WEAK"}
+    assert both["DICHOTOMY_UNIQUE"].canonical_text() == alone
+    weak = both["DICHOTOMY_UNIQUE_WEAK"]
+    assert f"note.weak_at_most_two_confirmed={weak.confirmed}" in alone
+    assert (
+        f"note.weak_at_most_two_counterexamples={weak.counterexample_count}" in alone
+    )
+    assert sweep("DICHOTOMY_UNIQUE", Exhaustive(2), jobs=2).canonical_text() == alone
+    assert set(sweep_many(["DICHOTOMY_UNIQUE"], Exhaustive(2))) == {"DICHOTOMY_UNIQUE"}
+    # a key named twice is swept once
+    assert sweep_many(["ROBERT", "ROBERT"], Exhaustive(2))["ROBERT"].canonical_text() == (
+        combined["ROBERT"].canonical_text()
+    )
 
 
 def test_parallel_sweeps_are_byte_identical():
@@ -287,6 +305,27 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
     sweep_many(keys, AndNets(2))
     # 81 networks, each with 4 width-1 subnetwork items
     assert calls == {2: 81, 1: 324}
+
+
+def test_chordless_local_circular_builds_each_item_once(monkeypatch):
+    """A subnetwork item that several chordless local cycles land on is built
+    and solved once per network."""
+    asked = []
+    build = theorems.sub_table
+
+    def recording(table, mask, code):
+        asked.append((mask, code))
+        return build(table, mask, code)
+
+    monkeypatch.setattr(theorems, "sub_table", recording)
+    gen = Sample(3, 300, 1)
+    total = 0
+    for index in range(300):
+        asked.clear()
+        check("CHORDLESS_LOCAL_CYCLE_CIRCULAR", candidate_network(gen, index))
+        assert len(asked) == len(set(asked)), index
+        total += len(asked)
+    assert total > 300
 
 
 def test_theorems_imports_no_private_kernels():
