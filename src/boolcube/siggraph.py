@@ -223,31 +223,66 @@ def rows_reach(rows: tuple[int, ...], start: int, allowed: int = -1) -> int:
     return reached
 
 
-def _unsigned_cycles(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Simple cycles as index tuples starting at their smallest vertex.
+def rows_girth(n: int, adj: tuple[int, ...]) -> int | None:
+    """Length of a shortest cycle (a loop has length 1), None when acyclic.
+
+    The frontier loop of rows_reach from each vertex v, one level per cycle
+    length: the first level that reaches v again closes a shortest closed
+    walk through v, and a shortest closed walk repeats no vertex.
+    """
+    best = None
+    for v in range(n):
+        bit = 1 << v
+        reached = 0
+        frontier = bit
+        length = 1
+        while frontier and (best is None or length < best):
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                step |= adj[low.bit_length() - 1]
+            if step & bit:
+                best = length
+                break
+            frontier = step & ~reached
+            reached |= frontier
+            length += 1
+        if best == 1:
+            break
+    return best
+
+
+def _unsigned_cycles(n: int, adj: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Simple cycles as index tuples starting at their smallest vertex, one
+    at a time.
 
     A backtracking search from each start s that enters only the vertices
     above s able to get back to s (Tiernan's search, pruned by reachability).
     """
     radj = transpose(n, adj)
-    cycles: list[tuple[int, ...]] = []
     for s in range(n):
         live = rows_reach(radj, 1 << s, -(2 << s))
+        if adj[s] >> s & 1:
+            yield (s,)
         path = [s]
-
-        def extend(v: int, seen: int) -> None:
+        seen = 0
+        # pending[k] holds the targets path[k] has still to try.
+        pending = [adj[s] & live]
+        while pending:
+            targets = pending[-1]
+            if not targets:
+                pending.pop()
+                seen &= ~(1 << path.pop())
+                continue
+            low = targets & -targets
+            pending[-1] = targets ^ low
+            v = low.bit_length() - 1
+            path.append(v)
+            seen |= low
             if adj[v] >> s & 1:
-                cycles.append(tuple(path))
-            targets = adj[v] & live & ~seen
-            while targets:
-                low = targets & -targets
-                targets ^= low
-                path.append(low.bit_length() - 1)
-                extend(path[-1], seen | low)
-                path.pop()
-
-        extend(s, 0)
-    return cycles
+                yield tuple(path)
+            pending.append(adj[v] & live & ~seen)
 
 
 def _signed_cycles(
@@ -487,25 +522,100 @@ def acyclic(n: int, adj: tuple[int, ...]) -> bool:
     return not any(rows_reach(adj, 1 << v) >> v & 1 for v in range(n))
 
 
-def cycle_signs_present(
+def _balanced(
+    comp: int, root: int, pos: tuple[int, ...], neg: tuple[int, ...]
+) -> bool:
+    """Whether some labelling s of the strongly connected vertex mask comp
+    gives every arc u -> v of sign sigma inside comp s(v) = sigma * s(u).
+
+    Labels spread from root along the arcs; each arc is checked once, when
+    its source is taken from the stack.
+    """
+    labelled = 1 << root
+    minus = 0
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        # Positive arcs ask for u's label, negative arcs for the other one.
+        same = pos[u] & comp
+        flip = neg[u] & comp
+        to_minus, to_plus = (same, flip) if minus >> u & 1 else (flip, same)
+        if to_minus & to_plus or to_minus & labelled & ~minus or to_plus & minus:
+            return False
+        new = (to_minus | to_plus) & ~labelled
+        labelled |= new
+        minus |= to_minus & new
+        while new:
+            low = new & -new
+            new ^= low
+            stack.append(low.bit_length() - 1)
+    return True
+
+
+def _cyclic_components(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
-) -> tuple[bool, bool]:
-    """(has positive cycle, has negative cycle); both-sign arcs give both."""
-    has_pos = has_neg = False
-    for _, signs in _signed_cycles(n, pos, neg):
-        if cycle_sign(signs) == 1:
-            has_pos = True
-        else:
-            has_neg = True
-        if has_pos and has_neg:
-            break
-    return has_pos, has_neg
+) -> Iterator[tuple[int, bool]]:
+    """(vertex mask, balanced) per strongly connected component holding a
+    cycle, each from the vertices its lowest vertex reaches both ways."""
+    adj = tuple(p | m for p, m in zip(pos, neg))
+    radj = None
+    done = 0
+    for v in range(n):
+        if done >> v & 1:
+            continue
+        ahead = rows_reach(adj, 1 << v)
+        if not ahead >> v & 1:
+            continue
+        if radj is None:
+            radj = transpose(n, adj)
+        comp = ahead & rows_reach(radj, 1 << v)
+        done |= comp
+        yield comp, _balanced(comp, v, pos, neg)
+
+
+def rows_has_negative_cycle(
+    n: int, pos: tuple[int, ...], neg: tuple[int, ...]
+) -> bool:
+    """Some component is unbalanced: a strongly connected signed digraph has
+    no negative cycle exactly when it is balanced (Harary 1953)."""
+    return any(not balanced for _, balanced in _cyclic_components(n, pos, neg))
+
+
+def rows_has_positive_cycle(
+    n: int, pos: tuple[int, ...], neg: tuple[int, ...]
+) -> bool:
+    """A balanced component with a cycle has only positive ones; inside the
+    unbalanced components, search the cycles for one that can be signed
+    positively (a both-sign arc, or an even number of negative arcs)."""
+    unbalanced = 0
+    for comp, balanced in _cyclic_components(n, pos, neg):
+        if balanced:
+            return True
+        # Every arc inside a component lies on a cycle, so a both-sign arc
+        # there gives a positive cycle, and so does a positive loop.
+        for u in range(n):
+            if comp >> u & 1 and (pos[u] & neg[u] & comp or pos[u] >> u & 1):
+                return True
+        unbalanced |= comp
+    adj = tuple((p | m) & unbalanced for p, m in zip(pos, neg))
+    for verts in _unsigned_cycles(n, adj):
+        length = len(verts)
+        odd = 0
+        for k, src in enumerate(verts):
+            dst = verts[(k + 1) % length]
+            if pos[src] >> dst & 1:
+                if neg[src] >> dst & 1:
+                    return True
+            else:
+                odd ^= 1
+        if not odd:
+            return True
+    return False
 
 
 def has_cycle_of_sign(g: SignedDigraph, sign: int) -> bool:
-    pos, neg = graph_rows(g)
-    has_pos, has_neg = cycle_signs_present(len(g.vertices), pos, neg)
-    return has_pos if sign == 1 else has_neg
+    found = rows_has_positive_cycle if sign == 1 else rows_has_negative_cycle
+    return found(len(g.vertices), *graph_rows(g))
 
 
 @memo
@@ -531,32 +641,18 @@ def _cycles_by_rows(
     return tuple(_signed_cycles(n, pos, neg))
 
 
-def _min_filtered_cycle_len(
+def _min_chordless_cycle_len(
     n: int,
     rows: tuple[tuple[int, ...], tuple[int, ...]],
-    filt: CycleFilter,
-    chord_rows: tuple[tuple[int, ...], tuple[int, ...]] | None,
+    want: int,
+    chord_rows: tuple[tuple[int, ...], tuple[int, ...]],
 ) -> int | None:
-    pos, neg = rows
-    if filt is CycleFilter.ALL:
-        best = None
-        for verts, _ in _cycles_by_rows(n, pos, neg):
-            if best is None or len(verts) < best:
-                best = len(verts)
-                if best == 1:
-                    break
-        return best
-    want = 1 if filt is CycleFilter.POSITIVE_CHORDLESS else -1
-    cpos, cneg = chord_rows if chord_rows is not None else (pos, neg)
-    best = None
-    for verts, signs in _cycles_by_rows(n, pos, neg):
-        if best is not None and len(verts) >= best:
-            continue
-        if cycle_sign(signs) != want:
-            continue
-        if rows_chordless(verts, cpos, cneg):
-            best = len(verts)
-    return best
+    """Length of a shortest chordless cycle of sign want; the cached cycles
+    come sorted by length, so the first that qualifies is the answer."""
+    for verts, signs in _cycles_by_rows(n, *rows):
+        if cycle_sign(signs) == want and rows_chordless(verts, *chord_rows):
+            return len(verts)
+    return None
 
 
 def counting_condition(
@@ -568,10 +664,14 @@ def counting_condition(
     length <= k.  Qualifying: any cycle (All) or a chordless cycle of the given
     sign, chords judged in the local graph unless global_chordless is set."""
     n = f.width
+    want = 1 if filt is CycleFilter.POSITIVE_CHORDLESS else -1
     chord_rows = global_rows(f) if global_chordless else None
     per_k = [0] * (n + 1)
     for rows in local_rows(f):
-        shortest = _min_filtered_cycle_len(n, rows, filt, chord_rows)
+        if filt is CycleFilter.ALL:
+            shortest = rows_girth(n, tuple(p | m for p, m in zip(*rows)))
+        else:
+            shortest = _min_chordless_cycle_len(n, rows, want, chord_rows or rows)
         if shortest is not None:
             per_k[shortest] += 1
     running = 0

@@ -48,13 +48,14 @@ from .siggraph import (
     circular_network,
     counting_condition,
     cycle_sign,
-    cycle_signs_present,
     detect_circular,
     global_rows,
     is_and_net,
     local_rows,
     rows_chordless,
     rows_delocalizers,
+    rows_has_negative_cycle,
+    rows_has_positive_cycle,
     rows_reach,
     shih_dong_condition,
     simple_digraph_count,
@@ -130,21 +131,23 @@ def _fp_count(f: BooleanNetwork) -> int:
 
 
 @memo
-def _global_cycle_signs(f: BooleanNetwork) -> tuple[bool, bool]:
-    return cycle_signs_present(f.width, *global_rows(f))
+def _global_positive_cycle(f: BooleanNetwork) -> bool:
+    return rows_has_positive_cycle(f.width, *global_rows(f))
 
 
 @memo
-def _local_cycle_signs(f: BooleanNetwork) -> tuple[bool, bool]:
-    has_pos = has_neg = False
-    n = f.width
-    for pos, neg in local_rows(f):
-        p, m = cycle_signs_present(n, pos, neg)
-        has_pos = has_pos or p
-        has_neg = has_neg or m
-        if has_pos and has_neg:
-            break
-    return has_pos, has_neg
+def _global_negative_cycle(f: BooleanNetwork) -> bool:
+    return rows_has_negative_cycle(f.width, *global_rows(f))
+
+
+@memo
+def _local_positive_cycle(f: BooleanNetwork) -> bool:
+    return any(rows_has_positive_cycle(f.width, *rows) for rows in local_rows(f))
+
+
+@memo
+def _local_negative_cycle(f: BooleanNetwork) -> bool:
+    return any(rows_has_negative_cycle(f.width, *rows) for rows in local_rows(f))
 
 
 @memo
@@ -409,36 +412,36 @@ NETWORK_CATALOG: dict[
 ] = {
     "ROBERT": (_global_acyclic, lambda f: _fp_count(f) == 1),
     "ARACENA_POS": (
-        lambda f: _strongly_connected_with_arc(f) and not _global_cycle_signs(f)[1],
+        lambda f: _strongly_connected_with_arc(f) and not _global_negative_cycle(f),
         lambda f: _fp_count(f) >= 2,
     ),
     "ARACENA_NEG": (
-        lambda f: _strongly_connected_with_arc(f) and not _global_cycle_signs(f)[0],
+        lambda f: _strongly_connected_with_arc(f) and not _global_positive_cycle(f),
         lambda f: _fp_count(f) == 0,
     ),
     "DICHOTOMY_UNIQUE": (
-        lambda f: not _global_cycle_signs(f)[0],
+        lambda f: not _global_positive_cycle(f),
         lambda f: _fp_count(f) <= 1,
     ),
     "DICHOTOMY_UNIQUE_WEAK": (
-        lambda f: not _global_cycle_signs(f)[0],
+        lambda f: not _global_positive_cycle(f),
         lambda f: _fp_count(f) <= 2,
     ),
     "DICHOTOMY_EXIST": (
-        lambda f: not _global_cycle_signs(f)[1],
+        lambda f: not _global_negative_cycle(f),
         lambda f: _fp_count(f) >= 1,
     ),
     "RICHARD2010": (
-        lambda f: not _global_cycle_signs(f)[1],
+        lambda f: not _global_negative_cycle(f),
         lambda f: not attractor_summary(f)[1],
     ),
     "SHIH_DONG": (shih_dong_condition, lambda f: _fp_count(f) == 1),
     "REMY_RUET_THIEFFRY": (
-        lambda f: not _local_cycle_signs(f)[0],
+        lambda f: not _local_positive_cycle(f),
         lambda f: _fp_count(f) <= 1,
     ),
     "RICHARD2011": (
-        lambda f: is_non_expansive(f) and not _local_cycle_signs(f)[1],
+        lambda f: is_non_expansive(f) and not _local_negative_cycle(f),
         lambda f: _fp_count(f) >= 1,
     ),
     "MAIN_EOSD": (lambda f: not has_eosd_subnetwork(f), is_conjugate_bijective),
@@ -679,7 +682,7 @@ _QUESTIONS: dict[
 ] = {
     # Does every network without negative local cycles have a fixed point?
     "Q1_NEG_LOCAL_CYCLES": (
-        lambda f: not _local_cycle_signs(f)[1],
+        lambda f: not _local_negative_cycle(f),
         lambda f: _fp_count(f) >= 1,
     ),
     # Is every 0-critical and-net a negative circular network?

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from boolcube import load_bn, random_network, render_bn
+from boolcube import (
+    delocalizing_vertices,
+    enumerate_cycles,
+    global_interaction_graph,
+    is_chordless,
+    load_bn,
+    local_interaction_graph,
+    random_network,
+    render_bn,
+)
+from boolcube.hypercube import parse_point
 from boolcube.cli import main
 from boolcube.dotfmt import validate_dot
 
@@ -221,6 +231,60 @@ def test_gen_random_width_cap_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "capped at width 16" in err
+
+
+# analyze on random_network(10, 0), recorded with the cycle-enumerating
+# counting_condition (29 s and 1 GB on a 2-core host).
+ANALYZE_W10_SEED0 = """\
+attractors: {0001111100} {1001100111}
+circular: none
+conjugate_bijective: false
+counting_condition: false
+criticality: none
+eosd_class: none
+eosd_subnetwork: I={1} z[2]=0 z[3]=0 z[4]=0 z[5]=0 z[6]=0 z[7]=0 z[8]=0 z[9]=0 z[10]=1
+fixed_points: {0001111100,1001100111}
+non_expansive: false
+parity_class: Neither
+self_dual: false
+shih_dong: false
+strong_convergence: false
+weak_convergence: false
+"""
+
+
+def test_analyze_at_the_width_cap(tmp_path, capsys):
+    path = tmp_path / "w10.bn"
+    path.write_text(render_bn(random_network(10, 0)), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert out == ANALYZE_W10_SEED0
+
+
+def test_graph_judges_each_cycle_like_the_graph_api(tmp_path, capsys):
+    """graph judges chords and delocalizers once per vertex sequence; the
+    lines match is_chordless and delocalizing_vertices cycle by cycle."""
+    f = random_network(5, 3)
+    path = tmp_path / "w5.bn"
+    path.write_text(render_bn(f), encoding="utf-8")
+    for at in ("01101", None):
+        if at is None:
+            g = global_interaction_graph(f)
+            code, out, _ = run(capsys, "graph", str(path))
+        else:
+            g = local_interaction_graph(f, parse_point(at, f.components))
+            code, out, _ = run(capsys, "graph", str(path), "--at", at)
+        assert code == 0
+        cycles = enumerate_cycles(g)
+        expected = [
+            f"cycle {c} sign={'positive' if c.sign == 1 else 'negative'} "
+            f"chordless={'true' if is_chordless(g, c) else 'false'} "
+            f"delocalizing={{{','.join(delocalizing_vertices(g, c))}}}"
+            for c in cycles
+        ]
+        assert out.splitlines()[len(g.arcs):] == expected
+    # The global graph has sequences shared by several signed cycles.
+    assert len({c.vertices for c in cycles}) < len(cycles)
 
 
 def test_analyze_width_cap_exits_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from boolcube import siggraph, theorems
 from boolcube import (
     BooleanNetwork,
     CircularForm,
@@ -34,14 +36,19 @@ from boolcube.network import (
     fixed_point_codes,
     identity_network,
     negation_network,
+    random_network,
 )
 from boolcube.siggraph import (
     acyclic,
+    cycle_sign,
     enumerate_simple_digraphs,
     graph_from_rows,
     graph_rows,
     has_cycle_of_sign,
     load_sg,
+    rows_girth,
+    rows_has_negative_cycle,
+    rows_has_positive_cycle,
     rows_reach,
     simple_digraph_count,
     simple_digraph_from_index,
@@ -169,11 +176,11 @@ def test_cycle_enumeration_matches_brute_force(g):
     assert {(c.vertices, c.signs) for c in enumerate_cycles(g)} == oracles.cycle_set(g)
 
 
-def test_sparse_wide_graphs_match_brute_force():
-    """Sparse graphs on 6-8 vertices, where the cycle search's reachability
-    pruning cuts paths; loops and opposite-sign pairs included."""
+def sparse_wide_graphs():
+    """300 seeded sparse graphs on 6-8 vertices, where the cycle search's
+    reachability pruning cuts paths; loops and opposite-sign pairs included.
+    Each comes with a random vertex mask."""
     rng = random.Random(1302)
-    acyclic_seen = cyclic_seen = 0
     for _ in range(300):
         n = rng.randint(6, 8)
         density = rng.uniform(0.1, 0.4)
@@ -184,7 +191,14 @@ def test_sparse_wide_graphs_match_brute_force():
                 if rng.random() < density:
                     signs = rng.choice(((1,), (-1,), (1, -1)))
                     arcs.update((src, sign, dst) for sign in signs)
-        g = SignedDigraph(verts, frozenset(arcs))
+        yield SignedDigraph(verts, frozenset(arcs)), rng.getrandbits(n)
+
+
+def test_sparse_wide_graphs_match_brute_force():
+    acyclic_seen = cyclic_seen = 0
+    for g, allowed in sparse_wide_graphs():
+        n = len(g.vertices)
+        verts = g.vertices
         expected = oracles.cycle_set(g)
         assert {(c.vertices, c.signs) for c in enumerate_cycles(g)} == expected
         pos, neg = graph_rows(g)
@@ -196,7 +210,6 @@ def test_sparse_wide_graphs_match_brute_force():
         assert transpose(n, adj) == tuple(
             sum(1 << j for j in range(n) if i in succ[j]) for i in range(n)
         )
-        allowed = rng.getrandbits(n)
         for v in range(n):
             reached = set()
             frontier = {w for w in succ[v] if allowed >> w & 1}
@@ -207,6 +220,99 @@ def test_sparse_wide_graphs_match_brute_force():
             on_cycle = any(verts[v] in vs for vs, _ in expected)
             assert rows_reach(adj, 1 << v) >> v & 1 == on_cycle
     assert acyclic_seen and cyclic_seen
+
+
+def assert_cycle_predicates(n, pos, neg, cycles):
+    """The girth and sign predicates against cycles, a list of
+    (vertex indices, signs) listing every cycle of the rows."""
+    adj = tuple(p | m for p, m in zip(pos, neg))
+    assert rows_girth(n, adj) == min((len(verts) for verts, _ in cycles), default=None)
+    signs = {cycle_sign(s) for _, s in cycles}
+    assert rows_has_negative_cycle(n, pos, neg) == (-1 in signs)
+    assert rows_has_positive_cycle(n, pos, neg) == (1 in signs)
+
+
+def test_cycle_predicates_on_every_small_graph():
+    """Every signed digraph on 1-3 vertices, 4 states per ordered pair (no
+    arc, +, -, both), against the oracle's cycles of the unsigned graph with
+    each arc's signs put back in."""
+    states = ((1,), (-1,), (1, -1))
+    checked = 0
+    for n in range(1, 4):
+        verts = labels(n)
+        pairs = [(j, i) for j in range(n) for i in range(n)]
+        for present in range(1 << n * n):
+            arcs = [pair for k, pair in enumerate(pairs) if present >> k & 1]
+            adj = [0] * n
+            for j, i in arcs:
+                adj[j] |= 1 << i
+            unsigned = [
+                tuple(verts.index(v) for v in vs)
+                for vs, _ in oracles.cycle_set(graph_from_rows(verts, tuple(adj), (0,) * n))
+            ]
+            for choice in product(states, repeat=len(arcs)):
+                arc_signs = dict(zip(arcs, choice))
+                pos = [0] * n
+                neg = [0] * n
+                for (j, i), signs in arc_signs.items():
+                    if 1 in signs:
+                        pos[j] |= 1 << i
+                    if -1 in signs:
+                        neg[j] |= 1 << i
+                cycles = [
+                    (vs, hops)
+                    for vs in unsigned
+                    for hops in product(
+                        *(arc_signs[vs[k], vs[(k + 1) % len(vs)]] for k in range(len(vs)))
+                    )
+                ]
+                assert_cycle_predicates(n, tuple(pos), tuple(neg), cycles)
+                checked += 1
+    assert checked == 4 + 4**4 + 4**9
+
+
+def test_cycle_predicates_on_sparse_wide_graphs():
+    kinds = set()
+    for g, _ in sparse_wide_graphs():
+        n = len(g.vertices)
+        pos, neg = graph_rows(g)
+        cycles = [
+            (tuple(g.vertices.index(v) for v in vs), signs)
+            for vs, signs in oracles.cycle_set(g)
+        ]
+        assert_cycle_predicates(n, pos, neg, cycles)
+        kinds.add(frozenset(cycle_sign(s) for _, s in cycles))
+    assert len(kinds) == 4
+
+
+def test_counting_and_q1_enumerate_no_cycles(monkeypatch):
+    """counting_condition reads the girth and the Q1 hypothesis the balance
+    test: neither lists a cycle nor fills the cycle cache."""
+    listed = []
+
+    def counted(name):
+        real = getattr(siggraph, name)
+
+        def wrapper(*args):
+            listed.append(name)
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(siggraph, "_signed_cycles", counted("_signed_cycles"))
+    monkeypatch.setattr(siggraph, "_unsigned_cycles", counted("_unsigned_cycles"))
+    monkeypatch.setattr(
+        theorems, "rows_has_positive_cycle", counted("rows_has_positive_cycle")
+    )
+    q1_hypothesis = theorems._QUESTIONS["Q1_NEG_LOCAL_CYCLES"][0]
+    for seed in range(4):
+        f = random_network(5, seed)
+        assert not shih_dong_condition(f)
+        misses = siggraph._cycles_by_rows.cache_info().misses
+        counting_condition(f)
+        q1_hypothesis(BooleanNetwork(f.components, f.table))
+        assert siggraph._cycles_by_rows.cache_info().misses == misses
+    assert listed == []
 
 
 @given(graphs(4))
