@@ -152,16 +152,22 @@ def parity_class(f: BooleanNetwork) -> ParityClass:
     return table_parity(f.table)
 
 
-def table_is_eosd(table: tuple[int, ...]) -> bool:
-    return table_parity(table) is not ParityClass.NEITHER and table_is_self_dual(table)
-
-
-def eosd_class(f: BooleanNetwork) -> ParityClass | None:
-    """ParityClass.EVEN/ODD for even-/odd-self-dual networks, else None."""
-    p = parity_class(f)
-    if p is ParityClass.NEITHER or not is_self_dual(f):
+def table_eosd_class(table: tuple[int, ...]) -> ParityClass | None:
+    """ParityClass.EVEN/ODD for even-/odd-self-dual tables, else None."""
+    p = table_parity(table)
+    if p is ParityClass.NEITHER or not table_is_self_dual(table):
         return None
     return p
+
+
+def table_is_eosd(table: tuple[int, ...]) -> bool:
+    return table_eosd_class(table) is not None
+
+
+@memo
+def eosd_class(f: BooleanNetwork) -> ParityClass | None:
+    """ParityClass.EVEN/ODD for even-/odd-self-dual networks, else None."""
+    return table_eosd_class(f.table)
 
 
 def is_eosd(f: BooleanNetwork) -> bool:

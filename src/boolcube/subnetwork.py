@@ -5,33 +5,36 @@ subnetwork on I that evaluates f with the frozen bits in place and reads back
 the free coordinates.  Enumeration order everywhere: |I| ascending, then I in
 lexicographic order, then z in lexicographic (bitstring) order, so witnesses
 are deterministic.
+
+Every walk over the subnetworks reads one SubnetworkPlan per width, built
+once.  Searches build one subnetwork's table at a time and stop at the first
+one that decides the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .hypercube import (
-    Point,
-    component_mask,
-    gather_bits,
-    mask_labels,
-    scatter_bits,
-)
+from .hypercube import Point, component_mask, gather_bits, mask_labels
 from .network import (
     BooleanNetwork,
     WidthCapError,
+    conjugate_codes,
     default_components,
     enumerate_networks,
     fixed_point_codes,
     is_eosd,
     memo,
-    table_fixed_point_codes,
     table_is_eosd,
 )
+
+# Widest network whose subnetworks are walked: the plan's gather tables hold
+# 4^n entries, about 12 MB at width 10.
+SUBNETWORK_WIDTH_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,58 @@ class SubnetworkSpec:
 
     def __str__(self) -> str:
         text = "I={" + ",".join(self.free) + "}"
-        fixed = self.fixed
-        if fixed is not None:
-            for label in fixed.components:
-                text += f" z[{label}]={fixed.value(label)}"
+        for k, label in enumerate(self.components):
+            if not self.free_mask >> k & 1:
+                text += f" z[{label}]={self.fixed_code >> k & 1}"
         return text
+
+
+@dataclass(frozen=True)
+class SubnetworkPlan:
+    """Every subnetwork item (mask, code) of one width: for mask in masks, for
+    code in codes[mask], f's own item last.  Point y of item (mask, code) is
+    the parent point code | scatter[mask][y]; points[mask] holds the same
+    points as a bitset, and gather[mask] maps a parent code to its free bits."""
+
+    masks: tuple[int, ...]
+    codes: tuple[tuple[int, ...], ...]
+    scatter: tuple[tuple[int, ...], ...]
+    points: tuple[int, ...]
+    gather: tuple[tuple[int, ...], ...]
+
+    def items(self, include_self: bool = True) -> Iterator[tuple[int, int]]:
+        for mask in self.masks if include_self else self.masks[:-1]:
+            for code in self.codes[mask]:
+                yield mask, code
+
+
+@lru_cache(maxsize=None)
+def subnetwork_plan(n: int) -> SubnetworkPlan:
+    """The plan of width n, built once.  A mask's entries extend those of the
+    mask without its top bit t; its gather table depends only on the bits
+    below t, so it repeats a block of 2^t entries, bit t off and then on."""
+    if n > SUBNETWORK_WIDTH_CAP:
+        raise WidthCapError(f"subnetworks are capped at width {SUBNETWORK_WIDTH_CAP}, got {n}")
+    size = 1 << n
+    scatter, points, codes = [(0,)] * size, [1] * size, [()] * size
+    gather = [(0,) * size] * size
+    for mask in range(1, size):
+        top = 1 << (mask.bit_length() - 1)
+        rest = mask ^ top
+        scatter[mask] = scatter[rest] + tuple(map(top.__or__, scatter[rest]))
+        points[mask] = points[rest] | points[rest] << top
+        low = gather[rest][:top]
+        high = tuple(map((1 << (mask.bit_count() - 1)).__or__, low))
+        gather[mask] = (low + high) * (size // (2 * top))
+        fixed = [0]  # z in bitstring-lex order: the lowest frozen bit varies slowest
+        for k in range(n - 1, -1, -1):
+            if not mask >> k & 1:
+                fixed += [c | 1 << k for c in fixed]
+        codes[mask] = tuple(fixed)
+    masks = tuple(
+        sum(1 << i for i in combo) for m in range(1, n + 1) for combo in combinations(range(n), m)
+    )
+    return SubnetworkPlan(masks, tuple(codes), tuple(scatter), tuple(points), tuple(gather))
 
 
 def make_spec(
@@ -100,11 +150,9 @@ def sub_table(
     table: tuple[int, ...], free_mask: int, fixed_code: int
 ) -> tuple[int, ...]:
     """Truth table of the subnetwork: evaluate with frozen bits, keep free bits."""
-    m = free_mask.bit_count()
-    return tuple(
-        gather_bits(table[fixed_code | scatter_bits(y, free_mask)], free_mask)
-        for y in range(1 << m)
-    )
+    plan = subnetwork_plan((len(table) - 1).bit_length())
+    at = map(table.__getitem__, map(fixed_code.__or__, plan.scatter[free_mask]))
+    return tuple(map(plan.gather[free_mask].__getitem__, at))
 
 
 def induced_subnetwork(f: BooleanNetwork, spec: SubnetworkSpec) -> BooleanNetwork:
@@ -129,45 +177,64 @@ def immediate_subnetwork(f: BooleanNetwork, label: str, value: int) -> BooleanNe
 def subnetwork_specs(
     components: tuple[str, ...], include_self: bool = True
 ) -> Iterator[SubnetworkSpec]:
-    n = len(components)
-    top = n if include_self else n - 1
-    for size in range(1, top + 1):
-        for combo in combinations(range(n), size):
-            free_mask = sum(1 << i for i in combo)
-            fixed_bits = [1 << i for i in range(n) if not free_mask >> i & 1]
-            for z in range(1 << len(fixed_bits)):
-                # z counts in bitstring-lex order: leftmost fixed label first.
-                fixed_code = 0
-                for k, bit in enumerate(fixed_bits):
-                    if z >> (len(fixed_bits) - 1 - k) & 1:
-                        fixed_code |= bit
-                yield SubnetworkSpec(components, free_mask, fixed_code)
+    for mask, code in subnetwork_plan(len(components)).items(include_self):
+        yield SubnetworkSpec(components, mask, code)
+
+
+def item_tables(
+    f: BooleanNetwork, include_self: bool = True
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(free_mask, fixed_code, table) per subnetwork in enumeration order, f's
+    own last; a table is built only when the walk reaches it."""
+    plan = subnetwork_plan(f.width)
+    at = f.table.__getitem__
+    for mask in plan.masks if include_self else plan.masks[:-1]:
+        g = plan.gather[mask].__getitem__
+        for code in plan.codes[mask]:
+            yield mask, code, tuple(map(g, map(at, map(code.__or__, plan.scatter[mask]))))
+
+
+@memo
+def _fixed_sets(f: BooleanNetwork) -> tuple[int, ...]:
+    """Per free mask, the bitset of the points x whose conjugate vanishes on
+    the mask, i.e. the points fixed in the subnetwork that contains them."""
+    conj = conjugate_codes(f)
+    zero = [(1 << len(conj)) - 1] * len(conj)
+    for k in range(f.width):
+        zero[1 << k] = sum(1 << x for x, c in enumerate(conj) if not c >> k & 1)
+    for mask in range(1, len(conj)):
+        top = 1 << (mask.bit_length() - 1)
+        zero[mask] = zero[mask ^ top] & zero[top]
+    return tuple(zero)
+
+
+def _item_counts(f: BooleanNetwork, include_self: bool = True) -> Iterator[int]:
+    """Fixed-point count per item in enumeration order, with no table."""
+    plan = subnetwork_plan(f.width)
+    fixed = _fixed_sets(f)
+    for mask, code in plan.items(include_self):
+        yield (fixed[mask] >> code & plan.points[mask]).bit_count()
 
 
 def subnetworks(
     f: BooleanNetwork, include_self: bool = False
 ) -> Iterator[tuple[SubnetworkSpec, BooleanNetwork]]:
     """All subnetworks of f in the documented deterministic order."""
-    for spec in subnetwork_specs(f.components, include_self):
-        yield spec, induced_subnetwork(f, spec)
+    for mask, code, table in item_tables(f, include_self):
+        spec = SubnetworkSpec(f.components, mask, code)
+        yield spec, BooleanNetwork(spec.free, table)
 
 
 @memo
 def spec_items(f: BooleanNetwork) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(free_mask, fixed_code, table) for every subnetwork, f itself last."""
-    return tuple(
-        (spec.free_mask, spec.fixed_code, sub_table(f.table, spec.free_mask, spec.fixed_code))
-        for spec in subnetwork_specs(f.components, include_self=True)
-    )
+    return tuple(item_tables(f))
 
 
 @memo
 def item_fixed_point_counts(f: BooleanNetwork) -> dict[tuple[int, int], int]:
     """Fixed-point count per subnetwork item (free mask, frozen code), f last."""
-    return {
-        (mask, code): len(table_fixed_point_codes(table))
-        for mask, code, table in spec_items(f)
-    }
+    return dict(zip(subnetwork_plan(f.width).items(), _item_counts(f)))
 
 
 def strict_subitems(mask: int, code: int) -> Iterator[tuple[int, int]]:
@@ -188,11 +255,12 @@ def strict_subitems(mask: int, code: int) -> Iterator[tuple[int, int]]:
 def find_eosd_subnetwork(
     f: BooleanNetwork,
 ) -> tuple[SubnetworkSpec, BooleanNetwork] | None:
-    """First even- or odd-self-dual subnetwork in enumeration order, if any."""
-    for free_mask, fixed_code, table in spec_items(f):
+    """First even- or odd-self-dual subnetwork in enumeration order, if any;
+    the walk stops there."""
+    for mask, code, table in item_tables(f):
         if table_is_eosd(table):
-            spec = SubnetworkSpec(f.components, free_mask, fixed_code)
-            return spec, induced_subnetwork(f, spec)
+            spec = SubnetworkSpec(f.components, mask, code)
+            return spec, BooleanNetwork(spec.free, table)
     return None
 
 
@@ -231,10 +299,9 @@ def is_zero_critical(f: BooleanNetwork) -> bool:
 
 
 def is_critical_eosd(f: BooleanNetwork) -> bool:
-    """Even- or odd-self-dual with no strict subnetwork of either kind."""
-    if not is_eosd(f):
-        return False
-    return not any(table_is_eosd(table) for _, _, table in spec_items(f)[:-1])
+    """Even- or odd-self-dual with no strict subnetwork of either kind: the
+    first EOSD item of the walk is f itself."""
+    return is_eosd(f) and find_eosd_subnetwork(f)[0].is_full
 
 
 def all_subnetworks_fixed_point_census(f: BooleanNetwork) -> tuple[int, int]:
@@ -258,9 +325,7 @@ class BaseProperty(Enum):
 
 def satisfies_everywhere(prop: BaseProperty, f: BooleanNetwork) -> bool:
     """The closed property: every subnetwork of f (f included) passes the base."""
-    if not prop.holds(len(fixed_point_codes(f))):
-        return False
-    return all(prop.holds(c) for c in item_fixed_point_counts(f).values())
+    return all(prop.holds(c) for c in _item_counts(f))
 
 
 def item_is_minimal_violation(
@@ -274,13 +339,12 @@ def item_is_minimal_violation(
 
 
 def is_minimal_violation(prop: BaseProperty, f: BooleanNetwork) -> bool:
-    """f fails the base while every strict subnetwork passes it."""
-    # f's own count decides most networks before any subnetwork table is built.
+    """f fails the base while every strict subnetwork passes it; the walk
+    stops at the first strict subnetwork that fails."""
+    # f's own count decides most networks before any subnetwork is counted.
     if prop.holds(len(fixed_point_codes(f))):
         return False
-    return item_is_minimal_violation(
-        prop, item_fixed_point_counts(f), ((1 << f.width) - 1, 0)
-    )
+    return all(prop.holds(c) for c in _item_counts(f, include_self=False))
 
 
 def minimal_forbidden_set(prop: BaseProperty, n: int) -> Iterator[BooleanNetwork]:

@@ -22,12 +22,13 @@ from itertools import permutations, repeat
 from typing import Callable, Iterable, Union
 
 from .dynamics import attractor_summary, weak_convergence
-from .hypercube import Point, format_code, gather_bits, scatter_bits
+from .hypercube import Point, format_code
 from .network import (
     RANDOM_WIDTH_CAP,
     BooleanNetwork,
     ParityClass,
     WidthCapError,
+    conjugate_codes,
     default_components,
     eosd_class,
     fixed_point_codes,
@@ -73,7 +74,7 @@ from .subnetwork import (
     item_fixed_point_counts,
     item_is_minimal_violation,
     spec_items,
-    sub_table,
+    subnetwork_plan,
 )
 
 
@@ -328,30 +329,42 @@ def _concl_cor11(f: BooleanNetwork) -> bool:
 
 
 def _concl_dynamics_iso(f: BooleanNetwork) -> bool:
-    table = f.table
+    """Each subnetwork's conjugate is f's conjugate at the matching parent
+    points, projected onto the free components."""
+    plan = subnetwork_plan(f.width)
+    conj = conjugate_codes(f)
     for mask, code, sub in spec_items(f)[:-1]:
-        for y, v in enumerate(sub):
-            x = code | scatter_bits(y, mask)
-            if gather_bits((table[x] ^ x) & mask, mask) != v ^ y:
+        g = plan.gather[mask]
+        for y, (s, v) in enumerate(zip(plan.scatter[mask], sub)):
+            if g[conj[code | s]] != v ^ y:
                 return False
     return True
 
 
 def _concl_local_subgraph(f: BooleanNetwork) -> bool:
+    """Each subnetwork's local graph at y is f's local graph at the matching
+    parent point, restricted to the free components."""
+    plan = subnetwork_plan(f.width)
     lrows = local_rows(f)
-    for mask, code, sub in spec_items(f)[:-1]:
-        m = mask.bit_count()
+    # column j: the targets of source j at every parent point
+    pos_cols = tuple(zip(*(pos for pos, _ in lrows)))
+    neg_cols = tuple(zip(*(neg for _, neg in lrows)))
+    items = iter(spec_items(f))  # in plan order
+    for mask in plan.masks[:-1]:
+        g = plan.gather[mask].__getitem__
         free = [k for k in range(f.width) if mask >> k & 1]
-        srows = table_local_rows(m, sub)
-        for y in range(1 << m):
-            x = code | scatter_bits(y, mask)
-            fpos, fneg = lrows[x]
-            spos, sneg = srows[y]
-            for b, j in enumerate(free):
-                if spos[b] != gather_bits(fpos[j] & mask, mask):
-                    return False
-                if sneg[b] != gather_bits(fneg[j] & mask, mask):
-                    return False
+        # f's rows restricted to the free components, at every parent point
+        restricted = tuple(
+            zip(
+                zip(*[tuple(map(g, pos_cols[j])) for j in free]),
+                zip(*[tuple(map(g, neg_cols[j])) for j in free]),
+            )
+        ).__getitem__
+        for code in plan.codes[mask]:
+            _, _, sub = next(items)
+            expected = tuple(map(restricted, map(code.__or__, plan.scatter[mask])))
+            if table_local_rows(len(free), sub) != expected:
+                return False
     return True
 
 
@@ -367,6 +380,7 @@ def _concl_eosd_andnet(f: BooleanNetwork) -> bool:
 def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
     n = f.width
     gpos, gneg = global_rows(f)
+    tables = {(mask, code): table for mask, code, table in spec_items(f)}
     solved: dict[tuple[int, int], tuple[tuple[int, ...], int] | None] = {}
     for x, (pos, neg) in enumerate(local_rows(f)):
         for verts, signs in _cycles_by_rows(n, pos, neg):
@@ -375,7 +389,7 @@ def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
             mask, form = _cycle_form(verts, signs)
             item = (mask, x & ~mask)
             if item not in solved:
-                solved[item] = table_circular_pred(len(verts), sub_table(f.table, *item))
+                solved[item] = table_circular_pred(len(verts), tables[item])
             if solved[item] != form:
                 return False
     return True
@@ -615,6 +629,10 @@ def describe_generator(gen: Generator) -> str:
 
 
 def generator_count(gen: Generator) -> int:
+    if gen.n < 1:
+        raise ValueError(f"--n must be at least 1, got {gen.n}")
+    if isinstance(gen, (Sample, NonExpansiveFiltered)) and gen.count < 0:
+        raise ValueError(f"--count must be at least 0, got {gen.count}")
     if isinstance(gen, Exhaustive):
         if gen.n > 3:
             raise WidthCapError(f"exhaustive sweeps are capped at width 3, got {gen.n}")
@@ -637,11 +655,15 @@ def generator_count(gen: Generator) -> int:
 
 
 def sample_table_index(n: int, seed: int, index: int) -> int:
-    """Partition-independent candidate bits: a keyed hash of (seed, index)."""
+    """Partition-independent candidate bits: a keyed hash of (seed, index).
+    Past blake2b's 64-byte digest (width 7 and up), block k of 64 more bytes
+    hashes "seed:index:k"."""
     bits = n << n
-    digest = hashlib.blake2b(
-        f"{seed}:{index}".encode(), digest_size=max(8, (bits + 7) // 8)
-    ).digest()
+    size = max(8, (bits + 7) // 8)
+    key = f"{seed}:{index}"
+    digest = hashlib.blake2b(key.encode(), digest_size=min(64, size)).digest()
+    while len(digest) < size:
+        digest += hashlib.blake2b(f"{key}:{len(digest) // 64}".encode()).digest()
     return int.from_bytes(digest, "big") & ((1 << bits) - 1)
 
 
@@ -938,6 +960,8 @@ def open_question_search(
         raise ValueError("open questions sweep networks, not subsets")
     count = generator_count(generator)
     if budget is not None:
+        if budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {budget}")
         count = min(count, budget)
     tallies, accepted, notes, wall = _drive((key,), generator, count, jobs)
     tally = tallies[key]

@@ -8,16 +8,21 @@ from pathlib import Path
 import pytest
 
 from boolcube import (
+    ParityClass,
+    all_subnetworks_fixed_point_census,
     delocalizing_vertices,
     enumerate_cycles,
+    eosd_class,
     global_interaction_graph,
     is_chordless,
     load_bn,
     local_interaction_graph,
     random_network,
     render_bn,
+    subnetworks,
 )
 from boolcube.hypercube import parse_point
+from boolcube.network import fixed_point_codes
 from boolcube.cli import main
 from boolcube.dotfmt import validate_dot
 
@@ -125,6 +130,26 @@ def test_subnets_eosd_filter(capsys):
     assert out.splitlines()[-1] == "listed: 1"
 
 
+def test_subnets_lists_what_the_subnetwork_api_builds(tmp_path, capsys):
+    """subnets reads tables and counts from the plan; each line matches the
+    BooleanNetwork that subnetworks() builds for the same item."""
+    f = random_network(4, 7)
+    path = tmp_path / "w4.bn"
+    path.write_text(render_bn(f), encoding="utf-8")
+    names = {None: "none", ParityClass.EVEN: "EvenSelfDual", ParityClass.ODD: "OddSelfDual"}
+    for flags in ((), ("--include-self",), ("--eosd-only", "--include-self")):
+        code, out, _ = run(capsys, "subnets", str(path), *flags)
+        assert code == 0
+        expected = [
+            f"{spec} fixed_points={len(fixed_point_codes(g))} eosd={names[eosd_class(g)]}"
+            for spec, g in subnetworks(f, include_self="--include-self" in flags)
+            if "--eosd-only" not in flags or eosd_class(g) is not None
+        ]
+        lo, hi = all_subnetworks_fixed_point_census(f)
+        expected += [f"census: min={lo} max={hi}", f"listed: {len(expected)}"]
+        assert out.splitlines() == expected
+
+
 def test_graph_worked_example(capsys):
     code, out, _ = run(capsys, "graph", EX1)
     assert code == 0
@@ -216,6 +241,56 @@ def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--theorem", "MAIN_EOSD", "--mode", "sample", "--n", "3",
+          "--count", "-5", "--seed", "1"), "--count must be at least 0, got -5"),
+        (("verify", "--theorem", "MAIN_EOSD", "--mode", "family", "--family",
+          "nonexpansive", "--n", "3", "--count", "-1", "--seed", "1"),
+         "--count must be at least 0, got -1"),
+        (("search", "--question", "Q1_NEG_LOCAL_CYCLES", "--mode", "sample", "--n", "3",
+          "--seed", "1", "--budget", "-1"), "--budget must be at least 0, got -1"),
+        (("verify", "--theorem", "ROBERT", "--mode", "exhaustive", "--n", "0"),
+         "--n must be at least 1, got 0"),
+        (("verify", "--theorem", "ROBERT", "--mode", "sample", "--n", "-2", "--seed", "1"),
+         "--n must be at least 1, got -2"),
+        (("verify", "--theorem", "ROBERT", "--mode", "family", "--family", "andnets",
+          "--n", "0"), "--n must be at least 1, got 0"),
+        (("verify", "--theorem", "ROBERT", "--mode", "family", "--family", "circular",
+          "--n", "0"), "--n must be at least 1, got 0"),
+        (("verify", "--theorem", "ROBERT", "--mode", "family", "--family", "circular",
+          "--n", "-2"), "--n must be at least 1, got -2"),
+        (("verify", "--theorem", "ROBERT", "--mode", "family", "--family",
+          "nonexpansive", "--n", "0", "--seed", "1"), "--n must be at least 1, got 0"),
+        (("verify", "--theorem", "LEMMA1_HYPERCUBE", "--mode", "exhaustive", "--n", "0"),
+         "--n must be at least 1, got 0"),
+        (("search", "--question", "Q2_0CRITICAL_ANDNET", "--mode", "family", "--family",
+          "andnets", "--n", "-1"), "--n must be at least 1, got -1"),
+    ],
+)
+def test_negative_counts_budgets_and_widths_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_zero_count_and_budget_are_empty_runs(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--theorem", "MAIN_EOSD", "--mode", "sample", "--n", "3",
+        "--count", "0", "--seed", "1",
+    )
+    assert code == 0
+    assert "candidates=0" in out
+    code, out, _ = run(
+        capsys, "search", "--question", "Q1_NEG_LOCAL_CYCLES", "--mode", "sample",
+        "--n", "3", "--seed", "1", "--budget", "0",
+    )
+    assert code == 0
+    assert "examined=0" in out
 
 
 def test_width_cap_exits_3(capsys):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -19,19 +19,36 @@ from boolcube import (
     minimal_forbidden_set,
     subnetworks,
 )
-from boolcube.hypercube import gather_bits
-from boolcube.network import enumerate_networks, eosd_class, fixed_point_codes, load_bn
+from boolcube import subnetwork
+from boolcube.hypercube import gather_bits, scatter_bits
+from boolcube.network import (
+    WidthCapError,
+    default_components,
+    enumerate_networks,
+    eosd_class,
+    fixed_point_codes,
+    is_eosd,
+    load_bn,
+    random_network,
+    table_fixed_point_codes,
+    table_is_eosd,
+)
 from boolcube.subnetwork import (
     has_eosd_subnetwork,
     is_critical_eosd,
     is_minimal_violation,
     is_two_critical,
     is_zero_critical,
+    item_fixed_point_counts,
+    item_tables,
     make_spec,
     satisfies_everywhere,
+    spec_items,
     sub_table,
+    subnetwork_plan,
     subnetwork_specs,
 )
+from boolcube.theorems import Sample, candidate_network
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,7 +176,7 @@ def test_census_of_fixtures():
 
 
 def test_eosd_search_on_the_worked_example():
-    assert find_eosd_subnetwork(EX1) is None
+    assert find_eosd_subnetwork(BooleanNetwork(EX1.components, EX1.table)) is None
     assert not has_eosd_subnetwork(EX1)
 
 
@@ -245,3 +262,117 @@ def test_sub_table_is_usable_directly():
 def test_induced_rejects_foreign_spec():
     with pytest.raises(ValueError):
         induced_subnetwork(EX1, SubnetworkSpec(("a", "b", "c"), 0b1, 0))
+
+
+# -- the compiled plan ------------------------------------------------------------
+
+
+def plan_networks():
+    """Every network of widths 1 and 2, then samples of widths 3, 4 and 8."""
+    yield from enumerate_networks(1)
+    yield from enumerate_networks(2)
+    for gen in (Sample(3, 60, 1), Sample(4, 12, 2), Sample(8, 2, 3)):
+        for index in range(gen.count):
+            yield candidate_network(gen, index)
+
+
+def documented_order(n):
+    """(free mask, frozen code) straight from the definition: |I| ascending,
+    I in lexicographic order, z in bitstring order with the first frozen label
+    most significant."""
+    items = []
+    for size in range(1, n + 1):
+        for free in combinations(range(n), size):
+            rest = [k for k in range(n) if k not in free]
+            for bits in product((0, 1), repeat=len(rest)):
+                code = sum(bit << k for bit, k in zip(bits, rest))
+                items.append((sum(1 << k for k in free), code))
+    return items
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_plan_order_and_tuples(n):
+    plan = subnetwork_plan(n)
+    items = list(plan.items())
+    assert items == documented_order(n)
+    specs = subnetwork_specs(default_components(n))
+    assert items == [(s.free_mask, s.fixed_code) for s in specs]
+    assert list(plan.items(include_self=False)) == items[:-1]
+    for mask in range(1, 1 << n):
+        m = mask.bit_count()
+        assert plan.scatter[mask] == tuple(scatter_bits(y, mask) for y in range(1 << m))
+        assert plan.points[mask] == sum(1 << s for s in plan.scatter[mask])
+        assert plan.gather[mask] == tuple(gather_bits(v, mask) for v in range(1 << n))
+    assert subnetwork_plan(n) is plan
+
+
+def test_plan_width_cap():
+    with pytest.raises(WidthCapError):
+        subnetwork_plan(11)
+
+
+def test_plan_tables_match_sub_table_and_the_oracle():
+    for f in plan_networks():
+        items = spec_items(f)
+        assert [item[:2] for item in items] == list(subnetwork_plan(f.width).items())
+        assert tuple(item_tables(f)) == items
+        for mask, code, table in items:
+            assert table == sub_table(f.table, mask, code)
+            spec = SubnetworkSpec(f.components, mask, code)
+            fixed = spec.fixed
+            frozen = {} if fixed is None else {c: fixed.value(c) for c in fixed.components}
+            assert table == oracles.sub_table(f, list(spec.free), frozen)
+
+
+def test_item_counts_match_the_sub_tables():
+    for f in plan_networks():
+        counts = item_fixed_point_counts(f)
+        assert list(counts) == list(subnetwork_plan(f.width).items())
+        for (mask, code), count in counts.items():
+            assert count == len(table_fixed_point_codes(sub_table(f.table, mask, code)))
+        for prop in BaseProperty:
+            assert satisfies_everywhere(prop, f) == all(map(prop.holds, counts.values()))
+
+
+def test_lazy_walks_agree_with_the_eager_definitions():
+    for f in plan_networks():
+        items = spec_items(f)
+        eosd = [item for item in items if table_is_eosd(item[2])]
+        found = find_eosd_subnetwork(f)
+        if eosd:
+            spec, g = found
+            assert (spec.free_mask, spec.fixed_code, g.table) == eosd[0]
+            assert g.components == spec.free
+        else:
+            assert found is None
+        strict_eosd = any(table_is_eosd(table) for _, _, table in items[:-1])
+        assert is_critical_eosd(f) == (is_eosd(f) and not strict_eosd)
+        counts = [len(table_fixed_point_codes(table)) for _, _, table in items]
+        assert is_two_critical(f) == (counts[-1] >= 2 and all(c <= 1 for c in counts[:-1]))
+        assert is_zero_critical(f) == (counts[-1] == 0 and all(c >= 1 for c in counts[:-1]))
+        if f.width <= 3:
+            assert is_two_critical(f) == oracles.two_critical(f)
+            assert is_zero_critical(f) == oracles.zero_critical(f)
+
+
+def test_eosd_search_stops_at_the_witness(monkeypatch):
+    """The search builds the tables of the items before the witness and of
+    the witness, and no other."""
+    walked = []
+    walk = subnetwork.item_tables
+
+    def counting(f, include_self=True):
+        for item in walk(f, include_self):
+            walked.append(item[:2])
+            yield item
+
+    monkeypatch.setattr(subnetwork, "item_tables", counting)
+    f = random_network(10, 0)
+    spec, _ = find_eosd_subnetwork(f)
+    # the second item, I={1} z[10]=1, is the first even- or odd-self-dual one
+    assert walked == list(subnetwork_plan(10).items())[:2]
+    assert walked[-1] == (spec.free_mask, spec.fixed_code)
+    assert not is_critical_eosd(f)
+    walked.clear()
+    assert find_eosd_subnetwork(BooleanNetwork(EX1.components, EX1.table)) is None
+    assert walked == list(subnetwork_plan(3).items())

@@ -309,15 +309,16 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
 
 def test_chordless_local_circular_builds_each_item_once(monkeypatch):
     """A subnetwork item that several chordless local cycles land on is built
-    and solved once per network."""
+    and solved once per network: its one table, from spec_items, reaches the
+    circular solver once."""
     asked = []
-    build = theorems.sub_table
+    solve = theorems.table_circular_pred
 
-    def recording(table, mask, code):
-        asked.append((mask, code))
-        return build(table, mask, code)
+    def recording(n, table):
+        asked.append(id(table))
+        return solve(n, table)
 
-    monkeypatch.setattr(theorems, "sub_table", recording)
+    monkeypatch.setattr(theorems, "table_circular_pred", recording)
     gen = Sample(3, 300, 1)
     total = 0
     for index in range(300):
