@@ -287,6 +287,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise FormatError(f"bad width {n_text!r}") from None
         if n < 1 or len(signs) != n or any(ch not in "+-" for ch in signs):
             raise FormatError("--circular needs a width n and a +/- string of length n")
+        _check_width("gen --circular", n, RANDOM_WIDTH_CAP)
         # the canonical cycle 1 -> 2 -> ... -> n -> 1; signs[k] is the sign of
         # the arc entering component k+1
         pred = tuple((i - 1) % n for i in range(n))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -285,10 +284,11 @@ def _unsigned_cycles(n: int, adj: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             pending.append(adj[v] & live & ~seen)
 
 
-def _signed_cycles(
+def rows_signed_cycles(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(vertex indices, signs) per cycle; both-sign arcs expand to two cycles."""
+    """(vertex indices, signs) per cycle, sorted by length, vertices, signs;
+    both-sign arcs expand to two cycles.  Nothing is cached across calls."""
     adj = tuple(p | m for p, m in zip(pos, neg))
     out = []
     for verts in _unsigned_cycles(n, adj):
@@ -315,7 +315,7 @@ def enumerate_cycles(g: SignedDigraph) -> tuple[Cycle, ...]:
     n = len(g.vertices)
     return tuple(
         Cycle(tuple(g.vertices[v] for v in verts), signs)
-        for verts, signs in _signed_cycles(n, pos, neg)
+        for verts, signs in rows_signed_cycles(n, pos, neg)
     )
 
 
@@ -431,47 +431,29 @@ def circular_network(form: CircularForm) -> BooleanNetwork:
     return BooleanNetwork(form.components, table)
 
 
-def _rows_circular_pred(
-    n: int, pos: tuple[int, ...], neg: tuple[int, ...]
+def table_circular_pred(
+    n: int, table: tuple[int, ...], rows: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> tuple[tuple[int, ...], int] | None:
-    """(predecessor map, constant) when the rows form a single Hamiltonian cycle."""
+    """(predecessor map, constant) of the table's circular form, if it has
+    one: the global rows must be a single Hamiltonian cycle of one-signed arcs
+    and the table the circular table of that cycle."""
+    pos, neg = rows
     pred: list[int] = [-1] * n
     for j in range(n):
-        if pos[j] & neg[j]:
-            return None
         targets = pos[j] | neg[j]
-        if targets.bit_count() != 1:
+        if pos[j] & neg[j] or targets.bit_count() != 1:
             return None
         i = targets.bit_length() - 1
         if pred[i] != -1:
             return None
         pred[i] = j
-    seen = 0
-    v = 0
+    seen = v = 0
     for _ in range(n):
-        seen |= 1 << v
-        v = pred[v]
-    if seen != (1 << n) - 1:
-        return None
+        seen, v = seen | 1 << v, pred[v]
     constant = sum(1 << i for i in range(n) if neg[pred[i]] >> i & 1)
-    return tuple(pred), constant
-
-
-def table_circular_pred(
-    n: int,
-    table: tuple[int, ...],
-    rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> tuple[tuple[int, ...], int] | None:
-    """(predecessor map, constant) of the table's circular form, if it has one.
-
-    rows are the table's global rows, built from the table when not given.
-    """
-    if rows is None:
-        rows = table_global_rows(n, table)
-    found = _rows_circular_pred(n, *rows)
-    if found is None or _circular_table(n, *found) != table:
+    if seen != (1 << n) - 1 or _circular_table(n, pred, constant) != table:
         return None
-    return found
+    return tuple(pred), constant
 
 
 @memo
@@ -634,22 +616,15 @@ class CycleFilter(Enum):
     NEGATIVE_CHORDLESS = "NegativeChordless"
 
 
-@lru_cache(maxsize=1 << 16)
-def _cycles_by_rows(
-    n: int, pos: tuple[int, ...], neg: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    return tuple(_signed_cycles(n, pos, neg))
-
-
 def _min_chordless_cycle_len(
     n: int,
     rows: tuple[tuple[int, ...], tuple[int, ...]],
     want: int,
     chord_rows: tuple[tuple[int, ...], tuple[int, ...]],
 ) -> int | None:
-    """Length of a shortest chordless cycle of sign want; the cached cycles
-    come sorted by length, so the first that qualifies is the answer."""
-    for verts, signs in _cycles_by_rows(n, *rows):
+    """Length of a shortest chordless cycle of sign want; the cycles come
+    sorted by length, so the first that qualifies is the answer."""
+    for verts, signs in rows_signed_cycles(n, *rows):
         if cycle_sign(signs) == want and rows_chordless(verts, *chord_rows):
             return len(verts)
     return None

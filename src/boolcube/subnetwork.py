@@ -31,6 +31,7 @@ from .network import (
     memo,
     table_is_eosd,
 )
+from .siggraph import detect_circular
 
 # Widest network whose subnetworks are walked: the plan's gather tables hold
 # 4^n entries, about 12 MB at width 10.
@@ -206,6 +207,58 @@ def _fixed_sets(f: BooleanNetwork) -> tuple[int, ...]:
         top = 1 << (mask.bit_length() - 1)
         zero[mask] = zero[mask ^ top] & zero[top]
     return tuple(zero)
+
+
+@lru_cache(maxsize=None)
+def _free_literals(n: int) -> tuple[tuple[tuple[int, ...], dict[int, tuple[int, int]]], ...]:
+    """Per free mask: its free components, and a map from each literal x_j or
+    not x_j of a free j, as the bitset of the mask's points where it is 1, to
+    (local index of j, 1 if negated else 0)."""
+    points = subnetwork_plan(n).points
+    out = []
+    for mask, on in enumerate(points):
+        free = tuple(k for k in range(n) if mask >> k & 1)
+        # x_j is 1 on the mask's points outside those of the mask without j
+        xs = [on ^ points[mask ^ 1 << j] for j in free]
+        literals = {v: (b, neg) for b, x in enumerate(xs) for neg, v in enumerate((x, on ^ x))}
+        out.append((free, literals))
+    return tuple(out)
+
+
+def _literal_cycle(
+    literals: dict[int, tuple[int, int]], values: list[int]
+) -> tuple[tuple[int, ...], int] | None:
+    """(predecessor map, constant) when each free f_i, given as a bitset, is
+    a literal of a distinct free x_j and those choices form one cycle."""
+    pred, constant = [], 0
+    for b, value in enumerate(values):
+        j, negated = literals.get(value, (-1, 0))
+        if j < 0 or j in pred:
+            return None
+        pred.append(j)
+        constant |= negated << b
+    seen = v = 0
+    for _ in pred:
+        seen, v = seen | 1 << v, pred[v]
+    return (tuple(pred), constant) if seen == (1 << len(pred)) - 1 else None
+
+
+@memo
+def item_circular_forms(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
+    """Per item in plan order, (predecessor map, constant) in the item's local
+    indices when the subnetwork is a circular network, else None; f's own
+    entry last, from detect_circular.  Reads f's output bits as bitsets and
+    builds no subnetwork table."""
+    plan = subnetwork_plan(f.width)
+    free_literals = _free_literals(f.width)
+    ones = [sum(1 << x for x, v in enumerate(f.table) if v >> i & 1) for i in range(f.width)]
+    forms = []
+    for mask, code in plan.items(include_self=False):
+        free, literals = free_literals[mask]
+        forms.append(_literal_cycle(literals, [ones[i] >> code & plan.points[mask] for i in free]))
+    own = detect_circular(f)
+    forms.append(None if own is None else (own.predecessor, own.constant))
+    return tuple(forms)
 
 
 def _item_counts(f: BooleanNetwork, include_self: bool = True) -> Iterator[int]:

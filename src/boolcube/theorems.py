@@ -43,7 +43,6 @@ from .network import (
 from .siggraph import (
     CircularForm,
     CycleFilter,
-    _cycles_by_rows,
     acyclic,
     and_net_table,
     circular_network,
@@ -58,10 +57,10 @@ from .siggraph import (
     rows_has_negative_cycle,
     rows_has_positive_cycle,
     rows_reach,
+    rows_signed_cycles,
     shih_dong_condition,
     simple_digraph_count,
     simple_digraph_rows_from_index,
-    table_circular_pred,
     table_local_rows,
     transpose,
 )
@@ -71,6 +70,7 @@ from .subnetwork import (
     has_eosd_subnetwork,
     is_two_critical,
     is_zero_critical,
+    item_circular_forms,
     item_fixed_point_counts,
     item_is_minimal_violation,
     spec_items,
@@ -178,25 +178,11 @@ def _has_minimal_violation(f: BooleanNetwork, prop: BaseProperty) -> bool:
     return any(item_is_minimal_violation(prop, fps, item) for item in fps)
 
 
-@memo
-def _item_circular_forms(
-    f: BooleanNetwork,
-) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
-    """Per item: (predecessor map, constant) when the item is a circular
-    network, else None; f's own entry last."""
-    forms = [
-        table_circular_pred(mask.bit_count(), table) for mask, _, table in spec_items(f)[:-1]
-    ]
-    own = detect_circular(f)
-    forms.append(None if own is None else (own.predecessor, own.constant))
-    return tuple(forms)
-
-
 def _has_circular_sub(f: BooleanNetwork) -> tuple[bool, bool]:
     """(has a positive, has a negative) circular subnetwork, f included: a
     form is positive when its constant has an even number of set bits."""
     parities = {
-        constant.bit_count() & 1 for _, constant in filter(None, _item_circular_forms(f))
+        constant.bit_count() & 1 for _, constant in filter(None, item_circular_forms(f))
     }
     return 0 in parities, 1 in parities
 
@@ -280,7 +266,7 @@ def _graph_cycle_analysis(
             rows_chordless(verts, pos, neg),
             bool(rows_delocalizers(verts, pos, neg)),
         )
-        for verts, signs in _cycles_by_rows(f.width, pos, neg)
+        for verts, signs in rows_signed_cycles(f.width, pos, neg)
     )
 
 
@@ -380,17 +366,13 @@ def _concl_eosd_andnet(f: BooleanNetwork) -> bool:
 def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
     n = f.width
     gpos, gneg = global_rows(f)
-    tables = {(mask, code): table for mask, code, table in spec_items(f)}
-    solved: dict[tuple[int, int], tuple[tuple[int, ...], int] | None] = {}
+    forms = dict(zip(subnetwork_plan(n).items(), item_circular_forms(f)))
     for x, (pos, neg) in enumerate(local_rows(f)):
-        for verts, signs in _cycles_by_rows(n, pos, neg):
+        for verts, signs in rows_signed_cycles(n, pos, neg):
             if not rows_chordless(verts, gpos, gneg):
                 continue
             mask, form = _cycle_form(verts, signs)
-            item = (mask, x & ~mask)
-            if item not in solved:
-                solved[item] = table_circular_pred(len(verts), tables[item])
-            if solved[item] != form:
+            if forms[mask, x & ~mask] != form:
                 return False
     return True
 
@@ -399,7 +381,7 @@ def _concl_circular_subnetworks(f: BooleanNetwork) -> bool:
     """Realized circular-subnetwork graphs == chord-free delocalizer-free cycles."""
     realized = {
         (mask, form)
-        for (mask, _, _), form in zip(spec_items(f), _item_circular_forms(f))
+        for (mask, _), form in zip(subnetwork_plan(f.width).items(), item_circular_forms(f))
         if form is not None
     }
     wanted = {

@@ -380,20 +380,25 @@ def test_analyze_width_cap_exits_3(tmp_path, capsys):
         (("graph", "--at", "0" * 8), 8, 7),
         (("subnets",), 11, 10),
         (("gen", "--andnet"), 17, 16),
+        (("gen", "--circular"), 22, 16),
     ],
 )
 def test_per_file_width_caps_exit_3(tmp_path, capsys, command, width, cap):
-    if command[0] == "gen":
+    if command == ("gen", "--circular"):
+        args = (str(width), "+" * width)
+    elif command[0] == "gen":
         path = tmp_path / "ring.sg"
         labels = [f"v{k}" for k in range(width)]
         lines = ["vertices " + " ".join(labels)]
         lines += [f"{labels[k - 1]} + {labels[k]}" for k in range(width)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = (str(path),)
     else:
         path = tmp_path / "wide.bn"
         path.write_text(render_bn(random_network(width, 0)), encoding="utf-8")
+        args = (str(path),)
     started = time.perf_counter()
-    code, out, err = run(capsys, *command, str(path))
+    code, out, err = run(capsys, *command, *args)
     assert time.perf_counter() - started < 30
     assert code == 3
     assert out == ""

@@ -39,6 +39,7 @@ from boolcube.subnetwork import (
     is_minimal_violation,
     is_two_critical,
     is_zero_critical,
+    item_circular_forms,
     item_fixed_point_counts,
     item_tables,
     make_spec,
@@ -48,7 +49,16 @@ from boolcube.subnetwork import (
     subnetwork_plan,
     subnetwork_specs,
 )
-from boolcube.theorems import Sample, candidate_network
+from boolcube.siggraph import table_circular_pred, table_global_rows
+from boolcube.theorems import (
+    AndNets,
+    Circular,
+    Exhaustive,
+    Sample,
+    candidate_network,
+    describe_generator,
+    generator_count,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -376,3 +386,31 @@ def test_eosd_search_stops_at_the_witness(monkeypatch):
     walked.clear()
     assert find_eosd_subnetwork(BooleanNetwork(EX1.components, EX1.table)) is None
     assert walked == list(subnetwork_plan(3).items())
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        Exhaustive(1),
+        Exhaustive(2),
+        AndNets(3),
+        Circular(3),
+        Circular(4),
+        Sample(3, 3000, 1),
+        Sample(4, 300, 2),
+    ],
+    ids=describe_generator,
+)
+def test_item_circular_forms_match_the_table_solver(gen):
+    """The bitset kernel gives every item the form the table solver finds on
+    the item's own table and global rows.  In and-net 108 of width 3,
+    f_1 = f_2 = x_2 on the item I={1,2} z[3]=0: x_2 is chosen twice, so that
+    item is no cycle, although two steps from component 1 visit both."""
+    for index in range(generator_count(gen)):
+        f = candidate_network(gen, index)
+        forms = item_circular_forms(f)
+        assert len(forms) == len(spec_items(f))
+        for (mask, _, table), form in zip(spec_items(f), forms):
+            k = mask.bit_count()
+            assert form == table_circular_pred(k, table, table_global_rows(k, table)), index
+

@@ -9,7 +9,7 @@ from boolcube import BooleanNetwork, SearchReport, WidthCapError, check, sweep_m
 from boolcube.hypercube import all_points, parse_point
 from boolcube.network import network_from_index
 from boolcube.siggraph import and_net, detect_circular, enumerate_simple_digraphs
-from boolcube import siggraph, theorems
+from boolcube import siggraph, subnetwork, theorems
 from boolcube.theorems import (
     NETWORK_CATALOG,
     PROPERTY_IDS,
@@ -286,8 +286,9 @@ def test_jobs_below_one_are_rejected(jobs):
 
 
 def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
-    """Circular detection reads the rows global_rows(f) built, and every
-    subnetwork item's circular form is solved once."""
+    """Circular detection reads the rows global_rows(f) built, and the
+    subnetwork items' circular forms come from bitsets: no subnetwork table
+    and no subnetwork's global rows are built."""
     calls = {}
     build = siggraph.table_global_rows
 
@@ -295,7 +296,15 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
         calls[n] = calls.get(n, 0) + 1
         return build(n, table)
 
+    tables = []
+    walk = subnetwork.item_tables
+
+    def walking(f, include_self=True):
+        tables.append(f)
+        return walk(f, include_self)
+
     monkeypatch.setattr(siggraph, "table_global_rows", counting)
+    monkeypatch.setattr(subnetwork, "item_tables", walking)
     keys = (
         "ANDNET_2CRITICAL",
         "EOSD_ANDNET_CIRCULAR",
@@ -303,46 +312,52 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
         "ANDNET_CHORDLESS",
     )
     sweep_many(keys, AndNets(2))
-    # 81 networks, each with 4 width-1 subnetwork items
-    assert calls == {2: 81, 1: 324}
+    # 81 networks, each with its own global rows only
+    assert calls == {2: 81}
+    open_question_search("Q2_0CRITICAL_ANDNET", AndNets(2))
+    assert tables == []
 
 
 def test_chordless_local_circular_builds_each_item_once(monkeypatch):
-    """A subnetwork item that several chordless local cycles land on is built
-    and solved once per network: its one table, from spec_items, reaches the
-    circular solver once."""
-    asked = []
-    solve = theorems.table_circular_pred
+    """The chordless-cycle check reads each network's circular forms from the
+    bitset kernel: every item is solved once per network, however many keys
+    ask, and no subnetwork table is built."""
+    solved = []
+    solve = subnetwork._literal_cycle
 
-    def recording(n, table):
-        asked.append(id(table))
-        return solve(n, table)
+    def recording(literals, values):
+        solved.append(values)
+        return solve(literals, values)
 
-    monkeypatch.setattr(theorems, "table_circular_pred", recording)
+    def no_tables(*args):
+        raise AssertionError("a subnetwork table was built")
+
+    monkeypatch.setattr(subnetwork, "_literal_cycle", recording)
+    monkeypatch.setattr(subnetwork, "item_tables", no_tables)
     gen = Sample(3, 300, 1)
-    total = 0
+    keys = (
+        "CHORDLESS_LOCAL_CYCLE_CIRCULAR",
+        "COR_NONEXP_DICHOTOMY",
+        "CHORDLESS_LOCAL_CYCLE_CIRCULAR",
+    )
     for index in range(300):
-        asked.clear()
-        check("CHORDLESS_LOCAL_CYCLE_CIRCULAR", candidate_network(gen, index))
-        assert len(asked) == len(set(asked)), index
-        total += len(asked)
-    assert total > 300
+        solved.clear()
+        f = candidate_network(gen, index)
+        for key in keys:
+            check(key, f)
+        # one solve per strict item of width 3
+        assert len(solved) == 18, index
 
 
 def test_theorems_imports_no_private_kernels():
-    """The catalog uses the public kernels of the other modules; the one
-    exception is the cycle cache, whose name the benchmark reads."""
+    """The catalog uses the public kernels of the other modules."""
     tree = ast.parse(Path(theorems.__file__).read_text(encoding="utf-8"))
     private = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
             node.level or (node.module or "").split(".")[0] == "boolcube"
         ):
-            private += [
-                alias.name
-                for alias in node.names
-                if alias.name.startswith("_") and alias.name != "_cycles_by_rows"
-            ]
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
     assert private == []
 
 
