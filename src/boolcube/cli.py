@@ -21,6 +21,7 @@ from .network import (
     RANDOM_WIDTH_CAP,
     ParityClass,
     WidthCapError,
+    check_width,
     eosd_class,
     fixed_point_codes,
     is_conjugate_bijective,
@@ -81,6 +82,8 @@ ANALYZE_WIDTH_CAP = 10
 # Widest network graph accepts: for a random width-7 network it prints 166k
 # lines in about 2 s and 80 MB, nearly all of them global cycles.
 GRAPH_WIDTH_CAP = 7
+# dynamics and export-dot --what gamma take the gen --random cap, RANDOM_WIDTH_CAP:
+# their time doubles per width, and at width 16 they peak at 131 MB and 207 MB.
 
 
 def _bool_text(value: bool) -> str:
@@ -97,15 +100,10 @@ def _eosd_text(cls: ParityClass | None) -> str:
     return "EvenSelfDual" if cls is ParityClass.EVEN else "OddSelfDual"
 
 
-def _check_width(what: str, n: int, cap: int) -> None:
-    if n > cap:
-        raise WidthCapError(f"{what} is capped at width {cap}, got {n}")
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     f = load_bn(args.network)
     n = f.width
-    _check_width("analyze", n, ANALYZE_WIDTH_CAP)
+    check_width("analyze", n, ANALYZE_WIDTH_CAP)
     atts = attractors(f)
     att_text = " ".join(_point_set_text(a.states, n) for a in atts)
     form = detect_circular(f)
@@ -140,7 +138,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_subnets(args: argparse.Namespace) -> int:
     f = load_bn(args.network)
-    _check_width("subnets", f.width, ANALYZE_WIDTH_CAP)
+    check_width("subnets", f.width, ANALYZE_WIDTH_CAP)
     counts = item_fixed_point_counts(f)
     shown = 0
     for mask, code, table in item_tables(f, include_self=args.include_self):
@@ -158,7 +156,7 @@ def _cmd_subnets(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     f = load_bn(args.network)
-    _check_width("graph", f.width, GRAPH_WIDTH_CAP)
+    check_width("graph", f.width, GRAPH_WIDTH_CAP)
     if args.at is not None:
         g = local_interaction_graph(f, parse_point(args.at, f.components))
     else:
@@ -188,6 +186,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def _cmd_dynamics(args: argparse.Namespace) -> int:
     f = load_bn(args.network)
     n = f.width
+    check_width("dynamics", n, RANDOM_WIDTH_CAP)
     sg = asynchronous_state_graph(f)
     for src, dst in sg.arc_list():
         print(f"{format_code(src, n)} -> {format_code(dst, n)}")
@@ -260,6 +259,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
             x = parse_point(args.what[1], f.components)
             text = digraph_dot(local_interaction_graph(f, x))
         else:
+            check_width("export-dot --what gamma", f.width, RANDOM_WIDTH_CAP)
             text = state_graph_dot(asynchronous_state_graph(f), fixed_point_codes(f))
     validate_dot(text)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -287,7 +287,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise FormatError(f"bad width {n_text!r}") from None
         if n < 1 or len(signs) != n or any(ch not in "+-" for ch in signs):
             raise FormatError("--circular needs a width n and a +/- string of length n")
-        _check_width("gen --circular", n, RANDOM_WIDTH_CAP)
+        check_width("gen --circular", n, RANDOM_WIDTH_CAP)
         # the canonical cycle 1 -> 2 -> ... -> n -> 1; signs[k] is the sign of
         # the arc entering component k+1
         pred = tuple((i - 1) % n for i in range(n))
@@ -296,7 +296,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         f = circular_network(CircularForm(components, pred, constant))
     elif args.andnet:
         g = load_sg(args.andnet)
-        _check_width("gen --andnet", len(g.vertices), RANDOM_WIDTH_CAP)
+        check_width("gen --andnet", len(g.vertices), RANDOM_WIDTH_CAP)
         f = and_net(g)
     else:
         n_text, seed_text = args.random

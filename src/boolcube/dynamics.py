@@ -11,16 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypercube import Point
-from .network import BooleanNetwork, WidthCapError, fixed_point_codes, memo
+from .network import BooleanNetwork, check_width, fixed_point_codes, memo
 
 WIDTH_CAP = 20
-
-
-def _check_width(f: BooleanNetwork) -> None:
-    if f.width > WIDTH_CAP:
-        raise WidthCapError(
-            f"state graphs are capped at width {WIDTH_CAP}, got {f.width}"
-        )
 
 
 @dataclass(frozen=True)
@@ -51,15 +44,9 @@ class Attractor:
 
 
 def asynchronous_state_graph(f: BooleanNetwork) -> StateGraph:
-    _check_width(f)
-    arcs = set()
-    for x, v in enumerate(f.table):
-        diff = x ^ v
-        while diff:
-            low = diff & -diff
-            arcs.add((x, x ^ low))
-            diff ^= low
-    return StateGraph(f.components, frozenset(arcs))
+    check_width("the state graph", f.width, WIDTH_CAP)
+    succs = _successor_lists(f.table)
+    return StateGraph(f.components, frozenset((x, y) for x, ys in enumerate(succs) for y in ys))
 
 
 def _successor_lists(table: tuple[int, ...]) -> list[list[int]]:
@@ -154,7 +141,7 @@ def _term_info(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], ...], bool]:
 
 @memo
 def attractors(f: BooleanNetwork) -> tuple[Attractor, ...]:
-    _check_width(f)
+    check_width("the state graph", f.width, WIDTH_CAP)
     terminal, _ = _term_info(f)
     return tuple(Attractor(f.components, frozenset(comp)) for comp in terminal)
 
@@ -173,7 +160,7 @@ def weak_convergence(f: BooleanNetwork) -> bool:
     Equivalent to one reverse BFS from the fixed point using only the arcs
     that decrease the distance to it.
     """
-    _check_width(f)
+    check_width("the state graph", f.width, WIDTH_CAP)
     fixed = fixed_point_codes(f)
     if len(fixed) != 1:
         return False
@@ -206,7 +193,7 @@ def weak_convergence(f: BooleanNetwork) -> bool:
 @memo
 def strong_convergence(f: BooleanNetwork) -> bool:
     """A unique fixed point and an acyclic state graph."""
-    _check_width(f)
+    check_width("the state graph", f.width, WIDTH_CAP)
     if len(fixed_point_codes(f)) != 1:
         return False
     _, acyclic = _term_info(f)

@@ -28,6 +28,27 @@ def check_components(components: tuple[str, ...]) -> None:
         seen.add(label)
 
 
+def parse_header(text: str, keyword: str, what: str) -> tuple[tuple[str, ...], list[str]]:
+    """(labels, remaining lines) of a text whose first line is '<keyword>
+    <label> <label> ...'; '#' starts a comment and blank lines are dropped."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines:
+        raise FormatError(f"empty {what} description")
+    head = lines[0].split()
+    if head[0] != keyword or len(head) < 2:
+        raise FormatError(f"first line must be: {keyword} <label> <label> ...")
+    labels = tuple(head[1:])
+    try:
+        check_components(labels)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    return labels, lines[1:]
+
+
 def component_mask(components: tuple[str, ...], members: Iterable[str]) -> int:
     """Bitmask of the given labels, validated against the component list."""
     index = {label: k for k, label in enumerate(components)}

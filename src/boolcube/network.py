@@ -27,6 +27,7 @@ from .hypercube import (
     component_mask,
     format_code,
     parse_code,
+    parse_header,
 )
 
 S = TypeVar("S")
@@ -40,6 +41,11 @@ RANDOM_WIDTH_CAP = 16
 
 class WidthCapError(ValueError):
     """Raised when an operation would exceed its documented width cap."""
+
+
+def check_width(what: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise WidthCapError(f"{what} is capped at width {cap}, got {n}")
 
 
 def memo(compute: Callable[[S], T]) -> Callable[[S], T]:
@@ -231,16 +237,14 @@ def network_index(f: BooleanNetwork) -> int:
 
 def enumerate_networks(n: int, components: tuple[str, ...] | None = None) -> Iterator[BooleanNetwork]:
     """All 2^(n 2^n) networks of width n <= 3 in ascending table-index order."""
-    if n > 3:
-        raise WidthCapError(f"exhaustive enumeration is capped at width 3, got {n}")
+    check_width("exhaustive enumeration", n, 3)
     for index in range(1 << (n << n)):
         yield network_from_index(n, index, components)
 
 
 def random_network(n: int, seed: int, components: tuple[str, ...] | None = None) -> BooleanNetwork:
     """The width-n network drawn from a fresh PRNG with the given seed."""
-    if n > RANDOM_WIDTH_CAP:
-        raise WidthCapError(f"random networks are capped at width {RANDOM_WIDTH_CAP}, got {n}")
+    check_width("random network generation", n, RANDOM_WIDTH_CAP)
     index = random.Random(seed).getrandbits(n << n)
     return network_from_index(n, index, components)
 
@@ -264,27 +268,13 @@ def parse_bn(text: str) -> BooleanNetwork:
     Rows may appear in any order; missing, duplicate or malformed rows are
     rejected.  '#' starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise FormatError("empty network description")
-    head = lines[0].split()
-    if head[0] != "components" or len(head) < 2:
-        raise FormatError("first line must be: components <label> <label> ...")
-    components = tuple(head[1:])
-    try:
-        check_components(components)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    components, rows = parse_header(text, "components", "network")
     n = len(components)
     size = 1 << n
-    if len(lines) - 1 != size:
-        raise FormatError(f"expected {size} table rows, got {len(lines) - 1}")
+    if len(rows) != size:
+        raise FormatError(f"expected {size} table rows, got {len(rows)}")
     table: list[int | None] = [None] * size
-    for line in lines[1:]:
+    for line in rows:
         parts = line.split()
         if len(parts) != 3 or parts[1] != "->":
             raise FormatError(f"bad table row {line!r}")

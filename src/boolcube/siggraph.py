@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .hypercube import FormatError, Point, check_components
+from .hypercube import FormatError, Point, check_components, parse_header
 from .network import BooleanNetwork, memo
 
 Arc = tuple[str, int, str]
@@ -394,12 +395,7 @@ class CircularForm:
             raise ValueError("predecessor map must be a permutation")
         if not 0 <= self.constant < 1 << n:
             raise ValueError("constant out of range")
-        seen = 0
-        v = 0
-        for _ in range(n):
-            seen |= 1 << v
-            v = self.predecessor[v]
-        if seen != (1 << n) - 1:
+        if not _single_cycle(self.predecessor):
             raise ValueError("predecessor map must be a single cycle")
 
     @property
@@ -415,51 +411,66 @@ class CircularForm:
         return SignedDigraph(self.components, frozenset(arcs))
 
 
-def _circular_table(n: int, pred: tuple[int, ...], constant: int) -> tuple[int, ...]:
+def circular_network(form: CircularForm) -> BooleanNetwork:
+    pred, constant = form.predecessor, form.constant
     table = []
-    for x in range(1 << n):
+    for x in range(1 << len(pred)):
         out = 0
-        for i in range(n):
-            if (x >> pred[i] & 1) ^ (constant >> i & 1):
+        for i, j in enumerate(pred):
+            if (x >> j & 1) ^ (constant >> i & 1):
                 out |= 1 << i
         table.append(out)
-    return tuple(table)
+    return BooleanNetwork(form.components, tuple(table))
 
 
-def circular_network(form: CircularForm) -> BooleanNetwork:
-    table = _circular_table(len(form.components), form.predecessor, form.constant)
-    return BooleanNetwork(form.components, table)
-
-
-def table_circular_pred(
-    n: int, table: tuple[int, ...], rows: tuple[tuple[int, ...], tuple[int, ...]]
-) -> tuple[tuple[int, ...], int] | None:
-    """(predecessor map, constant) of the table's circular form, if it has
-    one: the global rows must be a single Hamiltonian cycle of one-signed arcs
-    and the table the circular table of that cycle."""
-    pos, neg = rows
-    pred: list[int] = [-1] * n
+@lru_cache(maxsize=None)
+def cube_literals(n: int) -> dict[int, tuple[int, int]]:
+    """Map from each literal x_j or not x_j of the n-cube, as the bitset of
+    the points where it is 1, to (j, 1 if negated else 0)."""
+    full = (1 << (1 << n)) - 1
+    out = {}
     for j in range(n):
-        targets = pos[j] | neg[j]
-        if pos[j] & neg[j] or targets.bit_count() != 1:
-            return None
-        i = targets.bit_length() - 1
-        if pred[i] != -1:
-            return None
-        pred[i] = j
+        # blocks of 2^j zeros then 2^j ones: a repunit of period 2^(j+1) times one block
+        x = full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j))
+        out[x], out[full ^ x] = (j, 0), (j, 1)
+    return out
+
+
+def output_bitset(table: tuple[int, ...], i: int) -> int:
+    """f_i as the bitset of the points where it is 1."""
+    bit = 1 << i
+    return int("".join(["1" if v & bit else "0" for v in table[::-1]]), 2)
+
+
+def _single_cycle(pred: Sequence[int]) -> bool:
+    """Following a permutation from 0 visits every index."""
     seen = v = 0
-    for _ in range(n):
+    for _ in pred:
         seen, v = seen | 1 << v, pred[v]
-    constant = sum(1 << i for i in range(n) if neg[pred[i]] >> i & 1)
-    if seen != (1 << n) - 1 or _circular_table(n, pred, constant) != table:
-        return None
-    return tuple(pred), constant
+    return seen == (1 << len(pred)) - 1
+
+
+def literal_cycle(
+    literals: dict[int, tuple[int, int]], values: Iterable[int]
+) -> tuple[tuple[int, ...], int] | None:
+    """(predecessor map, constant) when each f_i, given as a bitset, is a
+    literal of a distinct x_j and those choices form one cycle; stops at the
+    first f_i that is not such a literal."""
+    pred, constant = [], 0
+    for b, value in enumerate(values):
+        j, negated = literals.get(value, (-1, 0))
+        if j < 0 or j in pred:
+            return None
+        pred.append(j)
+        constant |= negated << b
+    return (tuple(pred), constant) if _single_cycle(pred) else None
 
 
 @memo
 def detect_circular(f: BooleanNetwork) -> CircularForm | None:
     """The circular form of f, when G(f) is a cycle through every component."""
-    found = table_circular_pred(f.width, f.table, global_rows(f))
+    n = f.width
+    found = literal_cycle(cube_literals(n), (output_bitset(f.table, i) for i in range(n)))
     if found is None:
         return None
     return CircularForm(f.components, found[0], found[1])
@@ -659,24 +670,10 @@ def counting_condition(
 
 def parse_sg(text: str) -> SignedDigraph:
     """Parse the .sg format: a vertices line, then one '<src> <+|-> <dst>' per arc."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise FormatError("empty graph description")
-    head = lines[0].split()
-    if head[0] != "vertices" or len(head) < 2:
-        raise FormatError("first line must be: vertices <label> <label> ...")
-    vertices = tuple(head[1:])
-    try:
-        check_components(vertices)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    vertices, lines = parse_header(text, "vertices", "graph")
     known = set(vertices)
     arcs = set()
-    for line in lines[1:]:
+    for line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[1] not in ("+", "-"):
             raise FormatError(f"bad arc line {line!r}")

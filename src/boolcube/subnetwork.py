@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from .hypercube import Point, component_mask, gather_bits, mask_labels
 from .network import (
     BooleanNetwork,
-    WidthCapError,
+    check_width,
     conjugate_codes,
     default_components,
     enumerate_networks,
@@ -31,7 +31,7 @@ from .network import (
     memo,
     table_is_eosd,
 )
-from .siggraph import detect_circular
+from .siggraph import cube_literals, literal_cycle, output_bitset
 
 # Widest network whose subnetworks are walked: the plan's gather tables hold
 # 4^n entries, about 12 MB at width 10.
@@ -104,8 +104,7 @@ def subnetwork_plan(n: int) -> SubnetworkPlan:
     """The plan of width n, built once.  A mask's entries extend those of the
     mask without its top bit t; its gather table depends only on the bits
     below t, so it repeats a block of 2^t entries, bit t off and then on."""
-    if n > SUBNETWORK_WIDTH_CAP:
-        raise WidthCapError(f"subnetworks are capped at width {SUBNETWORK_WIDTH_CAP}, got {n}")
+    check_width("the subnetwork walk", n, SUBNETWORK_WIDTH_CAP)
     size = 1 << n
     scatter, points, codes = [(0,)] * size, [1] * size, [()] * size
     gather = [(0,) * size] * size
@@ -211,53 +210,34 @@ def _fixed_sets(f: BooleanNetwork) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _free_literals(n: int) -> tuple[tuple[tuple[int, ...], dict[int, tuple[int, int]]], ...]:
-    """Per free mask: its free components, and a map from each literal x_j or
-    not x_j of a free j, as the bitset of the mask's points where it is 1, to
-    (local index of j, 1 if negated else 0)."""
+    """Per free mask: its free components, and the literals of cube_literals(n)
+    on those components restricted to the mask's points, as a map from each
+    bitset to (local index of j, 1 if negated else 0)."""
     points = subnetwork_plan(n).points
+    cube = [x for x, (_, negated) in cube_literals(n).items() if not negated]
     out = []
     for mask, on in enumerate(points):
         free = tuple(k for k in range(n) if mask >> k & 1)
-        # x_j is 1 on the mask's points outside those of the mask without j
-        xs = [on ^ points[mask ^ 1 << j] for j in free]
+        xs = [cube[j] & on for j in free]
         literals = {v: (b, neg) for b, x in enumerate(xs) for neg, v in enumerate((x, on ^ x))}
         out.append((free, literals))
     return tuple(out)
 
 
-def _literal_cycle(
-    literals: dict[int, tuple[int, int]], values: list[int]
-) -> tuple[tuple[int, ...], int] | None:
-    """(predecessor map, constant) when each free f_i, given as a bitset, is
-    a literal of a distinct free x_j and those choices form one cycle."""
-    pred, constant = [], 0
-    for b, value in enumerate(values):
-        j, negated = literals.get(value, (-1, 0))
-        if j < 0 or j in pred:
-            return None
-        pred.append(j)
-        constant |= negated << b
-    seen = v = 0
-    for _ in pred:
-        seen, v = seen | 1 << v, pred[v]
-    return (tuple(pred), constant) if seen == (1 << len(pred)) - 1 else None
-
-
 @memo
 def item_circular_forms(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
-    """Per item in plan order, (predecessor map, constant) in the item's local
-    indices when the subnetwork is a circular network, else None; f's own
-    entry last, from detect_circular.  Reads f's output bits as bitsets and
-    builds no subnetwork table."""
+    """Per item in plan order, f's own last, (predecessor map, constant) in
+    the item's local indices when the subnetwork is a circular network, else
+    None.  Reads f's output bits as bitsets and builds no subnetwork table."""
     plan = subnetwork_plan(f.width)
     free_literals = _free_literals(f.width)
-    ones = [sum(1 << x for x, v in enumerate(f.table) if v >> i & 1) for i in range(f.width)]
+    ones = [output_bitset(f.table, i) for i in range(f.width)]
     forms = []
-    for mask, code in plan.items(include_self=False):
+    for mask in plan.masks:
         free, literals = free_literals[mask]
-        forms.append(_literal_cycle(literals, [ones[i] >> code & plan.points[mask] for i in free]))
-    own = detect_circular(f)
-    forms.append(None if own is None else (own.predecessor, own.constant))
+        on = plan.points[mask]
+        for code in plan.codes[mask]:
+            forms.append(literal_cycle(literals, [ones[i] >> code & on for i in free]))
     return tuple(forms)
 
 
@@ -406,8 +386,7 @@ def minimal_forbidden_set(prop: BaseProperty, n: int) -> Iterator[BooleanNetwork
     Exhausts all widths up to n over canonical labels; n = 3 is permitted but
     walks 2^24 networks, so expect minutes.
     """
-    if n > 3:
-        raise WidthCapError(f"minimal_forbidden_set is capped at width 3, got {n}")
+    check_width("minimal_forbidden_set", n, 3)
     for width in range(1, n + 1):
         components = default_components(width)
         for f in enumerate_networks(width, components):

@@ -27,7 +27,7 @@ from .network import (
     RANDOM_WIDTH_CAP,
     BooleanNetwork,
     ParityClass,
-    WidthCapError,
+    check_width,
     conjugate_codes,
     default_components,
     eosd_class,
@@ -616,23 +616,18 @@ def generator_count(gen: Generator) -> int:
     if isinstance(gen, (Sample, NonExpansiveFiltered)) and gen.count < 0:
         raise ValueError(f"--count must be at least 0, got {gen.count}")
     if isinstance(gen, Exhaustive):
-        if gen.n > 3:
-            raise WidthCapError(f"exhaustive sweeps are capped at width 3, got {gen.n}")
+        check_width("an exhaustive sweep", gen.n, 3)
         return 1 << (gen.n << gen.n)
     if isinstance(gen, (Sample, NonExpansiveFiltered)):
-        if gen.n > RANDOM_WIDTH_CAP:
-            raise WidthCapError(f"sampling is capped at width {RANDOM_WIDTH_CAP}, got {gen.n}")
+        check_width("sampling", gen.n, RANDOM_WIDTH_CAP)
         return gen.count
     if isinstance(gen, AndNets):
-        if gen.n > 3:
-            raise WidthCapError(f"the and-net family is capped at width 3, got {gen.n}")
+        check_width("the and-net family", gen.n, 3)
         return simple_digraph_count(gen.n)
     if isinstance(gen, Circular):
-        if gen.n > 8:
-            raise WidthCapError(f"the circular family is capped at width 8, got {gen.n}")
+        check_width("the circular family", gen.n, 8)
         return math.factorial(gen.n - 1) << gen.n
-    if gen.n > 4:
-        raise WidthCapError(f"subset sweeps are capped at width 4, got {gen.n}")
+    check_width("a subset sweep", gen.n, 4)
     return 1 << (1 << gen.n)
 
 

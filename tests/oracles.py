@@ -161,6 +161,36 @@ def chordless(g: SignedDigraph, vertices: tuple[str, ...]) -> bool:
     )
 
 
+# -- circular networks -----------------------------------------------------------
+
+
+def circular_form(f: BooleanNetwork) -> tuple[tuple[int, ...], int] | None:
+    """(predecessor map, constant) when each f_i's table equals that of x_j
+    or not x_j for distinct j, and those choices form one cycle: stepping
+    from each component to its chosen j visits every component."""
+    n = f.width
+    inputs = [[x >> j & 1 for x in range(1 << n)] for j in range(n)]
+    pred, constant = [], 0
+    for i in range(n):
+        output = [v >> i & 1 for v in f.table]
+        choices = [
+            (j, negated)
+            for j in range(n)
+            for negated in (0, 1)
+            if output == [b ^ negated for b in inputs[j]]
+        ]
+        if not choices:
+            return None
+        pred.append(choices[0][0])
+        constant |= choices[0][1] << i
+    if len(set(pred)) != n:
+        return None
+    orbit = [0]
+    while pred[orbit[-1]] not in orbit:
+        orbit.append(pred[orbit[-1]])
+    return (tuple(pred), constant) if len(orbit) == n else None
+
+
 # -- asynchronous dynamics --------------------------------------------------------
 
 

@@ -21,8 +21,9 @@ from boolcube import (
     render_bn,
     subnetworks,
 )
+from boolcube import siggraph
 from boolcube.hypercube import parse_point
-from boolcube.network import fixed_point_codes
+from boolcube.network import fixed_point_codes, identity_network
 from boolcube.cli import main
 from boolcube.dotfmt import validate_dot
 
@@ -381,9 +382,12 @@ def test_analyze_width_cap_exits_3(tmp_path, capsys):
         (("subnets",), 11, 10),
         (("gen", "--andnet"), 17, 16),
         (("gen", "--circular"), 22, 16),
+        (("dynamics",), 17, 16),
+        (("export-dot", "--what", "gamma", "--input"), 17, 16),
     ],
 )
 def test_per_file_width_caps_exit_3(tmp_path, capsys, command, width, cap):
+    dot = tmp_path / "gamma.dot"
     if command == ("gen", "--circular"):
         args = (str(width), "+" * width)
     elif command[0] == "gen":
@@ -395,14 +399,37 @@ def test_per_file_width_caps_exit_3(tmp_path, capsys, command, width, cap):
         args = (str(path),)
     else:
         path = tmp_path / "wide.bn"
-        path.write_text(render_bn(random_network(width, 0)), encoding="utf-8")
+        # random networks stop at width 16, the widest file gen writes
+        f = random_network(width, 0) if width <= 16 else identity_network(width)
+        path.write_text(render_bn(f), encoding="utf-8")
         args = (str(path),)
+        if command[0] == "export-dot":
+            args += ("--out", str(dot))
     started = time.perf_counter()
     code, out, err = run(capsys, *command, *args)
     assert time.perf_counter() - started < 30
     assert code == 3
     assert out == ""
     assert f"is capped at width {cap}, got {width}" in err
+    assert not dot.exists()
+
+
+def test_analyze_builds_no_global_rows(tmp_path, capsys, monkeypatch):
+    """Circular detection reads literal bitsets, so analyze never builds the
+    global interaction graph's rows."""
+    calls = []
+    build = siggraph.table_global_rows
+
+    def counting(n, table):
+        calls.append(n)
+        return build(n, table)
+
+    monkeypatch.setattr(siggraph, "table_global_rows", counting)
+    path = tmp_path / "w8.bn"
+    path.write_text(render_bn(random_network(8, 0)), encoding="utf-8")
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert calls == []
 
 
 def test_search_examines_only_accepted_candidates(capsys):

@@ -9,7 +9,9 @@ from boolcube import (
     basis_point,
     hamming,
     neighbor_set,
+    parse_bn,
     parse_point,
+    parse_sg,
     xor,
 )
 from boolcube.hypercube import (
@@ -153,3 +155,25 @@ def test_parity_classes_partition_the_cube():
         assert even | odd == set(range(1 << width))
         assert not even & odd
         assert len(even) == len(odd) == 1 << (width - 1)
+
+
+@pytest.mark.parametrize(
+    "parse, keyword, what",
+    [(parse_bn, "components", "network"), (parse_sg, "vertices", "graph")],
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty {what} description"),
+        ("# only a comment\n\n  # another\n", "empty {what} description"),
+        ("nodes a b\n", "first line must be: {keyword} <label> <label> ..."),
+        ("{keyword}\n", "first line must be: {keyword} <label> <label> ..."),
+        ("{keyword}  # no labels\n", "first line must be: {keyword} <label> <label> ..."),
+        ("{keyword} a a\n", "duplicate component label 'a'"),
+    ],
+)
+def test_file_header_errors(parse, keyword, what, text, message):
+    """.bn and .sg files share one header reader and its messages."""
+    with pytest.raises(FormatError) as info:
+        parse(text.format(keyword=keyword))
+    assert str(info.value) == message.format(keyword=keyword, what=what)

@@ -23,6 +23,7 @@ from boolcube import (
     translate,
     xor_output,
 )
+from boolcube import network, theorems
 from boolcube.network import (
     conjugate,
     conjugate_codes,
@@ -38,6 +39,8 @@ from boolcube.network import (
     network_from_index,
     network_index,
 )
+from boolcube.subnetwork import BaseProperty, minimal_forbidden_set, subnetwork_plan
+from boolcube.theorems import AndNets, Circular, Exhaustive, Sample, Subsets, sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -269,3 +272,44 @@ def test_memo_is_per_instance_and_never_caches_an_exception():
             probe(bad)
     assert len(computed) == 4
     assert probe.__name__ == "probe"
+
+
+@pytest.mark.parametrize(
+    "call, width, cap",
+    [
+        (lambda: sweep("ROBERT", Exhaustive(4)), 4, 3),
+        (lambda: sweep("ROBERT", Sample(17, 1, 0)), 17, 16),
+        (lambda: sweep("ROBERT", AndNets(4)), 4, 3),
+        (lambda: sweep("ROBERT", Circular(9)), 9, 8),
+        (lambda: sweep("LEMMA1_HYPERCUBE", Subsets(5)), 5, 4),
+        (lambda: next(enumerate_networks(4)), 4, 3),
+        (lambda: random_network(17, 0), 17, 16),
+        (lambda: subnetwork_plan(11), 11, 10),
+        (lambda: next(minimal_forbidden_set(BaseProperty.AT_MOST_ONE, 4)), 4, 3),
+    ],
+    ids=[
+        "Exhaustive",
+        "Sample",
+        "AndNets",
+        "Circular",
+        "Subsets",
+        "enumerate_networks",
+        "random_network",
+        "subnetwork_plan",
+        "minimal_forbidden_set",
+    ],
+)
+def test_library_width_caps_raise_before_building(monkeypatch, call, width, cap):
+    """Every library cap raises through network.check_width, with one message
+    form, before a network or a subnetwork plan is built."""
+
+    def no_network(*args):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(network, "network_from_index", no_network)
+    monkeypatch.setattr(theorems, "candidate_network", no_network)
+    plans = subnetwork_plan.cache_info().currsize
+    with pytest.raises(WidthCapError) as info:
+        call()
+    assert str(info.value).endswith(f" is capped at width {cap}, got {width}")
+    assert subnetwork_plan.cache_info().currsize == plans

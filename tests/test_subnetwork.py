@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 from pathlib import Path
 
@@ -49,7 +50,7 @@ from boolcube.subnetwork import (
     subnetwork_plan,
     subnetwork_specs,
 )
-from boolcube.siggraph import table_circular_pred, table_global_rows
+from boolcube.siggraph import CircularForm, circular_network, detect_circular
 from boolcube.theorems import (
     AndNets,
     Circular,
@@ -402,15 +403,64 @@ def test_eosd_search_stops_at_the_witness(monkeypatch):
     ids=describe_generator,
 )
 def test_item_circular_forms_match_the_table_solver(gen):
-    """The bitset kernel gives every item the form the table solver finds on
-    the item's own table and global rows.  In and-net 108 of width 3,
+    """The bitset kernel gives every item, f's own included, the form the
+    definition gives on the item's own table (oracles.circular_form), and
+    detect_circular gives f that form too.  In and-net 108 of width 3,
     f_1 = f_2 = x_2 on the item I={1,2} z[3]=0: x_2 is chosen twice, so that
     item is no cycle, although two steps from component 1 visit both."""
+    reference = {}  # the oracle's answer per item table; items repeat across networks
     for index in range(generator_count(gen)):
         f = candidate_network(gen, index)
         forms = item_circular_forms(f)
         assert len(forms) == len(spec_items(f))
         for (mask, _, table), form in zip(spec_items(f), forms):
-            k = mask.bit_count()
-            assert form == table_circular_pred(k, table, table_global_rows(k, table)), index
+            if table not in reference:
+                item = BooleanNetwork(default_components(mask.bit_count()), table)
+                reference[table] = oracles.circular_form(item)
+            assert form == reference[table], index
+        assert _detected(f) == forms[-1], index
+
+
+def _detected(f: BooleanNetwork) -> tuple[tuple[int, ...], int] | None:
+    form = detect_circular(f)
+    return None if form is None else (form.predecessor, form.constant)
+
+
+def _literal_network(n: int, pred: tuple[int, ...], constant: int) -> BooleanNetwork:
+    """f_i = x_pred[i], negated where bit i of constant is set."""
+    table = tuple(
+        sum(((x >> j & 1) ^ (constant >> i & 1)) << i for i, j in enumerate(pred))
+        for x in range(1 << n)
+    )
+    return BooleanNetwork(default_components(n), table)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_detect_circular_above_the_plan_cap_matches_the_definition(n):
+    """Detection reads the cube's literals, not the subnetwork plan, so it
+    works on the wide networks Sample reaches.  The cases: random networks;
+    a circular network; the same with one output bit flipped at one point;
+    literals forming two cycles, {0} and the rest; and literals choosing x_1
+    twice, where n steps from component 0 still visit every component."""
+    with pytest.raises(WidthCapError):
+        subnetwork_plan(n)
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    pred = [0] * n
+    for k, v in enumerate(order):
+        pred[v] = order[k - 1]
+    circular = circular_network(CircularForm(default_components(n), tuple(pred), 0b1011))
+    flipped = list(circular.table)
+    flipped[5] ^= 1 << 3
+    cases = [
+        random_network(n, 0),
+        random_network(n, 1),
+        circular,
+        BooleanNetwork(circular.components, tuple(flipped)),
+        _literal_network(n, (0, n - 1) + tuple(range(1, n - 1)), 0b110),
+        _literal_network(n, tuple(range(1, n)) + (1,), 0),
+    ]
+    expected = [None, None, (tuple(pred), 0b1011), None, None, None]
+    assert [oracles.circular_form(f) for f in cases] == expected
+    assert [_detected(f) for f in cases] == expected
 

@@ -286,9 +286,8 @@ def test_jobs_below_one_are_rejected(jobs):
 
 
 def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
-    """Circular detection reads the rows global_rows(f) built, and the
-    subnetwork items' circular forms come from bitsets: no subnetwork table
-    and no subnetwork's global rows are built."""
+    """Circular detection and the subnetwork items' circular forms come from
+    bitsets: no subnetwork table and no subnetwork's global rows are built."""
     calls = {}
     build = siggraph.table_global_rows
 
@@ -320,10 +319,10 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
 
 def test_chordless_local_circular_builds_each_item_once(monkeypatch):
     """The chordless-cycle check reads each network's circular forms from the
-    bitset kernel: every item is solved once per network, however many keys
-    ask, and no subnetwork table is built."""
+    bitset kernel: every item, f's own included, is solved once per network,
+    however many keys ask, and no subnetwork table is built."""
     solved = []
-    solve = subnetwork._literal_cycle
+    solve = subnetwork.literal_cycle
 
     def recording(literals, values):
         solved.append(values)
@@ -332,7 +331,7 @@ def test_chordless_local_circular_builds_each_item_once(monkeypatch):
     def no_tables(*args):
         raise AssertionError("a subnetwork table was built")
 
-    monkeypatch.setattr(subnetwork, "_literal_cycle", recording)
+    monkeypatch.setattr(subnetwork, "literal_cycle", recording)
     monkeypatch.setattr(subnetwork, "item_tables", no_tables)
     gen = Sample(3, 300, 1)
     keys = (
@@ -345,8 +344,8 @@ def test_chordless_local_circular_builds_each_item_once(monkeypatch):
         f = candidate_network(gen, index)
         for key in keys:
             check(key, f)
-        # one solve per strict item of width 3
-        assert len(solved) == 18, index
+        # one solve per item of width 3: 18 strict ones and f's own
+        assert len(solved) == 19, index
 
 
 def test_theorems_imports_no_private_kernels():
