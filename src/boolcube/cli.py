@@ -101,9 +101,8 @@ def _eosd_text(cls: ParityClass | None) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    f = load_bn(args.network)
+    f = load_bn(args.network, ("analyze", ANALYZE_WIDTH_CAP))
     n = f.width
-    check_width("analyze", n, ANALYZE_WIDTH_CAP)
     atts = attractors(f)
     att_text = " ".join(_point_set_text(a.states, n) for a in atts)
     form = detect_circular(f)
@@ -137,8 +136,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_subnets(args: argparse.Namespace) -> int:
-    f = load_bn(args.network)
-    check_width("subnets", f.width, ANALYZE_WIDTH_CAP)
+    f = load_bn(args.network, ("subnets", ANALYZE_WIDTH_CAP))
     counts = item_fixed_point_counts(f)
     shown = 0
     for mask, code, table in item_tables(f, include_self=args.include_self):
@@ -155,8 +153,7 @@ def _cmd_subnets(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    f = load_bn(args.network)
-    check_width("graph", f.width, GRAPH_WIDTH_CAP)
+    f = load_bn(args.network, ("graph", GRAPH_WIDTH_CAP))
     if args.at is not None:
         g = local_interaction_graph(f, parse_point(args.at, f.components))
     else:
@@ -184,9 +181,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
-    f = load_bn(args.network)
+    f = load_bn(args.network, ("dynamics", RANDOM_WIDTH_CAP))
     n = f.width
-    check_width("dynamics", n, RANDOM_WIDTH_CAP)
     sg = asynchronous_state_graph(f)
     for src, dst in sg.arc_list():
         print(f"{format_code(src, n)} -> {format_code(dst, n)}")
@@ -252,14 +248,14 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
             raise FormatError("graph files support only --what gf")
         text = digraph_dot(load_sg(args.input))
     else:
-        f = load_bn(args.input)
+        cap = ("export-dot --what gamma", RANDOM_WIDTH_CAP) if what == "gamma" else None
+        f = load_bn(args.input, cap)
         if what == "gf":
             text = digraph_dot(global_interaction_graph(f))
         elif what == "gfx":
             x = parse_point(args.what[1], f.components)
             text = digraph_dot(local_interaction_graph(f, x))
         else:
-            check_width("export-dot --what gamma", f.width, RANDOM_WIDTH_CAP)
             text = state_graph_dot(asynchronous_state_graph(f), fixed_point_codes(f))
     validate_dot(text)
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -28,17 +28,17 @@ def check_components(components: tuple[str, ...]) -> None:
         seen.add(label)
 
 
-def parse_header(text: str, keyword: str, what: str) -> tuple[tuple[str, ...], list[str]]:
-    """(labels, remaining lines) of a text whose first line is '<keyword>
-    <label> <label> ...'; '#' starts a comment and blank lines are dropped."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
+def parse_header(
+    lines: Iterable[str], keyword: str, what: str
+) -> tuple[tuple[str, ...], Iterator[str]]:
+    """(labels, the remaining lines) of a text, given as its lines, whose first
+    line is '<keyword> <label> <label> ...'; '#' starts a comment and blank
+    lines are dropped.  No line past the header is read here."""
+    content = filter(None, (raw.split("#", 1)[0].strip() for raw in lines))
+    first = next(content, None)
+    if first is None:
         raise FormatError(f"empty {what} description")
-    head = lines[0].split()
+    head = first.split()
     if head[0] != keyword or len(head) < 2:
         raise FormatError(f"first line must be: {keyword} <label> <label> ...")
     labels = tuple(head[1:])
@@ -46,7 +46,7 @@ def parse_header(text: str, keyword: str, what: str) -> tuple[tuple[str, ...], l
         check_components(labels)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    return labels, lines[1:]
+    return labels, content
 
 
 def component_mask(components: tuple[str, ...], members: Iterable[str]) -> int:

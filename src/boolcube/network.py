@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
+from itertools import chain
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .hypercube import (
@@ -262,14 +263,22 @@ def constant_network(n: int, code: int) -> BooleanNetwork:
     return BooleanNetwork(default_components(n), tuple(code for _ in range(1 << n)))
 
 
-def parse_bn(text: str) -> BooleanNetwork:
-    """Parse the .bn format: a components line, then one row per input point.
+def parse_bn(
+    text: str | Iterable[str], width_cap: tuple[str, int] | None = None
+) -> BooleanNetwork:
+    """Parse the .bn format, given as a string or its lines: a components
+    line, then one row per input point.
 
     Rows may appear in any order; missing, duplicate or malformed rows are
-    rejected.  '#' starts a comment.
+    rejected.  '#' starts a comment.  With width_cap = (what, cap), a header
+    wider than cap raises WidthCapError before any row is read.
     """
-    components, rows = parse_header(text, "components", "network")
+    lines = text.splitlines() if isinstance(text, str) else text
+    components, rest = parse_header(lines, "components", "network")
     n = len(components)
+    if width_cap is not None:
+        check_width(width_cap[0], n, width_cap[1])
+    rows = list(rest)
     size = 1 << n
     if len(rows) != size:
         raise FormatError(f"expected {size} table rows, got {len(rows)}")
@@ -295,6 +304,8 @@ def render_bn(f: BooleanNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_bn(path: str) -> BooleanNetwork:
+def load_bn(path: str, width_cap: tuple[str, int] | None = None) -> BooleanNetwork:
+    """Read a .bn file line by line, as parse_bn(text, width_cap) would."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_bn(handle.read())
+        # split each file line again so the lines are those of text.splitlines()
+        return parse_bn(chain.from_iterable(map(str.splitlines, handle)), width_cap)

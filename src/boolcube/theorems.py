@@ -14,12 +14,13 @@ import hashlib
 import math
 import os
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations, repeat
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .dynamics import attractor_summary, weak_convergence
 from .hypercube import Point, format_code
@@ -60,6 +61,7 @@ from .siggraph import (
     rows_signed_cycles,
     shih_dong_condition,
     simple_digraph_count,
+    simple_digraph_orbits,
     simple_digraph_rows_from_index,
     table_local_rows,
     transpose,
@@ -792,14 +794,34 @@ class _Tally:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
+def _orbits(
+    gen: Generator, lo: int, hi: int, count: int
+) -> Iterable[tuple[int, Sequence[int]]]:
+    """(index, members below count) of each orbit of candidates whose index,
+    its smallest member, lies in [lo, hi).  An and-net orbit is a class of
+    digraphs under relabelling the vertices, where every key's verdict is the
+    same; every other candidate is an orbit of its own."""
+    if not isinstance(gen, AndNets):
+        return zip(range(lo, hi), zip(range(lo, hi)))
+    members, starts = simple_digraph_orbits(gen.n)
+    return (
+        (members[a], members[a : bisect_left(members, count, a, b)])
+        for a, b in zip(starts, starts[1:])
+        if lo <= members[a] < hi
+    )
+
+
 def _evaluate_keys(
-    keys: tuple[str, ...], gen: Generator, lo: int, hi: int
+    keys: tuple[str, ...], gen: Generator, lo: int, hi: int, count: int
 ) -> tuple[dict[str, _Tally], int]:
+    """Tally each key over the orbits of [lo, hi), one network per orbit and
+    each verdict once per member below count; a counterexample lists every
+    member."""
     tallies = {key: _Tally() for key in keys}
     rejected = 0
     filtered = isinstance(gen, NonExpansiveFiltered)
     subset_mode = isinstance(gen, Subsets)
-    for index in range(lo, hi):
+    for index, members in _orbits(gen, lo, hi, count):
         if subset_mode:
             for key in keys:
                 tally = tallies[key]
@@ -816,16 +838,19 @@ def _evaluate_keys(
         if filtered and not is_non_expansive(f):
             rejected += 1
             continue
+        weight = len(members)
         for key in keys:
             tally = tallies[key]
             hyp, concl = NETWORK_CATALOG.get(key) or _QUESTIONS[key]
             if not hyp(f):
-                tally.vacuous += 1
-                continue
-            if concl(f):
-                tally.confirmed += 1
+                tally.vacuous += weight
+            elif concl(f):
+                tally.confirmed += weight
             else:
-                tally.counterexamples.append((index, render_bn(f)))
+                tally.counterexamples.extend(
+                    (m, render_bn(f if m == index else candidate_network(gen, m)))
+                    for m in members
+                )
     return tallies, rejected
 
 
@@ -856,12 +881,14 @@ def _drive(
     ranges = _chunk_ranges(count, jobs)
     workers = _worker_count(jobs, len(ranges))
     if workers < 2:
-        chunks = [_evaluate_keys(keys, generator, 0, count)]
+        chunks = [_evaluate_keys(keys, generator, 0, count, count)]
     else:
         los, his = zip(*ranges)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(
-                pool.map(_evaluate_keys, repeat(keys), repeat(generator), los, his)
+                pool.map(
+                    _evaluate_keys, repeat(keys), repeat(generator), los, his, repeat(count)
+                )
             )
     merged = {key: _Tally() for key in keys}
     rejected = 0

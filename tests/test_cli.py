@@ -414,6 +414,30 @@ def test_per_file_width_caps_exit_3(tmp_path, capsys, command, width, cap):
     assert not dot.exists()
 
 
+@pytest.mark.parametrize(
+    "command, what, cap",
+    [
+        (("analyze",), "analyze", 10),
+        (("subnets",), "subnets", 10),
+        (("graph",), "graph", 7),
+        (("dynamics",), "dynamics", 16),
+        (("export-dot", "--what", "gamma", "--input"), "export-dot --what gamma", 16),
+    ],
+)
+def test_width_cap_is_read_from_the_header(tmp_path, capsys, command, what, cap):
+    """The cap is checked on the components line, before any row is parsed:
+    a too-wide header over malformed rows exits 3, not 2."""
+    path = tmp_path / "wide.bn"
+    labels = " ".join(f"v{k}" for k in range(cap + 1))
+    path.write_text(f"# too wide\ncomponents {labels}\nnot a row\n", encoding="utf-8")
+    args = (str(path),)
+    if command[0] == "export-dot":
+        args += ("--out", str(tmp_path / "gamma.dot"))
+    code, out, err = run(capsys, *command, *args)
+    assert (code, out) == (3, "")
+    assert err == f"error: {what} is capped at width {cap}, got {cap + 1}\n"
+
+
 def test_analyze_builds_no_global_rows(tmp_path, capsys, monkeypatch):
     """Circular detection reads literal bitsets, so analyze never builds the
     global interaction graph's rows."""

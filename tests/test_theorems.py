@@ -1,4 +1,6 @@
 import ast
+import os
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -7,8 +9,18 @@ from hypothesis import strategies as st
 
 from boolcube import BooleanNetwork, SearchReport, WidthCapError, check, sweep_many
 from boolcube.hypercube import all_points, parse_point
-from boolcube.network import network_from_index
-from boolcube.siggraph import and_net, detect_circular, enumerate_simple_digraphs
+from boolcube.network import default_components, network_from_index, render_bn
+from boolcube.siggraph import (
+    SignedDigraph,
+    and_net,
+    detect_circular,
+    enumerate_simple_digraphs,
+    graph_from_rows,
+    graph_rows,
+    simple_digraph_count,
+    simple_digraph_orbits,
+    simple_digraph_rows_from_index,
+)
 from boolcube import siggraph, subnetwork, theorems
 from boolcube.theorems import (
     NETWORK_CATALOG,
@@ -311,8 +323,9 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
         "ANDNET_CHORDLESS",
     )
     sweep_many(keys, AndNets(2))
-    # 81 networks, each with its own global rows only
-    assert calls == {2: 81}
+    # one network per relabelling orbit (45 of the 81 digraphs), each with its
+    # own global rows only
+    assert calls == {2: 45}
     open_question_search("Q2_0CRITICAL_ANDNET", AndNets(2))
     assert tables == []
 
@@ -420,3 +433,128 @@ def test_sampled_candidates_respect_width(index):
     f = candidate_network(Sample(3, 1 << 24, 99), index)
     assert f.width == 3
     assert all(0 <= v < 8 for v in f.table)
+
+
+# ---------------------------------------------------------------------------
+# And-nets are swept one vertex-relabelling orbit at a time.
+
+
+def _orbit_list(n: int) -> list[tuple[int, ...]]:
+    members, starts = simple_digraph_orbits(n)
+    return [tuple(members[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+@pytest.mark.parametrize("n,count", [(1, 3), (2, 45), (3, 3411)])
+def test_orbits_are_the_relabelling_classes(n, count):
+    """The orbits partition the digraph indices, and each is the set of
+    relabellings of its representative, built on the graph itself."""
+    orbits = _orbit_list(n)
+    assert len(orbits) == count
+    assert sorted(m for members in orbits for m in members) == list(
+        range(simple_digraph_count(n))
+    )
+    assert all(list(members) == sorted(members) for members in orbits)
+    assert [members[0] for members in orbits] == sorted(m[0] for m in orbits)
+    labels = default_components(n)
+    for members in orbits:
+        g = graph_from_rows(labels, *simple_digraph_rows_from_index(n, members[0]))
+        images = set()
+        for p in permutations(labels):
+            # vertex k of g becomes p[k], listed back in the order of labels
+            moved = graph_from_rows(p, *graph_rows(g))
+            images.add(graph_rows(SignedDigraph(labels, moved.arcs)))
+        assert images == {simple_digraph_rows_from_index(n, m) for m in members}
+
+
+def _verdicts(f: BooleanNetwork) -> tuple[tuple[bool, bool], ...]:
+    """(hypothesis, conclusion if the hypothesis holds) of every network key
+    and every open question, in catalog order."""
+    pairs = []
+    for hyp, concl in (*NETWORK_CATALOG.values(), *theorems._QUESTIONS.values()):
+        holds = hyp(f)
+        pairs.append((holds, holds and concl(f)))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_key_is_relabelling_invariant_on_and_nets(n):
+    """The and-net driver evaluates one network per orbit, so every key's
+    verdict must be the same on every member.  At 3 vertices the default run
+    compares each representative with the largest member; BOOLCUBE_DEEP=1
+    compares every member."""
+    every = n < 3 or os.environ.get("BOOLCUBE_DEEP") == "1"
+    for members in _orbit_list(n):
+        chosen = members if every else (members[0], members[-1])
+        verdicts = {_verdicts(candidate_network(AndNets(n), m)) for m in chosen}
+        assert len(verdicts) == 1, members
+
+
+def _reference(
+    key: str, gen, count: int
+) -> tuple[int, int, tuple[tuple[int, str], ...]]:
+    """(vacuous, confirmed, counterexamples) of one key over [0, count), one
+    candidate at a time."""
+    hyp, concl = NETWORK_CATALOG.get(key) or theorems._QUESTIONS[key]
+    vacuous = confirmed = 0
+    found = []
+    for index in range(count):
+        f = candidate_network(gen, index)
+        if key in NETWORK_CATALOG:
+            verdict = check(key, f)
+        elif not hyp(f):
+            verdict = Verdict(VerdictKind.VACUOUS)
+        elif concl(f):
+            verdict = Verdict(VerdictKind.CONFIRMED)
+        else:
+            verdict = Verdict(VerdictKind.COUNTEREXAMPLE, render_bn(f))
+        if verdict.kind is VerdictKind.VACUOUS:
+            vacuous += 1
+        elif verdict.kind is VerdictKind.CONFIRMED:
+            confirmed += 1
+        else:
+            found.append((index, verdict.payload))
+    return vacuous, confirmed, tuple(found)
+
+
+def _searched(report: SearchReport) -> tuple[int, int, tuple[tuple[int, str], ...]]:
+    hits = report.hypothesis_hits
+    return report.examined - hits, hits - report.discovery_count, report.discoveries
+
+
+def test_and_net_orbit_sweep_matches_the_per_candidate_reference():
+    gen = AndNets(2)
+    reports = sweep_many(NETWORK_KEYS, gen)
+    for key in NETWORK_KEYS:
+        report = reports[key]
+        assert report.candidates == 81
+        got = (report.vacuous, report.confirmed, report.counterexamples)
+        assert got == _reference(key, gen, 81), key
+    for question in OpenQuestion:
+        report = open_question_search(question, gen)
+        assert report.examined == 81
+        assert _searched(report) == _reference(question.name, gen, 81), question
+
+
+def test_and_net_discoveries_expand_to_every_orbit_member(monkeypatch):
+    """A question false on 1,361 and-nets (those with three fixed points or
+    more) gives the reference's discoveries, index and payload, at every
+    budget and worker count: each discovery lists the members of its orbit
+    below the budget, and each member is counted by the chunk holding its
+    representative.  The jobs=2 workers are forked, so they see the patched
+    question."""
+    monkeypatch.setitem(
+        theorems._QUESTIONS,
+        "UNIQUE_FIXED_POINT",
+        (lambda f: theorems._fp_count(f) >= 1, lambda f: theorems._fp_count(f) <= 2),
+    )
+    gen = AndNets(3)
+    count = generator_count(gen)
+    vacuous, confirmed, found = _reference("UNIQUE_FIXED_POINT", gen, count)
+    assert len(found) == 1361
+    for budget in (0, 100, 5000, None):
+        cut = count if budget is None else budget
+        for jobs in (1, 2):
+            report = open_question_search("UNIQUE_FIXED_POINT", gen, budget, jobs)
+            assert report.examined == cut
+            assert report.discoveries == tuple(d for d in found if d[0] < cut)
+    assert _searched(report) == (vacuous, confirmed, found)
