@@ -82,8 +82,8 @@ ANALYZE_WIDTH_CAP = 10
 # Widest network graph accepts: for a random width-7 network it prints 166k
 # lines in about 2 s and 80 MB, nearly all of them global cycles.
 GRAPH_WIDTH_CAP = 7
-# dynamics and export-dot --what gamma take the gen --random cap, RANDOM_WIDTH_CAP:
-# their time doubles per width, and at width 16 they peak at 131 MB and 207 MB.
+# dynamics and export-dot take the gen --random cap, RANDOM_WIDTH_CAP: at width 16
+# dynamics and --what gamma peak at 131 and 207 MB, --what gf and gfx at 32 and 110 MB.
 
 
 def _bool_text(value: bool) -> str:
@@ -248,8 +248,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
             raise FormatError("graph files support only --what gf")
         text = digraph_dot(load_sg(args.input))
     else:
-        cap = ("export-dot --what gamma", RANDOM_WIDTH_CAP) if what == "gamma" else None
-        f = load_bn(args.input, cap)
+        f = load_bn(args.input, (f"export-dot --what {what}", RANDOM_WIDTH_CAP))
         if what == "gf":
             text = digraph_dot(global_interaction_graph(f))
         elif what == "gfx":

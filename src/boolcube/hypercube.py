@@ -147,13 +147,6 @@ def basis_point(components: tuple[str, ...], label: str) -> Point:
     return Point(components, 1 << _index_of(components, label))
 
 
-def set_component(x: Point, label: str, value: int) -> Point:
-    if value not in (0, 1):
-        raise ValueError(f"component value must be 0 or 1, got {value!r}")
-    bit = 1 << _index_of(x.components, label)
-    return Point(x.components, x.code | bit if value else x.code & ~bit)
-
-
 def restrict(x: Point, members: Iterable[str]) -> Point:
     """x|_I: keep only the components in I (nonempty), in their original order."""
     mask = component_mask(x.components, members)
@@ -183,18 +176,6 @@ def gather_bits(code: int, mask: int) -> int:
     return out
 
 
-def scatter_bits(code: int, mask: int) -> int:
-    """Inverse of gather_bits: spread low-order bits of code onto mask positions."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        if code & 1:
-            out |= low
-        code >>= 1
-        mask ^= low
-    return out
-
-
 def neighbor_set(points: Iterable[Point]) -> frozenset[Point]:
     """N(X): every point at Hamming distance exactly 1 from some point of X."""
     points = list(points)
@@ -207,11 +188,3 @@ def neighbor_set(points: Iterable[Point]) -> frozenset[Point]:
     width = len(components)
     out = {Point(components, p.code ^ (1 << k)) for p in points for k in range(width)}
     return frozenset(out)
-
-
-def even_codes(width: int) -> frozenset[int]:
-    return frozenset(c for c in range(1 << width) if c.bit_count() % 2 == 0)
-
-
-def odd_codes(width: int) -> frozenset[int]:
-    return frozenset(c for c in range(1 << width) if c.bit_count() % 2 == 1)

@@ -177,10 +177,6 @@ def eosd_class(f: BooleanNetwork) -> ParityClass | None:
     return table_eosd_class(f.table)
 
 
-def is_eosd(f: BooleanNetwork) -> bool:
-    return eosd_class(f) is not None
-
-
 @memo
 def is_non_expansive(f: BooleanNetwork) -> bool:
     """d(f(x), f(y)) <= d(x, y); adjacent pairs suffice by the triangle inequality."""
@@ -231,11 +227,6 @@ def network_from_index(n: int, index: int, components: tuple[str, ...] | None = 
     return BooleanNetwork(components, tuple(index >> (c * n) & mask for c in range(size)))
 
 
-def network_index(f: BooleanNetwork) -> int:
-    n = f.width
-    return sum(v << (c * n) for c, v in enumerate(f.table))
-
-
 def enumerate_networks(n: int, components: tuple[str, ...] | None = None) -> Iterator[BooleanNetwork]:
     """All 2^(n 2^n) networks of width n <= 3 in ascending table-index order."""
     check_width("exhaustive enumeration", n, 3)
@@ -248,19 +239,6 @@ def random_network(n: int, seed: int, components: tuple[str, ...] | None = None)
     check_width("random network generation", n, RANDOM_WIDTH_CAP)
     index = random.Random(seed).getrandbits(n << n)
     return network_from_index(n, index, components)
-
-
-def identity_network(n: int) -> BooleanNetwork:
-    return BooleanNetwork(default_components(n), tuple(range(1 << n)))
-
-
-def negation_network(n: int) -> BooleanNetwork:
-    full = (1 << n) - 1
-    return BooleanNetwork(default_components(n), tuple(x ^ full for x in range(1 << n)))
-
-
-def constant_network(n: int, code: int) -> BooleanNetwork:
-    return BooleanNetwork(default_components(n), tuple(code for _ in range(1 << n)))
 
 
 def parse_bn(

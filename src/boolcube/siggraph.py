@@ -154,25 +154,6 @@ def table_local_rows(
     return tuple(out)
 
 
-def table_global_rows(
-    n: int, table: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Union of the local rows; each pair (x, x | bit j) is visited once."""
-    pos = [0] * n
-    neg = [0] * n
-    for x in range(1 << n):
-        for j in range(n):
-            bj = 1 << j
-            if x & bj:
-                continue
-            hi = table[x | bj]
-            lo = table[x]
-            diff = hi ^ lo
-            pos[j] |= diff & hi
-            neg[j] |= diff & lo
-    return tuple(pos), tuple(neg)
-
-
 @memo
 def local_rows(
     f: BooleanNetwork,
@@ -183,7 +164,7 @@ def local_rows(
 
 @memo
 def global_rows(f: BooleanNetwork) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return table_global_rows(f.width, f.table)
+    return bitset_global_rows(f.width, output_bitsets(f))
 
 
 def local_interaction_graph(f: BooleanNetwork, x: Point) -> SignedDigraph:
@@ -438,10 +419,34 @@ def cube_literals(n: int) -> dict[int, tuple[int, int]]:
     return out
 
 
-def output_bitset(table: tuple[int, ...], i: int) -> int:
-    """f_i as the bitset of the points where it is 1."""
-    bit = 1 << i
-    return int("".join(["1" if v & bit else "0" for v in table[::-1]]), 2)
+@memo
+def output_bitsets(f: BooleanNetwork) -> tuple[int, ...]:
+    """Per component i, f_i as the bitset of the points where it is 1."""
+    rows = f.table[::-1]
+    bits = [1 << i for i in range(f.width)]
+    return tuple(int("".join(["1" if v & bit else "0" for v in rows]), 2) for bit in bits)
+
+
+def bitset_global_rows(
+    n: int, ones: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(positive, negative) global rows from the output bitsets O_i: on the literal
+    N_j = not x_j, up = O_i >> 2^j is f_i(x + e_j) and d = (up ^ O_i) & N_j is where
+    f_i changes along e_j, so j -> i is positive iff d & up, negative iff d & O_i."""
+    pos = [0] * n
+    neg = [0] * n
+    for low, (j, negated) in cube_literals(n).items():
+        if not negated:
+            continue
+        shift = 1 << j
+        for i, o in enumerate(ones):
+            up = o >> shift
+            d = (up ^ o) & low
+            if d & up:
+                pos[j] |= 1 << i
+            if d & o:
+                neg[j] |= 1 << i
+    return tuple(pos), tuple(neg)
 
 
 def _single_cycle(pred: Sequence[int]) -> bool:
@@ -471,8 +476,7 @@ def literal_cycle(
 @memo
 def detect_circular(f: BooleanNetwork) -> CircularForm | None:
     """The circular form of f, when G(f) is a cycle through every component."""
-    n = f.width
-    found = literal_cycle(cube_literals(n), (output_bitset(f.table, i) for i in range(n)))
+    found = literal_cycle(cube_literals(f.width), output_bitsets(f))
     if found is None:
         return None
     return CircularForm(f.components, found[0], found[1])
@@ -606,11 +610,6 @@ def rows_has_positive_cycle(
         if not odd:
             return True
     return False
-
-
-def has_cycle_of_sign(g: SignedDigraph, sign: int) -> bool:
-    found = rows_has_positive_cycle if sign == 1 else rows_has_negative_cycle
-    return found(len(g.vertices), *graph_rows(g))
 
 
 @memo
@@ -757,14 +756,3 @@ def simple_digraph_orbits(n: int) -> tuple[array, array]:
     starts.append(len(members))
     return members, starts
 
-
-def simple_digraph_from_index(
-    vertices: tuple[str, ...], index: int
-) -> SignedDigraph:
-    pos, neg = simple_digraph_rows_from_index(len(vertices), index)
-    return graph_from_rows(vertices, pos, neg)
-
-
-def enumerate_simple_digraphs(vertices: tuple[str, ...]) -> Iterator[SignedDigraph]:
-    for index in range(simple_digraph_count(len(vertices))):
-        yield simple_digraph_from_index(vertices, index)

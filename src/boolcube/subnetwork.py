@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from .hypercube import Point, component_mask, gather_bits, mask_labels
 from .network import (
@@ -27,11 +27,10 @@ from .network import (
     default_components,
     enumerate_networks,
     fixed_point_codes,
-    is_eosd,
     memo,
     table_is_eosd,
 )
-from .siggraph import cube_literals, literal_cycle, output_bitset
+from .siggraph import cube_literals, detect_circular, literal_cycle, output_bitsets
 
 # Widest network whose subnetworks are walked: the plan's gather tables hold
 # 4^n entries, about 12 MB at width 10.
@@ -127,23 +126,9 @@ def subnetwork_plan(n: int) -> SubnetworkPlan:
     return SubnetworkPlan(masks, tuple(codes), tuple(scatter), tuple(points), tuple(gather))
 
 
-def make_spec(
-    f: BooleanNetwork, free: Iterable[str], fixed: dict[str, int] | None = None
-) -> SubnetworkSpec:
-    free_mask = component_mask(f.components, free)
-    fixed = dict(fixed or {})
-    fixed_code = 0
-    for label, value in fixed.items():
-        bit = component_mask(f.components, [label])
-        if bit & free_mask:
-            raise ValueError(f"component {label!r} is free, cannot be frozen")
-        if value:
-            fixed_code |= bit
-    full = (1 << f.width) - 1
-    missing = full & ~free_mask & ~component_mask(f.components, fixed)
-    if missing:
-        raise ValueError(f"no value for frozen components {mask_labels(f.components, missing)}")
-    return SubnetworkSpec(f.components, free_mask, fixed_code)
+def _lookup(at: Callable[[int], int], g: Callable[[int], int], scatter: tuple, code: int) -> tuple:
+    """A subnetwork's table: f at code | s packed by g, per s in scatter."""
+    return tuple(map(g, map(at, map(code.__or__, scatter))))
 
 
 def sub_table(
@@ -151,8 +136,8 @@ def sub_table(
 ) -> tuple[int, ...]:
     """Truth table of the subnetwork: evaluate with frozen bits, keep free bits."""
     plan = subnetwork_plan((len(table) - 1).bit_length())
-    at = map(table.__getitem__, map(fixed_code.__or__, plan.scatter[free_mask]))
-    return tuple(map(plan.gather[free_mask].__getitem__, at))
+    g = plan.gather[free_mask].__getitem__
+    return _lookup(table.__getitem__, g, plan.scatter[free_mask], fixed_code)
 
 
 def induced_subnetwork(f: BooleanNetwork, spec: SubnetworkSpec) -> BooleanNetwork:
@@ -174,13 +159,6 @@ def immediate_subnetwork(f: BooleanNetwork, label: str, value: int) -> BooleanNe
     )
 
 
-def subnetwork_specs(
-    components: tuple[str, ...], include_self: bool = True
-) -> Iterator[SubnetworkSpec]:
-    for mask, code in subnetwork_plan(len(components)).items(include_self):
-        yield SubnetworkSpec(components, mask, code)
-
-
 def item_tables(
     f: BooleanNetwork, include_self: bool = True
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
@@ -189,9 +167,9 @@ def item_tables(
     plan = subnetwork_plan(f.width)
     at = f.table.__getitem__
     for mask in plan.masks if include_self else plan.masks[:-1]:
-        g = plan.gather[mask].__getitem__
+        g, scatter = plan.gather[mask].__getitem__, plan.scatter[mask]
         for code in plan.codes[mask]:
-            yield mask, code, tuple(map(g, map(at, map(code.__or__, plan.scatter[mask]))))
+            yield mask, code, _lookup(at, g, scatter, code)
 
 
 @memo
@@ -228,16 +206,18 @@ def _free_literals(n: int) -> tuple[tuple[tuple[int, ...], dict[int, tuple[int, 
 def item_circular_forms(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
     """Per item in plan order, f's own last, (predecessor map, constant) in
     the item's local indices when the subnetwork is a circular network, else
-    None.  Reads f's output bits as bitsets and builds no subnetwork table."""
+    None.  Reads f's output bitsets, builds no table; f's own is detect_circular's."""
     plan = subnetwork_plan(f.width)
     free_literals = _free_literals(f.width)
-    ones = [output_bitset(f.table, i) for i in range(f.width)]
+    ones = output_bitsets(f)
     forms = []
-    for mask in plan.masks:
+    for mask in plan.masks[:-1]:
         free, literals = free_literals[mask]
         on = plan.points[mask]
         for code in plan.codes[mask]:
             forms.append(literal_cycle(literals, [ones[i] >> code & on for i in free]))
+    own = detect_circular(f)
+    forms.append(None if own is None else (own.predecessor, own.constant))
     return tuple(forms)
 
 
@@ -331,12 +311,6 @@ def is_zero_critical(f: BooleanNetwork) -> bool:
     return is_minimal_violation(BaseProperty.AT_LEAST_ONE, f)
 
 
-def is_critical_eosd(f: BooleanNetwork) -> bool:
-    """Even- or odd-self-dual with no strict subnetwork of either kind: the
-    first EOSD item of the walk is f itself."""
-    return is_eosd(f) and find_eosd_subnetwork(f)[0].is_full
-
-
 def all_subnetworks_fixed_point_census(f: BooleanNetwork) -> tuple[int, int]:
     """(min, max) fixed-point count over every subnetwork, f included."""
     counts = item_fixed_point_counts(f).values()
@@ -354,11 +328,6 @@ class BaseProperty(Enum):
         if self is BaseProperty.AT_LEAST_ONE:
             return fp_count >= 1
         return fp_count == 1
-
-
-def satisfies_everywhere(prop: BaseProperty, f: BooleanNetwork) -> bool:
-    """The closed property: every subnetwork of f (f included) passes the base."""
-    return all(prop.holds(c) for c in _item_counts(f))
 
 
 def item_is_minimal_violation(

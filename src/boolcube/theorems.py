@@ -48,7 +48,6 @@ from .siggraph import (
     and_net_table,
     circular_network,
     counting_condition,
-    cycle_sign,
     detect_circular,
     global_rows,
     is_and_net,
@@ -255,31 +254,22 @@ def _concl_andnet_2critical(f: BooleanNetwork) -> bool:
 
 
 @memo
-def _graph_cycle_analysis(
-    f: BooleanNetwork,
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, bool, bool], ...]:
-    """Per cycle of G(f): (vertices, signs, sign, chordless, has delocalizer)."""
+def _bare_cycle_forms(f: BooleanNetwork) -> frozenset[tuple[int, tuple[tuple[int, ...], int]]]:
+    """_cycle_form of each chordless cycle of G(f) with no delocalizing vertex."""
     pos, neg = global_rows(f)
-    return tuple(
-        (
-            verts,
-            signs,
-            cycle_sign(signs),
-            rows_chordless(verts, pos, neg),
-            bool(rows_delocalizers(verts, pos, neg)),
-        )
+    return frozenset(
+        _cycle_form(verts, signs)
         for verts, signs in rows_signed_cycles(f.width, pos, neg)
+        if rows_chordless(verts, pos, neg) and not rows_delocalizers(verts, pos, neg)
     )
 
 
 def _concl_andnet_chordless(f: BooleanNetwork) -> bool:
+    """Census (1, 1) iff no bare cycle form; max <= 1 iff none is positive."""
     lo, hi = all_subnetworks_fixed_point_census(f)
-    analysis = _graph_cycle_analysis(f)
-    all_ok = all(deloc for _, _, _, chordless, deloc in analysis if chordless)
-    pos_ok = all(
-        deloc for _, _, sign, chordless, deloc in analysis if chordless and sign == 1
-    )
-    return (((lo, hi) == (1, 1)) == all_ok) and ((hi <= 1) == pos_ok)
+    bare = _bare_cycle_forms(f)
+    pos_ok = all(constant.bit_count() & 1 for _, (_, constant) in bare)
+    return (((lo, hi) == (1, 1)) == (not bare)) and ((hi <= 1) == pos_ok)
 
 
 def _concl_odd_outdegree(f: BooleanNetwork) -> bool:
@@ -386,12 +376,7 @@ def _concl_circular_subnetworks(f: BooleanNetwork) -> bool:
         for (mask, _), form in zip(subnetwork_plan(f.width).items(), item_circular_forms(f))
         if form is not None
     }
-    wanted = {
-        _cycle_form(verts, signs)
-        for verts, signs, _, chordless, deloc in _graph_cycle_analysis(f)
-        if chordless and not deloc
-    }
-    return realized == wanted
+    return realized == _bare_cycle_forms(f)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,38 @@ from itertools import product
 from boolcube import BooleanNetwork, SignedDigraph
 
 
+# -- reference networks and bit helpers ----------------------------------------
+
+
+def _labels(n: int) -> tuple[str, ...]:
+    return tuple(str(k + 1) for k in range(n))
+
+
+def identity_network(n: int) -> BooleanNetwork:
+    return BooleanNetwork(_labels(n), tuple(range(1 << n)))
+
+
+def negation_network(n: int) -> BooleanNetwork:
+    full = (1 << n) - 1
+    return BooleanNetwork(_labels(n), tuple(x ^ full for x in range(1 << n)))
+
+
+def constant_network(n: int, code: int) -> BooleanNetwork:
+    return BooleanNetwork(_labels(n), tuple(code for _ in range(1 << n)))
+
+
+def scatter_bits(code: int, mask: int) -> int:
+    """Inverse of gather_bits: spread low-order bits of code onto mask positions."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        if code & 1:
+            out |= low
+        code >>= 1
+        mask ^= low
+    return out
+
+
 # -- plain network predicates -------------------------------------------------
 
 
@@ -78,6 +110,19 @@ def all_strict_sub_tables(f: BooleanNetwork) -> list[tuple[int, ...]]:
         for bits in product([0, 1], repeat=len(rest)):
             tables.append(sub_table(f, free, dict(zip(rest, bits))))
     return tables
+
+
+def eosd(f: BooleanNetwork) -> bool:
+    """Even- or odd-self-dual."""
+    return self_dual(f) and parity_name(f) != "neither"
+
+
+def is_critical_eosd(f: BooleanNetwork) -> bool:
+    """f is even- or odd-self-dual and none of its strict subnetworks is."""
+    return eosd(f) and not any(
+        eosd(BooleanNetwork(_labels(len(t).bit_length() - 1), t))
+        for t in all_strict_sub_tables(f)
+    )
 
 
 def two_critical(f: BooleanNetwork) -> bool:

@@ -35,11 +35,7 @@ from boolcube import (
 )
 from boolcube.network import ParityClass, fixed_point_codes, parity_class
 from boolcube.siggraph import SignedDigraph, circular_network, global_rows, local_rows
-from boolcube.subnetwork import (
-    all_subnetworks_fixed_point_census,
-    criticality,
-    is_critical_eosd,
-)
+from boolcube.subnetwork import all_subnetworks_fixed_point_census, criticality
 from boolcube.theorems import (
     AndNets,
     Circular,
@@ -299,7 +295,7 @@ def test_criterion_8_fixture_classification():
 
     esd4 = load_bn(DATA / "esd4.bn")
     assert eosd_class(esd4) is ParityClass.EVEN
-    assert is_critical_eosd(esd4)
+    assert oracles.is_critical_eosd(esd4)
     assert detect_circular(esd4) is None
 
     elapsed = time.perf_counter() - started

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from boolcube import (
     ParityClass,
     all_subnetworks_fixed_point_census,
@@ -23,7 +24,7 @@ from boolcube import (
 )
 from boolcube import siggraph
 from boolcube.hypercube import parse_point
-from boolcube.network import fixed_point_codes, identity_network
+from boolcube.network import fixed_point_codes
 from boolcube.cli import main
 from boolcube.dotfmt import validate_dot
 
@@ -384,6 +385,8 @@ def test_analyze_width_cap_exits_3(tmp_path, capsys):
         (("gen", "--circular"), 22, 16),
         (("dynamics",), 17, 16),
         (("export-dot", "--what", "gamma", "--input"), 17, 16),
+        (("export-dot", "--what", "gf", "--input"), 17, 16),
+        (("export-dot", "--what", "gfx", "0" * 17, "--input"), 17, 16),
     ],
 )
 def test_per_file_width_caps_exit_3(tmp_path, capsys, command, width, cap):
@@ -400,7 +403,7 @@ def test_per_file_width_caps_exit_3(tmp_path, capsys, command, width, cap):
     else:
         path = tmp_path / "wide.bn"
         # random networks stop at width 16, the widest file gen writes
-        f = random_network(width, 0) if width <= 16 else identity_network(width)
+        f = random_network(width, 0) if width <= 16 else oracles.identity_network(width)
         path.write_text(render_bn(f), encoding="utf-8")
         args = (str(path),)
         if command[0] == "export-dot":
@@ -422,6 +425,8 @@ def test_per_file_width_caps_exit_3(tmp_path, capsys, command, width, cap):
         (("graph",), "graph", 7),
         (("dynamics",), "dynamics", 16),
         (("export-dot", "--what", "gamma", "--input"), "export-dot --what gamma", 16),
+        (("export-dot", "--what", "gf", "--input"), "export-dot --what gf", 16),
+        (("export-dot", "--what", "gfx", "0" * 17, "--input"), "export-dot --what gfx", 16),
     ],
 )
 def test_width_cap_is_read_from_the_header(tmp_path, capsys, command, what, cap):
@@ -442,13 +447,13 @@ def test_analyze_builds_no_global_rows(tmp_path, capsys, monkeypatch):
     """Circular detection reads literal bitsets, so analyze never builds the
     global interaction graph's rows."""
     calls = []
-    build = siggraph.table_global_rows
+    build = siggraph.bitset_global_rows
 
-    def counting(n, table):
+    def counting(n, ones):
         calls.append(n)
-        return build(n, table)
+        return build(n, ones)
 
-    monkeypatch.setattr(siggraph, "table_global_rows", counting)
+    monkeypatch.setattr(siggraph, "bitset_global_rows", counting)
     path = tmp_path / "w8.bn"
     path.write_text(render_bn(random_network(8, 0)), encoding="utf-8")
     code, _, _ = run(capsys, "analyze", str(path))

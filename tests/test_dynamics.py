@@ -16,7 +16,6 @@ from boolcube import (
     weak_convergence,
 )
 from boolcube import dynamics
-from boolcube.network import constant_network, identity_network, negation_network
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,9 +79,9 @@ def test_attractors_of_the_fixtures():
 
 
 def test_attractors_of_builtin_networks():
-    assert attractor_summary(identity_network(2)) == (4, False)
-    assert attractor_summary(negation_network(2)) == (1, True)
-    loop = attractors(negation_network(2))[0]
+    assert attractor_summary(oracles.identity_network(2)) == (4, False)
+    assert attractor_summary(oracles.negation_network(2)) == (1, True)
+    loop = attractors(oracles.negation_network(2))[0]
     assert loop.states == frozenset({0, 1, 2, 3})
 
 
@@ -106,11 +105,11 @@ def test_convergence_of_the_worked_example():
 
 
 def test_strong_convergence_example():
-    f = constant_network(2, 3)
+    f = oracles.constant_network(2, 3)
     assert strong_convergence(f)
     assert weak_convergence(f)
-    assert not strong_convergence(identity_network(2))
-    assert not weak_convergence(negation_network(2))
+    assert not strong_convergence(oracles.identity_network(2))
+    assert not weak_convergence(oracles.negation_network(2))
 
 
 @settings(max_examples=150)
@@ -132,7 +131,7 @@ def test_convergence_exhaustive_width_two():
 
 def test_width_cap_raises_on_every_call(monkeypatch):
     monkeypatch.setattr(dynamics, "WIDTH_CAP", 1)
-    f = identity_network(2)
+    f = oracles.identity_network(2)
     for check in (asynchronous_state_graph, attractors, weak_convergence, strong_convergence):
         for _ in range(2):
             with pytest.raises(WidthCapError):

@@ -2,30 +2,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from boolcube import (
     FormatError,
     Point,
     all_points,
     basis_point,
+    drop,
     hamming,
     neighbor_set,
     parse_bn,
     parse_point,
     parse_sg,
+    restrict,
     xor,
 )
 from boolcube.hypercube import (
     component_mask,
-    drop,
-    even_codes,
     format_code,
     gather_bits,
     mask_labels,
-    odd_codes,
     parse_code,
-    restrict,
-    scatter_bits,
-    set_component,
 )
 
 ABC = ("a", "b", "c")
@@ -91,13 +88,8 @@ def test_xor_and_hamming():
         hamming(x, parse_point("00", ("a", "b")))
 
 
-def test_basis_and_set_component():
-    e = basis_point(ABC, "b")
-    assert e.bits == "010"
-    assert set_component(e, "c", 1).bits == "011"
-    assert set_component(e, "b", 0).bits == "000"
-    with pytest.raises(ValueError):
-        set_component(e, "b", 2)
+def test_basis_point():
+    assert basis_point(ABC, "b").bits == "010"
     with pytest.raises(ValueError):
         basis_point(ABC, "z")
 
@@ -127,8 +119,8 @@ def test_component_mask_and_labels():
 def test_gather_scatter_round_trip(code, mask):
     packed = gather_bits(code, mask)
     assert packed < 1 << mask.bit_count()
-    assert scatter_bits(packed, mask) == code & mask
-    assert gather_bits(scatter_bits(packed, mask), mask) == packed
+    assert oracles.scatter_bits(packed, mask) == code & mask
+    assert gather_bits(oracles.scatter_bits(packed, mask), mask) == packed
 
 
 def test_neighbor_set():
@@ -146,15 +138,6 @@ def test_neighbors_are_at_distance_one(width, data):
     points = [Point(labels, c) for c in codes]
     for q in neighbor_set(points):
         assert any(hamming(q, p) == 1 for p in points)
-
-
-def test_parity_classes_partition_the_cube():
-    for width in range(1, 6):
-        even = even_codes(width)
-        odd = odd_codes(width)
-        assert even | odd == set(range(1 << width))
-        assert not even & odd
-        assert len(even) == len(odd) == 1 << (width - 1)
 
 
 @pytest.mark.parametrize(

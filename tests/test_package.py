@@ -29,3 +29,23 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_every_public_definition_is_exported_or_used():
+    """A public top-level def or class of a module is exported from
+    __init__.py or referenced somewhere in the package; a helper that only
+    tests call belongs in tests/."""
+    defined = {}
+    referenced = set(boolcube.__all__)
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert sorted(f"{defined[name]}: {name}" for name in defined.keys() - referenced) == []

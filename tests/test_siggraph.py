@@ -31,27 +31,19 @@ from boolcube import (
     shih_dong_condition,
 )
 from boolcube.hypercube import parse_point
-from boolcube.network import (
-    constant_network,
-    fixed_point_codes,
-    identity_network,
-    negation_network,
-    random_network,
-)
+from boolcube.network import fixed_point_codes, random_network
 from boolcube.siggraph import (
     acyclic,
     cycle_sign,
-    enumerate_simple_digraphs,
     graph_from_rows,
     graph_rows,
-    has_cycle_of_sign,
     load_sg,
     rows_girth,
     rows_has_negative_cycle,
     rows_has_positive_cycle,
     rows_reach,
     simple_digraph_count,
-    simple_digraph_from_index,
+    simple_digraph_rows_from_index,
     transpose,
 )
 
@@ -150,6 +142,19 @@ def test_local_and_global_graphs_match_oracle(table):
     for code in range(8):
         point = f.point(code)
         assert set(local_interaction_graph(f, point).arcs) == oracles.local_arcs(f, code)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_global_graphs_match_oracle_at_every_width(n):
+    """Global rows come from output bitsets; check them on random networks,
+    whose graphs are dense, and on random and-nets, whose graphs are sparse."""
+    rng = random.Random(n)
+    for seed in range(20):
+        f = random_network(n, seed)
+        assert set(global_interaction_graph(f).arcs) == oracles.global_arcs(f)
+        rows = simple_digraph_rows_from_index(n, rng.randrange(simple_digraph_count(n)))
+        f = and_net(graph_from_rows(labels(n), *rows))
+        assert set(global_interaction_graph(f).arcs) == oracles.global_arcs(f)
 
 
 def test_cycles_of_the_worked_example():
@@ -395,8 +400,8 @@ def test_circular_local_graphs_are_constant(form):
 
 def test_detect_circular_rejects_non_circular():
     assert detect_circular(EX1) is None
-    assert detect_circular(identity_network(2)) is None
-    assert detect_circular(constant_network(2, 0)) is None
+    assert detect_circular(oracles.identity_network(2)) is None
+    assert detect_circular(oracles.constant_network(2, 0)) is None
 
 
 def test_and_net_basics():
@@ -411,13 +416,14 @@ def test_and_net_basics():
 def test_the_worked_example_is_an_and_net():
     assert is_and_net(EX1)
     assert and_net(global_interaction_graph(EX1)).table == EX1.table
-    assert is_and_net(constant_network(1, 1))  # empty graph, no inputs
-    assert not is_and_net(constant_network(1, 0))
+    assert is_and_net(oracles.constant_network(1, 1))  # empty graph, no inputs
+    assert not is_and_net(oracles.constant_network(1, 0))
     assert not is_and_net(BooleanNetwork(("1", "2"), (0, 1, 3, 3)))  # first is an OR
 
 
 def test_and_net_recovers_every_two_vertex_graph():
-    for g in enumerate_simple_digraphs(("1", "2")):
+    for index in range(simple_digraph_count(2)):
+        g = graph_from_rows(("1", "2"), *simple_digraph_rows_from_index(2, index))
         f = and_net(g)
         assert global_interaction_graph(f) == g
         assert is_and_net(f)
@@ -425,39 +431,42 @@ def test_and_net_recovers_every_two_vertex_graph():
 
 @given(st.integers(0, 3**9 - 1))
 def test_and_net_recovers_sampled_three_vertex_graphs(index):
-    g = simple_digraph_from_index(labels(3), index)
+    g = graph_from_rows(labels(3), *simple_digraph_rows_from_index(3, index))
     assert global_interaction_graph(and_net(g)) == g
 
 
 def test_simple_digraph_enumeration():
-    seen = {g for g in enumerate_simple_digraphs(("1", "2"))}
+    seen = {
+        graph_from_rows(labels(2), *simple_digraph_rows_from_index(2, index))
+        for index in range(simple_digraph_count(2))
+    }
     assert len(seen) == simple_digraph_count(2) == 81
     assert all(g.is_simple for g in seen)
     with pytest.raises(ValueError):
-        simple_digraph_from_index(labels(2), 81)
+        simple_digraph_rows_from_index(2, 81)
 
 
 def test_has_cycle_of_sign():
     g = load_sg(DATA / "example1.sg")
-    assert has_cycle_of_sign(g, 1)
-    assert has_cycle_of_sign(g, -1)
+    assert rows_has_positive_cycle(3, *graph_rows(g))
+    assert rows_has_negative_cycle(3, *graph_rows(g))
     acyclic = parse_sg("vertices 1 2\n1 + 2\n")
-    assert not has_cycle_of_sign(acyclic, 1)
-    assert not has_cycle_of_sign(acyclic, -1)
+    assert not rows_has_positive_cycle(2, *graph_rows(acyclic))
+    assert not rows_has_negative_cycle(2, *graph_rows(acyclic))
 
 
 def test_shih_dong_condition():
     assert not shih_dong_condition(EX1)
-    assert shih_dong_condition(constant_network(2, 1))
-    assert not shih_dong_condition(identity_network(2))
+    assert shih_dong_condition(oracles.constant_network(2, 1))
+    assert not shih_dong_condition(oracles.identity_network(2))
 
 
 def test_counting_condition():
     assert counting_condition(EX1)
     assert counting_condition(EX1, CycleFilter.POSITIVE_CHORDLESS)
     assert counting_condition(EX1, CycleFilter.NEGATIVE_CHORDLESS, global_chordless=True)
-    assert not counting_condition(identity_network(2))
-    negation = negation_network(2)
+    assert not counting_condition(oracles.identity_network(2))
+    negation = oracles.negation_network(2)
     assert not counting_condition(negation)
     assert counting_condition(negation, CycleFilter.POSITIVE_CHORDLESS)
     assert not counting_condition(negation, CycleFilter.NEGATIVE_CHORDLESS)

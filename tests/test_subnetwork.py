@@ -20,15 +20,14 @@ from boolcube import (
     minimal_forbidden_set,
     subnetworks,
 )
-from boolcube import subnetwork
-from boolcube.hypercube import gather_bits, scatter_bits
+from boolcube import siggraph, subnetwork
+from boolcube.hypercube import gather_bits
 from boolcube.network import (
     WidthCapError,
     default_components,
     enumerate_networks,
     eosd_class,
     fixed_point_codes,
-    is_eosd,
     load_bn,
     random_network,
     table_fixed_point_codes,
@@ -36,19 +35,15 @@ from boolcube.network import (
 )
 from boolcube.subnetwork import (
     has_eosd_subnetwork,
-    is_critical_eosd,
     is_minimal_violation,
     is_two_critical,
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
     item_tables,
-    make_spec,
-    satisfies_everywhere,
     spec_items,
     sub_table,
     subnetwork_plan,
-    subnetwork_specs,
 )
 from boolcube.siggraph import CircularForm, circular_network, detect_circular
 from boolcube.theorems import (
@@ -96,20 +91,8 @@ def test_spec_validation():
         SubnetworkSpec(("1", "2"), free_mask=0b01, fixed_code=0b01)
 
 
-def test_make_spec():
-    spec = make_spec(EX1, ["2", "3"], {"1": 0})
-    assert (spec.free_mask, spec.fixed_code) == (0b110, 0)
-    assert make_spec(EX1, ["1", "2", "3"]).is_full
-    with pytest.raises(ValueError):
-        make_spec(EX1, ["1"], {"1": 0, "2": 0, "3": 0})
-    with pytest.raises(ValueError):
-        make_spec(EX1, ["1"], {"2": 0})  # no value for component 3
-    with pytest.raises(ValueError):
-        make_spec(EX1, ["9"], {})
-
-
 def test_enumeration_order_width_two():
-    specs = [str(s) for s in subnetwork_specs(("1", "2"))]
+    specs = [str(SubnetworkSpec(("1", "2"), *item)) for item in subnetwork_plan(2).items()]
     assert specs == [
         "I={1} z[2]=0",
         "I={1} z[2]=1",
@@ -165,7 +148,9 @@ def test_freezing_is_transitive(f, data):
     a = data.draw(st.integers(0, 1))
     b = data.draw(st.integers(0, 1))
     two_steps = immediate_subnetwork(immediate_subnetwork(f, first, a), second, b)
-    direct = induced_subnetwork(f, make_spec(f, two_steps.components, {first: a, second: b}))
+    i, j = (1 << f.components.index(label) for label in (first, second))
+    spec = SubnetworkSpec(f.components, 0b111 ^ i ^ j, (i if a else 0) | (j if b else 0))
+    direct = induced_subnetwork(f, spec)
     assert two_steps == direct
 
 
@@ -201,10 +186,10 @@ def test_eosd_search_returns_first_witness():
 def test_critical_eosd():
     esd4 = load_bn(DATA / "esd4.bn")
     assert eosd_class(esd4) is ParityClass.EVEN
-    assert is_critical_eosd(esd4)
+    assert oracles.is_critical_eosd(esd4)
     # both parities of strict witnesses disqualify a network from being critical
-    assert not is_critical_eosd(ESD_NONCRIT)
-    assert not is_critical_eosd(EX1)
+    assert not oracles.is_critical_eosd(ESD_NONCRIT)
+    assert not oracles.is_critical_eosd(EX1)
 
 
 def test_criticality_of_fixtures():
@@ -246,7 +231,7 @@ def test_minimal_violations_width_one():
 
 def test_minimal_violations_of_uniqueness_are_the_critical_eosd_networks():
     for f in enumerate_networks(2):
-        expected = is_critical_eosd(f)
+        expected = oracles.is_critical_eosd(f)
         assert is_minimal_violation(BaseProperty.EXACTLY_ONE, f) == expected
 
 
@@ -262,7 +247,9 @@ def test_satisfies_everywhere_consistency(f):
             sum(1 for y, v in enumerate(t) if v == y)
             for t in oracles.all_strict_sub_tables(f)
         ]
-        assert satisfies_everywhere(prop, f) == all(ok(c) for c in counts)
+        assert all(map(prop.holds, item_fixed_point_counts(f).values())) == all(
+            ok(c) for c in counts
+        )
 
 
 def test_sub_table_is_usable_directly():
@@ -306,12 +293,10 @@ def test_plan_order_and_tuples(n):
     plan = subnetwork_plan(n)
     items = list(plan.items())
     assert items == documented_order(n)
-    specs = subnetwork_specs(default_components(n))
-    assert items == [(s.free_mask, s.fixed_code) for s in specs]
     assert list(plan.items(include_self=False)) == items[:-1]
     for mask in range(1, 1 << n):
         m = mask.bit_count()
-        assert plan.scatter[mask] == tuple(scatter_bits(y, mask) for y in range(1 << m))
+        assert plan.scatter[mask] == tuple(oracles.scatter_bits(y, mask) for y in range(1 << m))
         assert plan.points[mask] == sum(1 << s for s in plan.scatter[mask])
         assert plan.gather[mask] == tuple(gather_bits(v, mask) for v in range(1 << n))
     assert subnetwork_plan(n) is plan
@@ -341,8 +326,6 @@ def test_item_counts_match_the_sub_tables():
         assert list(counts) == list(subnetwork_plan(f.width).items())
         for (mask, code), count in counts.items():
             assert count == len(table_fixed_point_codes(sub_table(f.table, mask, code)))
-        for prop in BaseProperty:
-            assert satisfies_everywhere(prop, f) == all(map(prop.holds, counts.values()))
 
 
 def test_lazy_walks_agree_with_the_eager_definitions():
@@ -357,7 +340,10 @@ def test_lazy_walks_agree_with_the_eager_definitions():
         else:
             assert found is None
         strict_eosd = any(table_is_eosd(table) for _, _, table in items[:-1])
-        assert is_critical_eosd(f) == (is_eosd(f) and not strict_eosd)
+        if f.width <= 4:
+            assert oracles.is_critical_eosd(f) == (
+                eosd_class(f) is not None and not strict_eosd
+            )
         counts = [len(table_fixed_point_codes(table)) for _, _, table in items]
         assert is_two_critical(f) == (counts[-1] >= 2 and all(c <= 1 for c in counts[:-1]))
         assert is_zero_critical(f) == (counts[-1] == 0 and all(c >= 1 for c in counts[:-1]))
@@ -383,10 +369,31 @@ def test_eosd_search_stops_at_the_witness(monkeypatch):
     # the second item, I={1} z[10]=1, is the first even- or odd-self-dual one
     assert walked == list(subnetwork_plan(10).items())[:2]
     assert walked[-1] == (spec.free_mask, spec.fixed_code)
-    assert not is_critical_eosd(f)
     walked.clear()
     assert find_eosd_subnetwork(BooleanNetwork(EX1.components, EX1.table)) is None
     assert walked == list(subnetwork_plan(3).items())
+
+
+def test_own_circular_item_is_solved_once(monkeypatch):
+    """item_circular_forms takes f's own entry from detect_circular's solve:
+    asking both costs one literal_cycle call per plan item."""
+    calls = []
+    solve = siggraph.literal_cycle
+
+    def counting(literals, values):
+        calls.append(values)
+        return solve(literals, values)
+
+    monkeypatch.setattr(siggraph, "literal_cycle", counting)
+    monkeypatch.setattr(subnetwork, "literal_cycle", counting)
+    circular = circular_network(CircularForm(labels(3), (2, 0, 1), 0b101))
+    for f, own in ((circular, ((2, 0, 1), 0b101)), (EX1, None)):
+        f = BooleanNetwork(f.components, f.table)  # no memo yet
+        calls.clear()
+        detect_circular(f)
+        forms = item_circular_forms(f)
+        assert len(calls) == len(forms) == 19
+        assert forms[-1] == own
 
 
 @pytest.mark.parametrize(

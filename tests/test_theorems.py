@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from boolcube import BooleanNetwork, SearchReport, WidthCapError, check, sweep_many
 from boolcube.hypercube import all_points, parse_point
 from boolcube.network import default_components, network_from_index, render_bn
@@ -14,7 +15,6 @@ from boolcube.siggraph import (
     SignedDigraph,
     and_net,
     detect_circular,
-    enumerate_simple_digraphs,
     graph_from_rows,
     graph_rows,
     simple_digraph_count,
@@ -188,7 +188,10 @@ def test_and_net_generator_matches_graph_enumeration():
         candidate_network(AndNets(2), i).table
         for i in range(generator_count(AndNets(2)))
     }
-    built = {and_net(g).table for g in enumerate_simple_digraphs(("1", "2"))}
+    built = {
+        and_net(graph_from_rows(("1", "2"), *simple_digraph_rows_from_index(2, index))).table
+        for index in range(simple_digraph_count(2))
+    }
     assert generated == built
 
 
@@ -301,11 +304,11 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
     """Circular detection and the subnetwork items' circular forms come from
     bitsets: no subnetwork table and no subnetwork's global rows are built."""
     calls = {}
-    build = siggraph.table_global_rows
+    build = siggraph.bitset_global_rows
 
-    def counting(n, table):
+    def counting(n, ones):
         calls[n] = calls.get(n, 0) + 1
-        return build(n, table)
+        return build(n, ones)
 
     tables = []
     walk = subnetwork.item_tables
@@ -314,7 +317,7 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
         tables.append(f)
         return walk(f, include_self)
 
-    monkeypatch.setattr(siggraph, "table_global_rows", counting)
+    monkeypatch.setattr(siggraph, "bitset_global_rows", counting)
     monkeypatch.setattr(subnetwork, "item_tables", walking)
     keys = (
         "ANDNET_2CRITICAL",
@@ -332,10 +335,10 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
 
 def test_chordless_local_circular_builds_each_item_once(monkeypatch):
     """The chordless-cycle check reads each network's circular forms from the
-    bitset kernel: every item, f's own included, is solved once per network,
-    however many keys ask, and no subnetwork table is built."""
+    bitset kernel: every item, f's own included (by detect_circular), is solved
+    once per network, however many keys ask, and no subnetwork table is built."""
     solved = []
-    solve = subnetwork.literal_cycle
+    solve = siggraph.literal_cycle
 
     def recording(literals, values):
         solved.append(values)
@@ -344,6 +347,7 @@ def test_chordless_local_circular_builds_each_item_once(monkeypatch):
     def no_tables(*args):
         raise AssertionError("a subnetwork table was built")
 
+    monkeypatch.setattr(siggraph, "literal_cycle", recording)
     monkeypatch.setattr(subnetwork, "literal_cycle", recording)
     monkeypatch.setattr(subnetwork, "item_tables", no_tables)
     gen = Sample(3, 300, 1)
@@ -359,6 +363,53 @@ def test_chordless_local_circular_builds_each_item_once(monkeypatch):
             check(key, f)
         # one solve per item of width 3: 18 strict ones and f's own
         assert len(solved) == 19, index
+
+
+def _delocalized(g, vertices):
+    """Some vertex of g sends a positive arc and a negative arc into two
+    distinct vertices of the cycle."""
+    return any(
+        (v, 1, a) in g.arcs and (v, -1, b) in g.arcs
+        for v in g.vertices
+        for a in vertices
+        for b in vertices
+        if a != b
+    )
+
+
+def _oracle_bare_cycle_forms(f):
+    """(free mask, (predecessor map, constant)) per chordless cycle of G(f)
+    with no delocalizing vertex, all from the brute-force oracles."""
+    g = SignedDigraph(f.components, frozenset(oracles.global_arcs(f)))
+    forms = set()
+    for path, signs in oracles.cycle_set(g):
+        if not oracles.chordless(g, path) or _delocalized(g, path):
+            continue
+        free = sorted(f.components.index(v) for v in path)
+        local = {f.components[k]: b for b, k in enumerate(free)}
+        pred = [0] * len(free)
+        constant = 0
+        for k, v in enumerate(path):
+            # the arc path[k - 1] -> v carries signs[k - 1]
+            pred[local[v]] = local[path[k - 1]]
+            if signs[k - 1] == -1:
+                constant |= 1 << local[v]
+        forms.add((sum(1 << k for k in free), (tuple(pred), constant)))
+    return forms
+
+
+def test_bare_cycle_forms_match_the_oracles():
+    """CIRCULAR_SUBNETWORK_CRITERION and ANDNET_CHORDLESS both read this memo,
+    so a wrong memo would pass every sweep; pin it on and-nets."""
+    cases = [(AndNets(2), i) for i in range(generator_count(AndNets(2)))]
+    cases += [(AndNets(3), i) for i in range(0, generator_count(AndNets(3)), 50)]
+    nonempty = 0
+    for gen, index in cases:
+        f = candidate_network(gen, index)
+        expected = _oracle_bare_cycle_forms(f)
+        assert theorems._bare_cycle_forms(f) == expected, (gen, index)
+        nonempty += bool(expected)
+    assert 0 < nonempty < len(cases)
 
 
 def test_theorems_imports_no_private_kernels():
