@@ -83,7 +83,7 @@ ANALYZE_WIDTH_CAP = 10
 # lines in about 2 s and 80 MB, nearly all of them global cycles.
 GRAPH_WIDTH_CAP = 7
 # dynamics and export-dot take the gen --random cap, RANDOM_WIDTH_CAP: at width 16
-# dynamics and --what gamma peak at 131 and 207 MB, --what gf and gfx at 32 and 110 MB.
+# dynamics and --what gamma peak at 131 and 207 MB, --what gf and gfx at 32 MB each.
 
 
 def _bool_text(value: bool) -> str:

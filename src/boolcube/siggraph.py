@@ -21,6 +21,8 @@ from .hypercube import FormatError, Point, check_components, parse_header
 from .network import BooleanNetwork, check_width, memo
 
 Arc = tuple[str, int, str]
+# (positive, negative): bit i of pos[j] (neg[j]) is an arc j -> i of sign +1 (-1)
+Rows = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class SignedDigraph:
 
 
 @memo
-def graph_rows(g: SignedDigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def graph_rows(g: SignedDigraph) -> Rows:
     """(positive, negative) adjacency masks indexed by source vertex."""
     index = {v: k for k, v in enumerate(g.vertices)}
     pos = [0] * len(g.vertices)
@@ -124,53 +126,45 @@ class Cycle:
 
 
 def discrete_derivative(f: BooleanNetwork, i: str, j: str, x: Point) -> int:
-    """f_i(x with x_j=1) minus f_i(x with x_j=0); one of -1, 0, +1."""
-    if x.components != f.components:
-        raise ValueError("point components do not match the network")
-    bi = 1 << f.components.index(i) if i in f.components else None
-    bj = 1 << f.components.index(j) if j in f.components else None
-    if bi is None or bj is None:
+    """f_i(x with x_j=1) minus f_i(x with x_j=0); one of -1, 0, +1: the sign
+    of the arc j -> i of the local interaction graph at x, 0 without one."""
+    if i not in f.components or j not in f.components:
         raise ValueError("unknown component label")
-    hi = f.table[x.code | bj]
-    lo = f.table[x.code & ~bj]
-    return (1 if hi & bi else 0) - (1 if lo & bi else 0)
+    arcs = local_interaction_graph(f, x).arcs
+    return ((j, 1, i) in arcs) - ((j, -1, i) in arcs)
 
 
-def table_local_rows(
-    n: int, table: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    out = []
-    for x in range(1 << n):
-        pos = []
-        neg = []
-        for j in range(n):
-            bj = 1 << j
-            hi = table[x | bj]
-            lo = table[x & ~bj]
-            diff = hi ^ lo
-            pos.append(diff & hi)
-            neg.append(diff & lo)
-        out.append((tuple(pos), tuple(neg)))
-    return tuple(out)
+def point_rows(n: int, table: tuple[int, ...], x: int) -> Rows:
+    """The rows of the local interaction graph at x: j -> i is positive where
+    f_i rises along e_j, negative where it falls."""
+    pos = []
+    neg = []
+    for j in range(n):
+        bit = 1 << j
+        hi = table[x | bit]
+        lo = table[x & ~bit]
+        diff = hi ^ lo
+        pos.append(diff & hi)
+        neg.append(diff & lo)
+    return tuple(pos), tuple(neg)
 
 
 @memo
-def local_rows(
-    f: BooleanNetwork,
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per point x: (positive, negative) target masks indexed by source."""
-    return table_local_rows(f.width, f.table)
+def local_rows(f: BooleanNetwork) -> tuple[Rows, ...]:
+    """point_rows at every point x, indexed by x."""
+    n, table = f.width, f.table
+    return tuple(point_rows(n, table, x) for x in range(1 << n))
 
 
 @memo
-def global_rows(f: BooleanNetwork) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def global_rows(f: BooleanNetwork) -> Rows:
     return bitset_global_rows(f.width, output_bitsets(f))
 
 
 def local_interaction_graph(f: BooleanNetwork, x: Point) -> SignedDigraph:
     if x.components != f.components:
         raise ValueError("point components do not match the network")
-    pos, neg = local_rows(f)[x.code]
+    pos, neg = point_rows(f.width, f.table, x.code)
     return graph_from_rows(f.components, pos, neg)
 
 
@@ -419,17 +413,18 @@ def cube_literals(n: int) -> dict[int, tuple[int, int]]:
     return out
 
 
+def output_bitset(f: BooleanNetwork, i: int) -> int:
+    """f_i as the bitset of the points where it is 1."""
+    bit = 1 << i
+    return int("".join(["1" if v & bit else "0" for v in reversed(f.table)]), 2)
+
+
 @memo
 def output_bitsets(f: BooleanNetwork) -> tuple[int, ...]:
-    """Per component i, f_i as the bitset of the points where it is 1."""
-    rows = f.table[::-1]
-    bits = [1 << i for i in range(f.width)]
-    return tuple(int("".join(["1" if v & bit else "0" for v in rows]), 2) for bit in bits)
+    return tuple(output_bitset(f, i) for i in range(f.width))
 
 
-def bitset_global_rows(
-    n: int, ones: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def bitset_global_rows(n: int, ones: Sequence[int]) -> Rows:
     """(positive, negative) global rows from the output bitsets O_i: on the literal
     N_j = not x_j, up = O_i >> 2^j is f_i(x + e_j) and d = (up ^ O_i) & N_j is where
     f_i changes along e_j, so j -> i is positive iff d & up, negative iff d & O_i."""
@@ -475,8 +470,10 @@ def literal_cycle(
 
 @memo
 def detect_circular(f: BooleanNetwork) -> CircularForm | None:
-    """The circular form of f, when G(f) is a cycle through every component."""
-    found = literal_cycle(cube_literals(f.width), output_bitsets(f))
+    """The circular form of f, when G(f) is a cycle through every component;
+    each f_i's bitset is built only when literal_cycle reaches it."""
+    ones = (output_bitset(f, i) for i in range(f.width))
+    found = literal_cycle(cube_literals(f.width), ones)
     if found is None:
         return None
     return CircularForm(f.components, found[0], found[1])
@@ -516,23 +513,34 @@ def is_and_net(f: BooleanNetwork) -> bool:
     return and_net_table(f.width, pos, neg) == f.table
 
 
-def acyclic(n: int, adj: tuple[int, ...]) -> bool:
-    """No vertex reaches itself."""
-    return not any(rows_reach(adj, 1 << v) >> v & 1 for v in range(n))
+def cyclic_components(n: int, adj: tuple[int, ...]) -> Iterator[int]:
+    """Vertex mask of each strongly connected component holding a cycle, in
+    the order of its lowest vertex: the vertices that vertex reaches both ways."""
+    radj = None
+    done = 0
+    for v in range(n):
+        if done >> v & 1:
+            continue
+        ahead = rows_reach(adj, 1 << v)
+        if not ahead >> v & 1:
+            continue
+        if radj is None:
+            radj = transpose(n, adj)
+        comp = ahead & rows_reach(radj, 1 << v)
+        done |= comp
+        yield comp
 
 
-def _balanced(
-    comp: int, root: int, pos: tuple[int, ...], neg: tuple[int, ...]
-) -> bool:
+def _balanced(comp: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> bool:
     """Whether some labelling s of the strongly connected vertex mask comp
     gives every arc u -> v of sign sigma inside comp s(v) = sigma * s(u).
 
-    Labels spread from root along the arcs; each arc is checked once, when
-    its source is taken from the stack.
+    Labels spread from the lowest vertex of comp along the arcs; each arc is
+    checked once, when its source is taken from the stack.
     """
-    labelled = 1 << root
+    labelled = comp & -comp
     minus = 0
-    stack = [root]
+    stack = [labelled.bit_length() - 1]
     while stack:
         u = stack.pop()
         # Positive arcs ask for u's label, negative arcs for the other one.
@@ -551,33 +559,13 @@ def _balanced(
     return True
 
 
-def _cyclic_components(
-    n: int, pos: tuple[int, ...], neg: tuple[int, ...]
-) -> Iterator[tuple[int, bool]]:
-    """(vertex mask, balanced) per strongly connected component holding a
-    cycle, each from the vertices its lowest vertex reaches both ways."""
-    adj = tuple(p | m for p, m in zip(pos, neg))
-    radj = None
-    done = 0
-    for v in range(n):
-        if done >> v & 1:
-            continue
-        ahead = rows_reach(adj, 1 << v)
-        if not ahead >> v & 1:
-            continue
-        if radj is None:
-            radj = transpose(n, adj)
-        comp = ahead & rows_reach(radj, 1 << v)
-        done |= comp
-        yield comp, _balanced(comp, v, pos, neg)
-
-
 def rows_has_negative_cycle(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> bool:
     """Some component is unbalanced: a strongly connected signed digraph has
     no negative cycle exactly when it is balanced (Harary 1953)."""
-    return any(not balanced for _, balanced in _cyclic_components(n, pos, neg))
+    adj = tuple(p | m for p, m in zip(pos, neg))
+    return not all(_balanced(comp, pos, neg) for comp in cyclic_components(n, adj))
 
 
 def rows_has_positive_cycle(
@@ -586,9 +574,10 @@ def rows_has_positive_cycle(
     """A balanced component with a cycle has only positive ones; inside the
     unbalanced components, search the cycles for one that can be signed
     positively (a both-sign arc, or an even number of negative arcs)."""
+    adj = tuple(p | m for p, m in zip(pos, neg))
     unbalanced = 0
-    for comp, balanced in _cyclic_components(n, pos, neg):
-        if balanced:
+    for comp in cyclic_components(n, adj):
+        if _balanced(comp, pos, neg):
             return True
         # Every arc inside a component lies on a cycle, so a both-sign arc
         # there gives a positive cycle, and so does a positive loop.
@@ -596,8 +585,7 @@ def rows_has_positive_cycle(
             if comp >> u & 1 and (pos[u] & neg[u] & comp or pos[u] >> u & 1):
                 return True
         unbalanced |= comp
-    adj = tuple((p | m) & unbalanced for p, m in zip(pos, neg))
-    for verts in _unsigned_cycles(n, adj):
+    for verts in _unsigned_cycles(n, tuple(a & unbalanced for a in adj)):
         length = len(verts)
         odd = 0
         for k, src in enumerate(verts):
@@ -617,7 +605,7 @@ def shih_dong_condition(f: BooleanNetwork) -> bool:
     """Every local interaction graph is acyclic."""
     n = f.width
     return all(
-        acyclic(n, tuple(p | m for p, m in zip(pos, neg)))
+        rows_girth(n, tuple(p | m for p, m in zip(pos, neg))) is None
         for pos, neg in local_rows(f)
     )
 
@@ -628,12 +616,7 @@ class CycleFilter(Enum):
     NEGATIVE_CHORDLESS = "NegativeChordless"
 
 
-def _min_chordless_cycle_len(
-    n: int,
-    rows: tuple[tuple[int, ...], tuple[int, ...]],
-    want: int,
-    chord_rows: tuple[tuple[int, ...], tuple[int, ...]],
-) -> int | None:
+def _min_chordless_cycle_len(n: int, rows: Rows, want: int, chord_rows: Rows) -> int | None:
     """Length of a shortest chordless cycle of sign want; the cycles come
     sorted by length, so the first that qualifies is the answer."""
     for verts, signs in rows_signed_cycles(n, *rows):
@@ -705,9 +688,7 @@ def simple_digraph_count(n: int) -> int:
     return 3 ** (n * n)
 
 
-def simple_digraph_rows_from_index(
-    n: int, index: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def simple_digraph_rows_from_index(n: int, index: int) -> Rows:
     """Decode base-3 digits, one per ordered pair (source, target), row-major.
 
     Digit 0 is no arc, 1 a positive arc, 2 a negative arc; covers every simple

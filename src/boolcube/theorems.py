@@ -44,26 +44,25 @@ from .network import (
 from .siggraph import (
     CircularForm,
     CycleFilter,
-    acyclic,
     and_net_table,
     circular_network,
     counting_condition,
+    cyclic_components,
     detect_circular,
     global_rows,
     is_and_net,
     local_rows,
+    point_rows,
     rows_chordless,
     rows_delocalizers,
+    rows_girth,
     rows_has_negative_cycle,
     rows_has_positive_cycle,
-    rows_reach,
     rows_signed_cycles,
     shih_dong_condition,
     simple_digraph_count,
     simple_digraph_orbits,
     simple_digraph_rows_from_index,
-    table_local_rows,
-    transpose,
 )
 from .subnetwork import (
     BaseProperty,
@@ -149,23 +148,24 @@ def _local_positive_cycle(f: BooleanNetwork) -> bool:
 
 @memo
 def _local_negative_cycle(f: BooleanNetwork) -> bool:
-    return any(rows_has_negative_cycle(f.width, *rows) for rows in local_rows(f))
+    """Builds the local graphs one point at a time and stops at the first
+    with a negative cycle: the Q1 search reads nothing else of them."""
+    n = f.width
+    return any(rows_has_negative_cycle(n, *point_rows(n, f.table, x)) for x in range(1 << n))
 
 
 @memo
 def _global_acyclic(f: BooleanNetwork) -> bool:
     pos, neg = global_rows(f)
-    return acyclic(f.width, tuple(p | m for p, m in zip(pos, neg)))
+    return rows_girth(f.width, tuple(p | m for p, m in zip(pos, neg))) is None
 
 
 @memo
 def _strongly_connected_with_arc(f: BooleanNetwork) -> bool:
+    """G(f) is one strongly connected component holding a cycle."""
     pos, neg = global_rows(f)
     adj = tuple(p | m for p, m in zip(pos, neg))
-    full = (1 << f.width) - 1
-    return any(adj) and all(
-        rows_reach(rows, 1) | 1 == full for rows in (adj, transpose(f.width, adj))
-    )
+    return next(cyclic_components(f.width, adj), 0) == (1 << f.width) - 1
 
 
 def _circular_sign(f: BooleanNetwork) -> int | None:
@@ -273,10 +273,9 @@ def _concl_andnet_chordless(f: BooleanNetwork) -> bool:
 
 
 def _concl_odd_outdegree(f: BooleanNetwork) -> bool:
-    n = f.width
     for pos, neg in local_rows(f):
-        for j in range(n):
-            if (pos[j] | neg[j]).bit_count() % 2 == 0:
+        for p, m in zip(pos, neg):
+            if (p | m).bit_count() % 2 == 0:
                 return False
     return True
 
@@ -324,25 +323,15 @@ def _concl_local_subgraph(f: BooleanNetwork) -> bool:
     parent point, restricted to the free components."""
     plan = subnetwork_plan(f.width)
     lrows = local_rows(f)
-    # column j: the targets of source j at every parent point
-    pos_cols = tuple(zip(*(pos for pos, _ in lrows)))
-    neg_cols = tuple(zip(*(neg for _, neg in lrows)))
-    items = iter(spec_items(f))  # in plan order
-    for mask in plan.masks[:-1]:
-        g = plan.gather[mask].__getitem__
+    for mask, code, sub in spec_items(f)[:-1]:
+        g = plan.gather[mask]
         free = [k for k in range(f.width) if mask >> k & 1]
-        # f's rows restricted to the free components, at every parent point
-        restricted = tuple(
-            zip(
-                zip(*[tuple(map(g, pos_cols[j])) for j in free]),
-                zip(*[tuple(map(g, neg_cols[j])) for j in free]),
-            )
-        ).__getitem__
-        for code in plan.codes[mask]:
-            _, _, sub = next(items)
-            expected = tuple(map(restricted, map(code.__or__, plan.scatter[mask])))
-            if table_local_rows(len(free), sub) != expected:
-                return False
+        for y, s in enumerate(plan.scatter[mask]):
+            pos, neg = lrows[code | s]
+            sub_pos, sub_neg = point_rows(len(free), sub, y)
+            for b, j in enumerate(free):
+                if sub_pos[b] != g[pos[j]] or sub_neg[b] != g[neg[j]]:
+                    return False
     return True
 
 
@@ -839,7 +828,17 @@ def _evaluate_keys(
     return tallies, rejected
 
 
-def _chunk_ranges(count: int, jobs: int) -> list[tuple[int, int]]:
+def _chunk_ranges(gen: Generator, count: int, jobs: int) -> list[tuple[int, int]]:
+    """At most 4 * jobs ranges covering [0, count).  And-net ranges start at
+    orbit representatives and hold equal numbers of orbits, give or take one;
+    other candidates are cut into equal steps."""
+    if isinstance(gen, AndNets):
+        members, starts = simple_digraph_orbits(gen.n)
+        # the representatives ascend, so those below count are a prefix
+        orbits = bisect_left(starts, count, 0, len(starts) - 1, key=members.__getitem__)
+        chunks = min(orbits, jobs * 4)
+        cuts = [members[starts[orbits * k // chunks]] for k in range(chunks)]
+        return list(zip(cuts, cuts[1:] + [count]))
     chunks = max(1, min(count, jobs * 4))
     step = max(1, (count + chunks - 1) // chunks)
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
@@ -863,7 +862,7 @@ def _drive(
     report notes and the wall time.
     """
     started = time.perf_counter()
-    ranges = _chunk_ranges(count, jobs)
+    ranges = _chunk_ranges(generator, count, jobs)
     workers = _worker_count(jobs, len(ranges))
     if workers < 2:
         chunks = [_evaluate_keys(keys, generator, 0, count, count)]

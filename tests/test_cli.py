@@ -26,7 +26,7 @@ from boolcube import siggraph
 from boolcube.hypercube import parse_point
 from boolcube.network import fixed_point_codes
 from boolcube.cli import main
-from boolcube.dotfmt import validate_dot
+from boolcube.dotfmt import digraph_dot, validate_dot
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
@@ -459,6 +459,30 @@ def test_analyze_builds_no_global_rows(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "analyze", str(path))
     assert code == 0
     assert calls == []
+
+
+def test_gfx_builds_no_local_rows_memo(tmp_path, capsys, monkeypatch):
+    """export-dot --what gfx builds the local graph of its one point, never
+    the local rows of every point."""
+    calls = []
+    build = siggraph.local_rows
+
+    def counting(f):
+        calls.append(f.width)
+        return build(f)
+
+    monkeypatch.setattr(siggraph, "local_rows", counting)
+    f = random_network(8, 0)
+    path = tmp_path / "w8.bn"
+    path.write_text(render_bn(f), encoding="utf-8")
+    out = tmp_path / "gfx.dot"
+    code, _, _ = run(
+        capsys, "export-dot", "--input", str(path), "--what", "gfx", "01101001", "--out", str(out)
+    )
+    assert code == 0
+    assert calls == []
+    x = parse_point("01101001", f.components)
+    assert out.read_text(encoding="utf-8") == digraph_dot(local_interaction_graph(f, x))
 
 
 def test_search_examines_only_accepted_candidates(capsys):

@@ -33,8 +33,8 @@ from boolcube import (
 from boolcube.hypercube import parse_point
 from boolcube.network import fixed_point_codes, random_network
 from boolcube.siggraph import (
-    acyclic,
     cycle_sign,
+    cyclic_components,
     graph_from_rows,
     graph_rows,
     load_sg,
@@ -142,6 +142,9 @@ def test_local_and_global_graphs_match_oracle(table):
     for code in range(8):
         point = f.point(code)
         assert set(local_interaction_graph(f, point).arcs) == oracles.local_arcs(f, code)
+        for (i, vi), (j, vj) in product(enumerate(f.components), repeat=2):
+            hi, lo = table[code | 1 << j], table[code & ~(1 << j)]
+            assert discrete_derivative(f, vi, vj, point) == (hi >> i & 1) - (lo >> i & 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -200,7 +203,10 @@ def sparse_wide_graphs():
 
 
 def test_sparse_wide_graphs_match_brute_force():
-    acyclic_seen = cyclic_seen = 0
+    """The reachability kernels against a brute-force search: rows_girth's
+    acyclicity, transpose, rows_reach, cyclic_components, and the strong
+    connectivity that ARACENA_* read from the and-net of the same arcs."""
+    acyclic_seen = cyclic_seen = connected_seen = 0
     for g, allowed in sparse_wide_graphs():
         n = len(g.vertices)
         verts = g.vertices
@@ -208,13 +214,14 @@ def test_sparse_wide_graphs_match_brute_force():
         assert {(c.vertices, c.signs) for c in enumerate_cycles(g)} == expected
         pos, neg = graph_rows(g)
         adj = tuple(p | m for p, m in zip(pos, neg))
-        assert acyclic(n, adj) == (not expected)
+        assert (rows_girth(n, adj) is None) == (not expected)
         acyclic_seen += not expected
         cyclic_seen += bool(expected)
         succ = {j: {i for i in range(n) if adj[j] >> i & 1} for j in range(n)}
         assert transpose(n, adj) == tuple(
             sum(1 << j for j in range(n) if i in succ[j]) for i in range(n)
         )
+        reach = {}
         for v in range(n):
             reached = set()
             frontier = {w for w in succ[v] if allowed >> w & 1}
@@ -224,7 +231,25 @@ def test_sparse_wide_graphs_match_brute_force():
             assert rows_reach(adj, 1 << v, allowed) == sum(1 << w for w in reached)
             on_cycle = any(verts[v] in vs for vs, _ in expected)
             assert rows_reach(adj, 1 << v) >> v & 1 == on_cycle
-    assert acyclic_seen and cyclic_seen
+            reach[v] = {v}
+            frontier = succ[v]
+            while frontier - reach[v]:
+                reach[v] |= frontier
+                frontier = {w for u in frontier for w in succ[u]}
+        # the vertices on a cycle, grouped by mutual reachability, by lowest vertex
+        components = []
+        for v in range(n):
+            if v in succ[v] or any(v in reach[w] for w in succ[v]):
+                comp = sum(1 << w for w in range(n) if w in reach[v] and v in reach[w])
+                if comp not in components:
+                    components.append(comp)
+        assert list(cyclic_components(n, adj)) == components
+        # keep one sign of each both-sign arc: the same adjacency, a simple graph
+        f = and_net(graph_from_rows(verts, pos, tuple(m & ~p for p, m in zip(pos, neg))))
+        connected = components == [(1 << n) - 1]
+        assert theorems._strongly_connected_with_arc(f) == connected
+        connected_seen += connected
+    assert acyclic_seen and cyclic_seen and connected_seen
 
 
 def assert_cycle_predicates(n, pos, neg, cycles):

@@ -300,6 +300,43 @@ def test_jobs_below_one_are_rejected(jobs):
         open_question_search("Q1_NEG_LOCAL_CYCLES", Exhaustive(1), jobs=jobs)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_and_net_chunks_hold_equal_numbers_of_orbits(n):
+    """--jobs chunks of an and-net stream start at orbit representatives and
+    hold equal numbers of orbits, give or take one, at every budget."""
+    gen = AndNets(n)
+    members, starts = simple_digraph_orbits(n)
+    reps = {members[a] for a in starts[:-1]}
+    full = generator_count(gen)
+    for count in (1, 7, 100, full // 3, full):
+        for jobs in (1, 2, 3, 8):
+            ranges = theorems._chunk_ranges(gen, count, jobs)
+            assert ranges[0][0] == 0 and ranges[-1][1] == count
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert {lo for lo, _ in ranges} <= reps
+            sizes = [len(list(theorems._orbits(gen, lo, hi, count))) for lo, hi in ranges]
+            orbits = len([r for r in reps if r < count])
+            assert sum(sizes) == orbits
+            assert len(sizes) == min(orbits, 4 * jobs)
+            assert max(sizes) - min(sizes) <= 1, (count, jobs, sizes)
+    # every other candidate is its own orbit, cut into equal steps
+    assert theorems._chunk_ranges(Sample(3, 10, 1), 10, 1) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+
+
+@pytest.mark.parametrize("key", ["LOCAL_SUBGRAPH_CONTAINMENT", "DYNAMICS_ISOMORPHISM"])
+def test_subnetwork_checks_catch_a_corrupted_sub_table(monkeypatch, key):
+    """Both conclusions compare each strict subnetwork's table with f, so one
+    wrong output bit in any entry of any sub-table is a counterexample."""
+    assert check(key, EX1).kind is VerdictKind.CONFIRMED
+    items = subnetwork.spec_items(EX1)
+    for k, (mask, code, table) in enumerate(items[:-1]):
+        for y in range(len(table)):
+            bad = table[:y] + (table[y] ^ 1,) + table[y + 1 :]
+            corrupted = items[:k] + ((mask, code, bad),) + items[k + 1 :]
+            monkeypatch.setattr(theorems, "spec_items", lambda f: corrupted)
+            assert check(key, EX1).kind is VerdictKind.COUNTEREXAMPLE, (k, y)
+
+
 def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
     """Circular detection and the subnetwork items' circular forms come from
     bitsets: no subnetwork table and no subnetwork's global rows are built."""
