@@ -216,29 +216,28 @@ def translate(f: BooleanNetwork, members: Iterable[str]) -> BooleanNetwork:
     )
 
 
-def network_from_index(n: int, index: int, components: tuple[str, ...] | None = None) -> BooleanNetwork:
+def network_from_index(n: int, index: int) -> BooleanNetwork:
     """Decode a table from an integer: component block c holds f(c), low bits first."""
-    if components is None:
-        components = default_components(n)
     size = 1 << n
     mask = size - 1
     if not 0 <= index < 1 << (n * size):
         raise ValueError(f"network index {index} out of range for width {n}")
-    return BooleanNetwork(components, tuple(index >> (c * n) & mask for c in range(size)))
+    table = tuple(index >> (c * n) & mask for c in range(size))
+    return BooleanNetwork(default_components(n), table)
 
 
-def enumerate_networks(n: int, components: tuple[str, ...] | None = None) -> Iterator[BooleanNetwork]:
+def enumerate_networks(n: int) -> Iterator[BooleanNetwork]:
     """All 2^(n 2^n) networks of width n <= 3 in ascending table-index order."""
     check_width("exhaustive enumeration", n, 3)
     for index in range(1 << (n << n)):
-        yield network_from_index(n, index, components)
+        yield network_from_index(n, index)
 
 
-def random_network(n: int, seed: int, components: tuple[str, ...] | None = None) -> BooleanNetwork:
+def random_network(n: int, seed: int) -> BooleanNetwork:
     """The width-n network drawn from a fresh PRNG with the given seed."""
     check_width("random network generation", n, RANDOM_WIDTH_CAP)
     index = random.Random(seed).getrandbits(n << n)
-    return network_from_index(n, index, components)
+    return network_from_index(n, index)
 
 
 def parse_bn(

@@ -616,32 +616,27 @@ class CycleFilter(Enum):
     NEGATIVE_CHORDLESS = "NegativeChordless"
 
 
-def _min_chordless_cycle_len(n: int, rows: Rows, want: int, chord_rows: Rows) -> int | None:
+def _min_chordless_cycle_len(n: int, rows: Rows, want: int) -> int | None:
     """Length of a shortest chordless cycle of sign want; the cycles come
     sorted by length, so the first that qualifies is the answer."""
     for verts, signs in rows_signed_cycles(n, *rows):
-        if cycle_sign(signs) == want and rows_chordless(verts, *chord_rows):
+        if cycle_sign(signs) == want and rows_chordless(verts, *rows):
             return len(verts)
     return None
 
 
-def counting_condition(
-    f: BooleanNetwork,
-    filt: CycleFilter = CycleFilter.ALL,
-    global_chordless: bool = False,
-) -> bool:
+def counting_condition(f: BooleanNetwork, filt: CycleFilter = CycleFilter.ALL) -> bool:
     """For each k <= n, at most 2^k - 1 points see a qualifying local cycle of
     length <= k.  Qualifying: any cycle (All) or a chordless cycle of the given
-    sign, chords judged in the local graph unless global_chordless is set."""
+    sign, chords judged in the local graph."""
     n = f.width
     want = 1 if filt is CycleFilter.POSITIVE_CHORDLESS else -1
-    chord_rows = global_rows(f) if global_chordless else None
     per_k = [0] * (n + 1)
     for rows in local_rows(f):
         if filt is CycleFilter.ALL:
             shortest = rows_girth(n, tuple(p | m for p, m in zip(*rows)))
         else:
-            shortest = _min_chordless_cycle_len(n, rows, want, chord_rows or rows)
+            shortest = _min_chordless_cycle_len(n, rows, want)
         if shortest is not None:
             per_k[shortest] += 1
     running = 0

@@ -24,7 +24,6 @@ from .network import (
     BooleanNetwork,
     check_width,
     conjugate_codes,
-    default_components,
     enumerate_networks,
     fixed_point_codes,
     memo,
@@ -357,7 +356,6 @@ def minimal_forbidden_set(prop: BaseProperty, n: int) -> Iterator[BooleanNetwork
     """
     check_width("minimal_forbidden_set", n, 3)
     for width in range(1, n + 1):
-        components = default_components(width)
-        for f in enumerate_networks(width, components):
+        for f in enumerate_networks(width):
             if is_minimal_violation(prop, f):
                 yield f

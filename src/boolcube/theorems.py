@@ -18,9 +18,9 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import lru_cache
-from itertools import permutations, repeat
-from typing import Callable, Iterable, Sequence, Union
+from functools import lru_cache, partial
+from itertools import permutations
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence, Union
 
 from .dynamics import attractor_summary, weak_convergence
 from .hypercube import Point, format_code
@@ -444,30 +444,31 @@ _NOTED_TALLIES: dict[str, tuple[str, str]] = {
 }
 
 
-PROPERTY_IDS: tuple[str, ...] = (
-    "DICHOTOMY_UNIQUE_WEAK",
-    "COR11_EQUIVALENCE",
-    "DYNAMICS_ISOMORPHISM",
-    "LOCAL_SUBGRAPH_CONTAINMENT",
-    "EOSD_ANDNET_CIRCULAR",
-    "CHORDLESS_LOCAL_CYCLE_CIRCULAR",
-    "CIRCULAR_SUBNETWORK_CRITERION",
-)
+# Every theorem key, in order: the TheoremId names, then the other catalog keys.
+_THEOREM_KEYS = dict.fromkeys([*TheoremId.__members__, *NETWORK_CATALOG])
 
 
 def catalog_keys() -> tuple[str, ...]:
-    return tuple(t.name for t in TheoremId) + PROPERTY_IDS
+    return tuple(_THEOREM_KEYS)
 
 
-def _resolve(theorem: Union[TheoremId, str]) -> str:
-    key = theorem.name if isinstance(theorem, TheoremId) else str(theorem)
-    if key not in NETWORK_CATALOG and key != "LEMMA1_HYPERCUBE":
-        raise ValueError(f"unknown theorem id {key!r}")
+def _resolve(name: Union[Enum, str], known: Collection[str], what: str) -> str:
+    """The key a name or enum member stands for, if known lists it."""
+    key = name.name if isinstance(name, Enum) else str(name)
+    if key not in known:
+        raise ValueError(f"unknown {what} {key!r}; known: {', '.join(known)}")
     return key
 
 
 # ---------------------------------------------------------------------------
 # The hypercube subset entry: checked over point sets, not networks.
+
+
+class _PointSet(NamedTuple):
+    """A set of points of the n-cube: the width n and the bitset of the codes."""
+
+    width: int
+    members: int
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +489,8 @@ def _parity_masks(n: int) -> tuple[int, int]:
     return even, odd
 
 
-def _subset_hypothesis(n: int, members: int) -> bool:
+def _subset_hypothesis(s: _PointSet) -> bool:
+    n, members = s
     if members == 0:
         return False
     nbm = _neighbor_masks(n)
@@ -503,32 +505,35 @@ def _subset_hypothesis(n: int, members: int) -> bool:
     return members.bit_count() >= neighborhood.bit_count()
 
 
-def _subset_conclusion(n: int, members: int) -> bool:
-    even, odd = _parity_masks(n)
-    return members == even or members == odd
+def _subset_conclusion(s: _PointSet) -> bool:
+    return s.members in _parity_masks(s.width)
 
 
-def _subset_payload(n: int, members: int) -> str:
+def _point_set(points: Iterable[Point]) -> _PointSet:
+    """The points as one set; with no points its width is 0."""
+    members, components = 0, set()
+    for p in points:
+        members |= 1 << p.code
+        components.add(p.components)
+    if len(components) > 1:
+        raise ValueError("points live over different component lists")
+    return _PointSet(len(next(iter(components), ())), members)
+
+
+def _entry(key: str) -> tuple[Callable, Callable]:
+    """(hypothesis, conclusion) of a theorem key or an open question."""
+    if key == "LEMMA1_HYPERCUBE":
+        return _subset_hypothesis, _subset_conclusion
+    return NETWORK_CATALOG.get(key) or _QUESTIONS[key]
+
+
+def _render(candidate: Union[BooleanNetwork, _PointSet]) -> str:
+    """A counterexample payload: a network's .bn text, or a point set's points."""
+    if isinstance(candidate, BooleanNetwork):
+        return render_bn(candidate)
+    n, members = candidate
     points = [format_code(c, n) for c in range(1 << n) if members >> c & 1]
     return f"subset width={n}\npoints " + " ".join(points) + "\n"
-
-
-def check_point_set(points: Iterable[Point]) -> Verdict:
-    points = list(points)
-    if not points:
-        return Verdict(VerdictKind.VACUOUS)
-    components = points[0].components
-    members = 0
-    for p in points:
-        if p.components != components:
-            raise ValueError("points live over different component lists")
-        members |= 1 << p.code
-    n = len(components)
-    if not _subset_hypothesis(n, members):
-        return Verdict(VerdictKind.VACUOUS)
-    if _subset_conclusion(n, members):
-        return Verdict(VerdictKind.CONFIRMED)
-    return Verdict(VerdictKind.COUNTEREXAMPLE, _subset_payload(n, members))
 
 
 # ---------------------------------------------------------------------------
@@ -786,44 +791,33 @@ def _orbits(
 
 
 def _evaluate_keys(
-    keys: tuple[str, ...], gen: Generator, lo: int, hi: int, count: int
+    keys: tuple[str, ...], gen: Generator, count: int, chunk: tuple[int, int]
 ) -> tuple[dict[str, _Tally], int]:
-    """Tally each key over the orbits of [lo, hi), one network per orbit and
-    each verdict once per member below count; a counterexample lists every
-    member."""
+    """Tally each key over the orbits of the chunk [lo, hi), one candidate per
+    orbit and each verdict once per member below count; a counterexample
+    lists every member."""
     tallies = {key: _Tally() for key in keys}
+    entries = [(tallies[key], *_entry(key)) for key in keys]
+    if isinstance(gen, Subsets):
+        make = partial(_PointSet, gen.n)
+    else:
+        make = partial(candidate_network, gen)
     rejected = 0
     filtered = isinstance(gen, NonExpansiveFiltered)
-    subset_mode = isinstance(gen, Subsets)
-    for index, members in _orbits(gen, lo, hi, count):
-        if subset_mode:
-            for key in keys:
-                tally = tallies[key]
-                if not _subset_hypothesis(gen.n, index):
-                    tally.vacuous += 1
-                elif _subset_conclusion(gen.n, index):
-                    tally.confirmed += 1
-                else:
-                    tally.counterexamples.append(
-                        (index, _subset_payload(gen.n, index))
-                    )
-            continue
-        f = candidate_network(gen, index)
+    for index, members in _orbits(gen, *chunk, count):
+        f = make(index)
         if filtered and not is_non_expansive(f):
             rejected += 1
             continue
         weight = len(members)
-        for key in keys:
-            tally = tallies[key]
-            hyp, concl = NETWORK_CATALOG.get(key) or _QUESTIONS[key]
+        for tally, hyp, concl in entries:
             if not hyp(f):
                 tally.vacuous += weight
             elif concl(f):
                 tally.confirmed += weight
             else:
                 tally.counterexamples.extend(
-                    (m, render_bn(f if m == index else candidate_network(gen, m)))
-                    for m in members
+                    (m, _render(f if m == index else make(m))) for m in members
                 )
     return tallies, rejected
 
@@ -853,27 +847,31 @@ def _worker_count(jobs: int, chunks: int) -> int:
 
 
 def _drive(
-    keys: tuple[str, ...], generator: Generator, count: int, jobs: int
+    keys: tuple[str, ...], generator: Generator, jobs: int, budget: int | None = None
 ) -> tuple[dict[str, _Tally], int, tuple[str, ...], float]:
-    """Tally each key over candidates [0, count), in this process when one
-    worker suffices, else chunk by chunk in a process pool.
+    """Tally each key over the generator's candidates, the first budget of
+    them when one is given, chunk by chunk: in this process for one worker,
+    else in a process pool.
 
     Returns the tallies, the number of candidates the generator accepted, the
     report notes and the wall time.
     """
+    if any((key == "LEMMA1_HYPERCUBE") != isinstance(generator, Subsets) for key in keys):
+        raise ValueError("LEMMA1_HYPERCUBE sweeps over subsets; every other key sweeps networks")
+    count = generator_count(generator)
+    if budget is not None:
+        if budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {budget}")
+        count = min(count, budget)
     started = time.perf_counter()
     ranges = _chunk_ranges(generator, count, jobs)
+    evaluate = partial(_evaluate_keys, keys, generator, count)
     workers = _worker_count(jobs, len(ranges))
     if workers < 2:
-        chunks = [_evaluate_keys(keys, generator, 0, count, count)]
+        chunks = list(map(evaluate, ranges))
     else:
-        los, his = zip(*ranges)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    _evaluate_keys, repeat(keys), repeat(generator), los, his, repeat(count)
-                )
-            )
+            chunks = list(pool.map(evaluate, ranges))
     merged = {key: _Tally() for key in keys}
     rejected = 0
     for tallies, chunk_rejected in chunks:
@@ -893,17 +891,9 @@ def sweep_many(
     jobs: int = 1,
 ) -> dict[str, SweepReport]:
     """Run several catalog entries over one candidate stream in a single pass."""
-    keys = tuple(_resolve(t) for t in theorems)
-    for key in keys:
-        if (key == "LEMMA1_HYPERCUBE") != isinstance(generator, Subsets):
-            raise ValueError(
-                "LEMMA1_HYPERCUBE sweeps over subsets; every other id sweeps networks"
-            )
-    count = generator_count(generator)
+    keys = tuple(_resolve(t, _THEOREM_KEYS, "theorem") for t in theorems)
     noted = tuple(_NOTED_TALLIES[key][0] for key in keys if key in _NOTED_TALLIES)
-    tallies, accepted, notes, wall = _drive(
-        tuple(dict.fromkeys(keys + noted)), generator, count, jobs
-    )
+    tallies, accepted, notes, wall = _drive(tuple(dict.fromkeys(keys + noted)), generator, jobs)
     descriptor = describe_generator(generator)
     reports = {}
     for key in keys:
@@ -931,8 +921,8 @@ def sweep_many(
 def sweep(
     theorem: Union[TheoremId, str], generator: Generator, jobs: int = 1
 ) -> SweepReport:
-    key = _resolve(theorem)
-    return sweep_many([key], generator, jobs=jobs)[key]
+    (report,) = sweep_many([theorem], generator, jobs=jobs).values()
+    return report
 
 
 def open_question_search(
@@ -941,17 +931,8 @@ def open_question_search(
     budget: int | None = None,
     jobs: int = 1,
 ) -> SearchReport:
-    key = question.name if isinstance(question, OpenQuestion) else str(question)
-    if key not in _QUESTIONS:
-        raise ValueError(f"unknown open question {key!r}")
-    if isinstance(generator, Subsets):
-        raise ValueError("open questions sweep networks, not subsets")
-    count = generator_count(generator)
-    if budget is not None:
-        if budget < 0:
-            raise ValueError(f"--budget must be at least 0, got {budget}")
-        count = min(count, budget)
-    tallies, accepted, notes, wall = _drive((key,), generator, count, jobs)
+    key = _resolve(question, _QUESTIONS, "question")
+    tallies, accepted, notes, wall = _drive((key,), generator, jobs, budget)
     tally = tallies[key]
     return SearchReport(
         question=key,
@@ -968,17 +949,23 @@ def check(
     theorem: Union[TheoremId, str],
     candidate: Union[BooleanNetwork, Iterable[Point]],
 ) -> Verdict:
-    """Classify one candidate: Vacuous, Confirmed, or Counterexample."""
-    key = _resolve(theorem)
-    if key == "LEMMA1_HYPERCUBE":
-        if isinstance(candidate, BooleanNetwork):
-            raise ValueError("LEMMA1_HYPERCUBE expects a set of points")
-        return check_point_set(candidate)
-    if not isinstance(candidate, BooleanNetwork):
-        raise ValueError(f"{key} expects a BooleanNetwork")
-    hyp, concl = NETWORK_CATALOG[key]
+    """Classify one candidate: Vacuous, Confirmed, or Counterexample.
+    LEMMA1_HYPERCUBE takes points over one component list, every other key a
+    network."""
+    key = _resolve(theorem, _THEOREM_KEYS, "theorem")
+    on_points = key == "LEMMA1_HYPERCUBE"
+    if on_points == isinstance(candidate, BooleanNetwork):
+        wanted = "a set of points" if on_points else "a BooleanNetwork"
+        raise ValueError(f"{key} expects {wanted}")
+    if on_points:
+        candidate = _point_set(candidate)
+    hyp, concl = _entry(key)
     if not hyp(candidate):
         return Verdict(VerdictKind.VACUOUS)
     if concl(candidate):
         return Verdict(VerdictKind.CONFIRMED)
-    return Verdict(VerdictKind.COUNTEREXAMPLE, render_bn(candidate))
+    return Verdict(VerdictKind.COUNTEREXAMPLE, _render(candidate))
+
+
+def check_point_set(points: Iterable[Point]) -> Verdict:
+    return check("LEMMA1_HYPERCUBE", points)

@@ -280,6 +280,28 @@ def test_negative_counts_budgets_and_widths_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--theorem", "NO_SUCH", "--mode", "exhaustive", "--n", "2"),
+         "unknown theorem 'NO_SUCH'; known: ROBERT, ARACENA_POS, ARACENA_NEG, "
+         "DICHOTOMY_UNIQUE, DICHOTOMY_EXIST, RICHARD2010, SHIH_DONG, REMY_RUET_THIEFFRY, "
+         "RICHARD2011, MAIN_EOSD, COR_COUNTING, COR_GEODESIC, THM_CIRCULAR_EOSD, "
+         "THM_CRITICAL_NONEXP, COR_NONEXP_DICHOTOMY, COR_COUNTING_SIGNED, ANDNET_2CRITICAL, "
+         "ANDNET_CHORDLESS, LEMMA1_HYPERCUBE, PROP_ODD_OUTDEGREE, PROP_CRITICAL_DYNAMICS, "
+         "PROP_MINIMAL_FORBIDDEN, DICHOTOMY_UNIQUE_WEAK, COR11_EQUIVALENCE, "
+         "DYNAMICS_ISOMORPHISM, LOCAL_SUBGRAPH_CONTAINMENT, EOSD_ANDNET_CIRCULAR, "
+         "CHORDLESS_LOCAL_CYCLE_CIRCULAR, CIRCULAR_SUBNETWORK_CRITERION"),
+        (("search", "--question", "Q9", "--mode", "exhaustive", "--n", "2"),
+         "unknown question 'Q9'; known: Q1_NEG_LOCAL_CYCLES, Q2_0CRITICAL_ANDNET"),
+    ],
+)
+def test_unknown_keys_list_the_known_ones(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_zero_count_and_budget_are_empty_runs(capsys):
     code, out, _ = run(
         capsys, "verify", "--theorem", "MAIN_EOSD", "--mode", "sample", "--n", "3",

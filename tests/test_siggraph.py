@@ -489,7 +489,7 @@ def test_shih_dong_condition():
 def test_counting_condition():
     assert counting_condition(EX1)
     assert counting_condition(EX1, CycleFilter.POSITIVE_CHORDLESS)
-    assert counting_condition(EX1, CycleFilter.NEGATIVE_CHORDLESS, global_chordless=True)
+    assert counting_condition(EX1, CycleFilter.NEGATIVE_CHORDLESS)
     assert not counting_condition(oracles.identity_network(2))
     negation = oracles.negation_network(2)
     assert not counting_condition(negation)

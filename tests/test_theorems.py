@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 from itertools import permutations
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from boolcube.siggraph import (
 from boolcube import siggraph, subnetwork, theorems
 from boolcube.theorems import (
     NETWORK_CATALOG,
-    PROPERTY_IDS,
     AndNets,
     Circular,
     Exhaustive,
@@ -56,7 +56,8 @@ def test_catalog_shape():
     assert len(keys) == 29
     assert set(NETWORK_CATALOG) == set(NETWORK_KEYS)
     assert set(t.name for t in TheoremId) <= set(keys)
-    assert set(PROPERTY_IDS) <= set(keys)
+    others = tuple(k for k in NETWORK_CATALOG if k not in TheoremId.__members__)
+    assert keys == tuple(t.name for t in TheoremId) + others
     assert "LEMMA1_HYPERCUBE" not in NETWORK_CATALOG
 
 
@@ -100,6 +101,51 @@ def test_check_point_set():
     assert check_point_set(odd).kind == VerdictKind.CONFIRMED
     assert check_point_set([even[0]]).kind == VerdictKind.VACUOUS
     assert check_point_set(all_points(space)).kind == VerdictKind.VACUOUS
+
+
+def _random_point_sets(rng):
+    """Random point sets of widths 1 to 4, half of them inside one parity
+    class, so that some meet Lemma 1's hypothesis."""
+    for n in (1, 2, 3, 4):
+        space = list(all_points(default_components(n)))
+        for k in range(60):
+            pool = [p for p in space if p.weight % 2 == k % 2] if k % 4 < 2 else space
+            yield [p for p in pool if rng.random() < 0.7]
+
+
+def test_check_point_set_is_check_on_lemma1(monkeypatch):
+    rng = random.Random(13)
+    kinds = set()
+    for points in _random_point_sets(rng):
+        verdict = check_point_set(points)
+        assert verdict == check("LEMMA1_HYPERCUBE", iter(points))
+        kinds.add(verdict.kind)
+    assert kinds == {VerdictKind.VACUOUS, VerdictKind.CONFIRMED}
+    monkeypatch.setattr(theorems, "_subset_conclusion", lambda s: False)
+    kinds = set()
+    for points in _random_point_sets(rng):
+        verdict = check_point_set(points)
+        assert verdict == check("LEMMA1_HYPERCUBE", points)
+        kinds.add(verdict.kind)
+        if verdict.kind is VerdictKind.COUNTEREXAMPLE:
+            n = len(points[0].components)
+            listed = " ".join(str(p) for p in sorted(points, key=lambda p: p.code))
+            assert verdict.payload == f"subset width={n}\npoints {listed}\n"
+    assert kinds == {VerdictKind.VACUOUS, VerdictKind.COUNTEREXAMPLE}
+
+
+def test_point_set_counterexamples_list_their_points(monkeypatch):
+    """A LEMMA1_HYPERCUBE counterexample is listed as its width and points at
+    every worker count.  The jobs=2 workers are forked, so they see the
+    patched conclusion."""
+    monkeypatch.setattr(theorems, "_subset_conclusion", lambda s: False)
+    for jobs in (1, 2):
+        report = sweep("LEMMA1_HYPERCUBE", Subsets(2), jobs=jobs)
+        assert (report.vacuous, report.confirmed) == (14, 0)
+        assert report.counterexamples == (
+            (6, "subset width=2\npoints 10 01\n"),
+            (9, "subset width=2\npoints 00 11\n"),
+        )
 
 
 def test_frozen_sweep_numbers():
@@ -298,6 +344,27 @@ def test_jobs_below_one_are_rejected(jobs):
         sweep("ROBERT", Exhaustive(1), jobs=jobs)
     with pytest.raises(ValueError):
         open_question_search("Q1_NEG_LOCAL_CYCLES", Exhaustive(1), jobs=jobs)
+
+
+def test_one_worker_runs_the_same_chunks(monkeypatch):
+    """--jobs 1 evaluates the chunks a process pool would, in this process."""
+    chunks = []
+    evaluate = theorems._evaluate_keys
+
+    def recording(*args):
+        chunks.append(args[-1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(theorems, "_evaluate_keys", recording)
+    gens = (Exhaustive(2), AndNets(2), Subsets(2), NonExpansiveFiltered(2, 30, 1))
+    for gen in gens:
+        chunks.clear()
+        sweep("LEMMA1_HYPERCUBE" if isinstance(gen, Subsets) else "ROBERT", gen, jobs=1)
+        assert chunks == theorems._chunk_ranges(gen, generator_count(gen), 1), gen
+        assert len(chunks) > 1
+    chunks.clear()
+    open_question_search("Q1_NEG_LOCAL_CYCLES", Exhaustive(2), budget=37, jobs=1)
+    assert chunks == theorems._chunk_ranges(Exhaustive(2), 37, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
