@@ -22,6 +22,7 @@ from .network import (
     ParityClass,
     WidthCapError,
     check_width,
+    default_components,
     eosd_class,
     fixed_point_codes,
     is_conjugate_bijective,
@@ -38,14 +39,13 @@ from .siggraph import (
     and_net,
     circular_network,
     counting_condition,
+    delocalizing_vertices,
     detect_circular,
     enumerate_cycles,
     global_interaction_graph,
-    graph_rows,
+    is_chordless,
     load_sg,
     local_interaction_graph,
-    rows_chordless,
-    rows_delocalizers,
     shih_dong_condition,
 )
 from .subnetwork import (
@@ -160,17 +160,13 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         print(f"{src} {'+' if sign == 1 else '-'} {dst}")
     # Chords and delocalizers depend on the vertex sequence alone, and the
     # cycles of one sequence come together, so each sequence is judged once.
-    pos, neg = graph_rows(g)
-    index = {v: k for k, v in enumerate(g.vertices)}
     judged_for = None
     for cycle in enumerate_cycles(g):
         if cycle.vertices != judged_for:
             judged_for = cycle.vertices
-            verts = tuple(index[v] for v in cycle.vertices)
-            found = rows_delocalizers(verts, pos, neg)
-            deloc = ",".join(v for j, v in enumerate(g.vertices) if found >> j & 1)
+            deloc = ",".join(delocalizing_vertices(g, cycle))
             judged = (
-                f"chordless={_bool_text(rows_chordless(verts, pos, neg))} "
+                f"chordless={_bool_text(is_chordless(g, cycle))} "
                 f"delocalizing={{{deloc}}}"
             )
         sign = "positive" if cycle.sign == 1 else "negative"
@@ -280,8 +276,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         # the arc entering component k+1
         pred = tuple((i - 1) % n for i in range(n))
         constant = sum(1 << i for i, ch in enumerate(signs) if ch == "-")
-        components = tuple(str(i) for i in range(1, n + 1))
-        f = circular_network(CircularForm(components, pred, constant))
+        f = circular_network(CircularForm(default_components(n), pred, constant))
     elif args.andnet:
         g = load_sg(args.andnet)
         check_width("gen --andnet", len(g.vertices), RANDOM_WIDTH_CAP)
@@ -293,6 +288,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             seed = int(seed_text)
         except ValueError:
             raise FormatError("--random needs integer width and seed") from None
+        if n < 1:
+            raise FormatError(f"--random needs a width of at least 1, got {n}")
         f = random_network(n, seed)
     sys.stdout.write(render_bn(f))
     return EXIT_OK

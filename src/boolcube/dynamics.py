@@ -115,11 +115,12 @@ def _tarjan_components(succs: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def _terminal_components(table: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], bool]:
+@memo
+def _terminal_components(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """(terminal SCCs sorted by smallest state, whether the graph is acyclic)."""
-    succs = _successor_lists(table)
+    succs = _successor_lists(f.table)
     comps = _tarjan_components(succs)
-    comp_id = [0] * len(table)
+    comp_id = [0] * len(f.table)
     for k, comp in enumerate(comps):
         for v in comp:
             comp_id[v] = k
@@ -135,14 +136,9 @@ def _terminal_components(table: tuple[int, ...]) -> tuple[tuple[tuple[int, ...],
 
 
 @memo
-def _term_info(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    return _terminal_components(f.table)
-
-
-@memo
 def attractors(f: BooleanNetwork) -> tuple[Attractor, ...]:
     check_width("the state graph", f.width, WIDTH_CAP)
-    terminal, _ = _term_info(f)
+    terminal, _ = _terminal_components(f)
     return tuple(Attractor(f.components, frozenset(comp)) for comp in terminal)
 
 
@@ -196,5 +192,5 @@ def strong_convergence(f: BooleanNetwork) -> bool:
     check_width("the state graph", f.width, WIDTH_CAP)
     if len(fixed_point_codes(f)) != 1:
         return False
-    _, acyclic = _term_info(f)
+    _, acyclic = _terminal_components(f)
     return acyclic

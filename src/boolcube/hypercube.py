@@ -1,14 +1,16 @@
-"""Points of the Boolean hypercube and component bookkeeping.
+"""Points of the Boolean hypercube, point sets as bitsets, and component bookkeeping.
 
 A point over an ordered list of component labels is stored as an int whose
 bit k is the value of the k-th component.  In the textual form the leftmost
 character belongs to the first (smallest) label, so "100" over components
-(1, 2, 3) is the point with component 1 on and code 1.
+(1, 2, 3) is the point with component 1 on and code 1.  A set of points is
+the bitset with bit c set for each member's code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -188,3 +190,37 @@ def neighbor_set(points: Iterable[Point]) -> frozenset[Point]:
     width = len(components)
     out = {Point(components, p.code ^ (1 << k)) for p in points for k in range(width)}
     return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def cube_literals(n: int) -> dict[int, tuple[int, int]]:
+    """Map from each literal x_j or not x_j of the n-cube, as the bitset of
+    the points where it is 1, to (j, 1 if negated else 0)."""
+    full = (1 << (1 << n)) - 1
+    out = {}
+    for j in range(n):
+        # blocks of 2^j zeros then 2^j ones: a repunit of period 2^(j+1) times one block
+        x = full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j))
+        out[x], out[full ^ x] = (j, 0), (j, 1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def parity_sets(n: int) -> tuple[int, int]:
+    """(even, odd): the bitsets of the points of even and of odd weight; a
+    point is odd where an odd number of the positive literals x_j is 1."""
+    odd = 0
+    for x, (_, negated) in cube_literals(n).items():
+        if not negated:
+            odd ^= x
+    return ((1 << (1 << n)) - 1) ^ odd, odd
+
+
+def neighborhood(n: int, members: int) -> int:
+    """N(X) for the point bitset X = members: flipping x_j moves the points
+    where not x_j holds up by 2^j, and those where x_j holds down by 2^j."""
+    out = 0
+    for x, (j, negated) in cube_literals(n).items():
+        part = members & x
+        out |= part << (1 << j) if negated else part >> (1 << j)
+    return out

@@ -29,6 +29,7 @@ from .hypercube import (
     format_code,
     parse_code,
     parse_header,
+    parity_sets,
 )
 
 S = TypeVar("S")
@@ -142,15 +143,16 @@ def table_parity(table: tuple[int, ...]) -> ParityClass:
     """Even (odd) when the conjugate's image is exactly the even (odd) points.
 
     Containment is not enough: the image must cover the whole parity class,
-    which pins its size to half the cube.
+    so the image's point bitset is compared with parity_sets.
     """
-    image = {v ^ x for x, v in enumerate(table)}
-    if 2 * len(image) == len(table):
-        parities = {c.bit_count() & 1 for c in image}
-        if parities == {0}:
-            return ParityClass.EVEN
-        if parities == {1}:
-            return ParityClass.ODD
+    image = 0
+    for x, v in enumerate(table):
+        image |= 1 << (v ^ x)
+    even, odd = parity_sets(len(table).bit_length() - 1)
+    if image == even:
+        return ParityClass.EVEN
+    if image == odd:
+        return ParityClass.ODD
     return ParityClass.NEITHER
 
 

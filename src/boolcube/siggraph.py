@@ -17,7 +17,7 @@ from itertools import permutations, product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .hypercube import FormatError, Point, check_components, parse_header
+from .hypercube import FormatError, Point, check_components, cube_literals, parse_header
 from .network import BooleanNetwork, check_width, memo
 
 Arc = tuple[str, int, str]
@@ -308,21 +308,13 @@ def _cycle_indices(g: SignedDigraph, cycle: Cycle) -> tuple[int, ...]:
 def rows_chordless(
     verts: tuple[int, ...], pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> bool:
-    """No arc joins two cycle vertices besides the cycle's own arcs."""
-    members = 0
-    for v in verts:
-        members |= 1 << v
-    length = len(verts)
-    own = {(verts[k], verts[(k + 1) % length]) for k in range(length)}
-    for j in verts:
-        targets = (pos[j] | neg[j]) & members
-        while targets:
-            low = targets & -targets
-            i = low.bit_length() - 1
-            targets ^= low
-            if (j, i) not in own:
-                return False
-    return True
+    """No arc joins two cycle vertices besides the cycle's own arcs: each
+    cycle vertex's targets on the cycle are exactly its successor."""
+    members = sum(1 << v for v in verts)
+    successors = verts[1:] + verts[:1]
+    return all(
+        (pos[j] | neg[j]) & members == 1 << i for j, i in zip(verts, successors)
+    )
 
 
 def rows_delocalizers(
@@ -330,9 +322,7 @@ def rows_delocalizers(
 ) -> int:
     """Mask of the vertices sending a positive and a negative arc into
     distinct cycle vertices."""
-    members = 0
-    for v in verts:
-        members |= 1 << v
+    members = sum(1 << v for v in verts)
     out = 0
     for j, (p, m) in enumerate(zip(pos, neg)):
         p &= members
@@ -389,28 +379,8 @@ class CircularForm:
 
 
 def circular_network(form: CircularForm) -> BooleanNetwork:
-    pred, constant = form.predecessor, form.constant
-    table = []
-    for x in range(1 << len(pred)):
-        out = 0
-        for i, j in enumerate(pred):
-            if (x >> j & 1) ^ (constant >> i & 1):
-                out |= 1 << i
-        table.append(out)
-    return BooleanNetwork(form.components, tuple(table))
-
-
-@lru_cache(maxsize=None)
-def cube_literals(n: int) -> dict[int, tuple[int, int]]:
-    """Map from each literal x_j or not x_j of the n-cube, as the bitset of
-    the points where it is 1, to (j, 1 if negated else 0)."""
-    full = (1 << (1 << n)) - 1
-    out = {}
-    for j in range(n):
-        # blocks of 2^j zeros then 2^j ones: a repunit of period 2^(j+1) times one block
-        x = full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j))
-        out[x], out[full ^ x] = (j, 0), (j, 1)
-    return out
+    """The and-net of the form's one cycle: f_i is x_sigma(i) or its negation."""
+    return and_net(form.graph())
 
 
 def output_bitset(f: BooleanNetwork, i: int) -> int:
@@ -482,18 +452,14 @@ def detect_circular(f: BooleanNetwork) -> CircularForm | None:
 def and_net_table(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """The table of and_net for the (positive, negative) rows of a simple graph."""
-    pos_in = transpose(n, pos)
-    neg_in = transpose(n, neg)
-    table = []
-    for x in range(1 << n):
-        out = 0
-        for i in range(n):
-            if pos_in[i] & ~x or neg_in[i] & x:
-                continue
-            out |= 1 << i
-        table.append(out)
-    return tuple(table)
+    """The table of and_net for the (positive, negative) rows of a simple graph:
+    f_i(x) = 0 where a positive arc j -> i has x_j = 0 or a negative one x_j = 1;
+    disabled[x] holds those i, doubling per j with the x_j = 1 points second."""
+    disabled = [0]
+    for p, m in zip(pos, neg):
+        disabled = [d | p for d in disabled] + [d | m for d in disabled]
+    full = (1 << n) - 1
+    return tuple(full & ~d for d in disabled)
 
 
 def and_net(g: SignedDigraph) -> BooleanNetwork:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .hypercube import Point, component_mask, gather_bits, mask_labels
+from .hypercube import Point, component_mask, cube_literals, gather_bits, mask_labels
 from .network import (
     BooleanNetwork,
     check_width,
@@ -29,7 +29,7 @@ from .network import (
     memo,
     table_is_eosd,
 )
-from .siggraph import cube_literals, detect_circular, literal_cycle, output_bitsets
+from .siggraph import detect_circular, literal_cycle, output_bitsets
 
 # Widest network whose subnetworks are walked: the plan's gather tables hold
 # 4^n entries, about 12 MB at width 10.

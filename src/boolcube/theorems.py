@@ -23,7 +23,7 @@ from itertools import permutations
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence, Union
 
 from .dynamics import attractor_summary, weak_convergence
-from .hypercube import Point, format_code
+from .hypercube import Point, format_code, neighborhood, parity_sets
 from .network import (
     RANDOM_WIDTH_CAP,
     BooleanNetwork,
@@ -471,42 +471,18 @@ class _PointSet(NamedTuple):
     members: int
 
 
-@lru_cache(maxsize=None)
-def _neighbor_masks(n: int) -> tuple[int, ...]:
-    return tuple(
-        sum(1 << (c ^ (1 << k)) for k in range(n)) for c in range(1 << n)
-    )
-
-
-@lru_cache(maxsize=None)
-def _parity_masks(n: int) -> tuple[int, int]:
-    even = odd = 0
-    for c in range(1 << n):
-        if c.bit_count() % 2 == 0:
-            even |= 1 << c
-        else:
-            odd |= 1 << c
-    return even, odd
-
-
 def _subset_hypothesis(s: _PointSet) -> bool:
     n, members = s
     if members == 0:
         return False
-    nbm = _neighbor_masks(n)
-    neighborhood = 0
-    probe = members
-    while probe:
-        low = probe & -probe
-        neighborhood |= nbm[low.bit_length() - 1]
-        probe ^= low
-    if members & neighborhood:
+    around = neighborhood(n, members)
+    if members & around:
         return False
-    return members.bit_count() >= neighborhood.bit_count()
+    return members.bit_count() >= around.bit_count()
 
 
 def _subset_conclusion(s: _PointSet) -> bool:
-    return s.members in _parity_masks(s.width)
+    return s.members in parity_sets(s.width)
 
 
 def _point_set(points: Iterable[Point]) -> _PointSet:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from boolcube import BooleanNetwork, SignedDigraph
+from boolcube import BooleanNetwork, Point, SignedDigraph, neighbor_set
 
 
 # -- reference networks and bit helpers ----------------------------------------
@@ -234,6 +234,39 @@ def circular_form(f: BooleanNetwork) -> tuple[tuple[int, ...], int] | None:
     while pred[orbit[-1]] not in orbit:
         orbit.append(pred[orbit[-1]])
     return (tuple(pred), constant) if len(orbit) == n else None
+
+
+# -- and-nets --------------------------------------------------------------------
+
+
+def and_net_table(n: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> tuple[int, ...]:
+    """Per point x and component i, the AND of i's in-literals: x_j for each
+    arc j -> i in pos, not x_j for each in neg; with no in-arc, 1."""
+    table = []
+    for x in range(1 << n):
+        out = 0
+        for i in range(n):
+            literals = [x >> j & 1 for j in range(n) if pos[j] >> i & 1]
+            literals += [1 - (x >> j & 1) for j in range(n) if neg[j] >> i & 1]
+            if all(literals):
+                out |= 1 << i
+        table.append(out)
+    return tuple(table)
+
+
+# -- Lemma 1 on point sets of the hypercube --------------------------------------
+
+
+def lemma1_hypothesis(points: list[Point]) -> bool:
+    """X is nonempty, no point of X neighbours another, and |X| >= |N(X)|."""
+    around = neighbor_set(points)
+    return bool(points) and not around & set(points) and len(set(points)) >= len(around)
+
+
+def lemma1_conclusion(n: int, points: list[Point]) -> bool:
+    """X is every point of one weight parity of the n-cube, and no other."""
+    parities = {p.weight % 2 for p in points}
+    return len(parities) == 1 and len(set(points)) == 1 << (n - 1)
 
 
 # -- asynchronous dynamics --------------------------------------------------------

@@ -271,6 +271,8 @@ def test_usage_errors_exit_2(capsys, argv):
          "--n must be at least 1, got 0"),
         (("search", "--question", "Q2_0CRITICAL_ANDNET", "--mode", "family", "--family",
           "andnets", "--n", "-1"), "--n must be at least 1, got -1"),
+        (("gen", "--random", "-1", "5"), "--random needs a width of at least 1, got -1"),
+        (("gen", "--random", "0", "5"), "--random needs a width of at least 1, got 0"),
     ],
 )
 def test_negative_counts_budgets_and_widths_exit_2(capsys, argv, message):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,8 @@ from boolcube.hypercube import (
     format_code,
     gather_bits,
     mask_labels,
+    neighborhood,
+    parity_sets,
     parse_code,
 )
 
@@ -138,6 +142,20 @@ def test_neighbors_are_at_distance_one(width, data):
     points = [Point(labels, c) for c in codes]
     for q in neighbor_set(points):
         assert any(hamming(q, p) == 1 for p in points)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_parity_sets_and_neighborhood_match_brute_force(n):
+    space = list(all_points(tuple(str(k + 1) for k in range(n))))
+    even, odd = parity_sets(n)
+    assert even == sum(1 << p.code for p in space if p.weight % 2 == 0)
+    assert odd == sum(1 << p.code for p in space if p.weight % 2 == 1)
+    rng = random.Random(n)
+    for members in [0, even, odd, (1 << (1 << n)) - 1] + [
+        rng.getrandbits(1 << n) for _ in range(40)
+    ]:
+        points = [p for p in space if members >> p.code & 1]
+        assert neighborhood(n, members) == sum(1 << q.code for q in neighbor_set(points))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -458,6 +458,43 @@ def test_and_net_recovers_every_two_vertex_graph():
 def test_and_net_recovers_sampled_three_vertex_graphs(index):
     g = graph_from_rows(labels(3), *simple_digraph_rows_from_index(3, index))
     assert global_interaction_graph(and_net(g)) == g
+
+
+def test_and_net_table_matches_the_oracle():
+    """Every simple digraph on 1-3 vertices, then random sparse and dense
+    simple rows on 4-10 vertices."""
+    for n in range(1, 4):
+        for index in range(simple_digraph_count(n)):
+            rows = simple_digraph_rows_from_index(n, index)
+            assert siggraph.and_net_table(n, *rows) == oracles.and_net_table(n, *rows)
+    rng = random.Random(14)
+    for n in range(4, 11):
+        for density in (0.15, 0.7):
+            for _ in range(3):
+                pos, neg = [0] * n, [0] * n
+                for j, i in product(range(n), repeat=2):
+                    if rng.random() < density:
+                        (pos if rng.random() < 0.5 else neg)[j] |= 1 << i
+                rows = (tuple(pos), tuple(neg))
+                assert siggraph.and_net_table(n, *rows) == oracles.and_net_table(n, *rows)
+
+
+def test_every_small_circular_form_round_trips_through_the_oracle():
+    """circular_network, the and-net of the form's cycle, against the
+    oracle's literal reading of each output, for every form of width <= 5."""
+    checked = 0
+    for n in range(1, 6):
+        for rest in permutations(range(1, n)):
+            order = (0,) + rest
+            pred = [0] * n
+            for t, v in enumerate(order):
+                pred[v] = order[t - 1]
+            for constant in range(1 << n):
+                form = CircularForm(labels(n), tuple(pred), constant)
+                f = circular_network(form)
+                assert oracles.circular_form(f) == (form.predecessor, constant)
+                checked += 1
+    assert checked == 2 + 4 + 2 * 8 + 6 * 16 + 24 * 32
 
 
 def test_simple_digraph_enumeration():

@@ -134,6 +134,28 @@ def test_check_point_set_is_check_on_lemma1(monkeypatch):
     assert kinds == {VerdictKind.VACUOUS, VerdictKind.COUNTEREXAMPLE}
 
 
+def test_lemma1_predicates_match_the_oracles():
+    """LEMMA1_HYPERCUBE's hypothesis and conclusion on every point set of
+    width <= 3, then on 500 point sets of width 4, half of them drawn inside
+    one parity class so that some meet the hypothesis."""
+    hyp, concl = theorems._entry("LEMMA1_HYPERCUBE")
+    rng = random.Random(41)
+    cases = [(n, members) for n in (1, 2, 3) for members in range(1 << (1 << n))]
+    cases += [(4, rng.getrandbits(16)) for _ in range(250)]
+    space = list(all_points(default_components(4)))
+    for k in range(250):
+        pool = [p for p in space if p.weight % 2 == k % 2]
+        cases.append((4, sum(1 << p.code for p in pool if rng.random() < 0.8)))
+    confirmed = 0
+    for n, members in cases:
+        points = [p for p in all_points(default_components(n)) if members >> p.code & 1]
+        s = theorems._PointSet(n, members)
+        assert hyp(s) == oracles.lemma1_hypothesis(points)
+        assert concl(s) == oracles.lemma1_conclusion(n, points)
+        confirmed += hyp(s) and concl(s)
+    assert confirmed > 6
+
+
 def test_point_set_counterexamples_list_their_points(monkeypatch):
     """A LEMMA1_HYPERCUBE counterexample is listed as its width and points at
     every worker count.  The jobs=2 workers are forked, so they see the
