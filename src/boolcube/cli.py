@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .dotfmt import digraph_dot, state_graph_dot, validate_dot
 from .dynamics import (
@@ -75,7 +76,8 @@ EXIT_CAP = 3
 EXIT_COUNTEREXAMPLE = 4
 
 # Widest network analyze and subnets accept: at width 10 analyze takes about
-# 0.3 s and 34 MB on a 2-core host, subnets about 1.6 s and 42 MB.
+# 0.27 s and 35 MB on a 2-core host (0.02 s of it reading and analysing the file,
+# the rest interpreter start and imports), subnets about 1.6 s and 42 MB.
 ANALYZE_WIDTH_CAP = 10
 # Widest network graph accepts: for a random width-7 network it prints 166k
 # lines in about 2 s and 80 MB, nearly all of them global cycles.
@@ -295,6 +297,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# built on the first main() call, not at import, and reused: parse_args leaves
+# the parser unchanged and returns a fresh Namespace
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolcube",

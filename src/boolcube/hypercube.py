@@ -114,9 +114,10 @@ def format_code(code: int, width: int) -> str:
 
 
 def parse_code(text: str, width: int) -> int:
-    if len(text) != width or any(ch not in "01" for ch in text):
+    # validate first: int() alone accepts "_", a sign, whitespace and non-ASCII digits
+    if len(text) != width or text.strip("01"):
         raise FormatError(f"expected {width} bits, got {text!r}")
-    return sum(1 << k for k, ch in enumerate(text) if ch == "1")
+    return int(text[::-1] or "0", 2)
 
 
 def parse_point(text: str, components: tuple[str, ...]) -> Point:

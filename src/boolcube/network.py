@@ -176,7 +176,8 @@ def table_is_eosd(table: tuple[int, ...]) -> bool:
 @memo
 def eosd_class(f: BooleanNetwork) -> ParityClass | None:
     """ParityClass.EVEN/ODD for even-/odd-self-dual networks, else None."""
-    return table_eosd_class(f.table)
+    p = parity_class(f)
+    return None if p is ParityClass.NEITHER or not is_self_dual(f) else p
 
 
 @memo

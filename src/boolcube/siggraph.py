@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations, product
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Iterator, Sequence
 
 from .hypercube import FormatError, Point, check_components, cube_literals, parse_header
@@ -267,7 +267,7 @@ def rows_signed_cycles(
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(vertex indices, signs) per cycle, sorted by length, vertices, signs;
     both-sign arcs expand to two cycles.  Nothing is cached across calls."""
-    adj = tuple(p | m for p, m in zip(pos, neg))
+    adj = tuple(map(or_, pos, neg))
     out = []
     for verts in _unsigned_cycles(n, adj):
         length = len(verts)
@@ -530,7 +530,7 @@ def rows_has_negative_cycle(
 ) -> bool:
     """Some component is unbalanced: a strongly connected signed digraph has
     no negative cycle exactly when it is balanced (Harary 1953)."""
-    adj = tuple(p | m for p, m in zip(pos, neg))
+    adj = tuple(map(or_, pos, neg))
     return not all(_balanced(comp, pos, neg) for comp in cyclic_components(n, adj))
 
 
@@ -540,7 +540,7 @@ def rows_has_positive_cycle(
     """A balanced component with a cycle has only positive ones; inside the
     unbalanced components, search the cycles for one that can be signed
     positively (a both-sign arc, or an even number of negative arcs)."""
-    adj = tuple(p | m for p, m in zip(pos, neg))
+    adj = tuple(map(or_, pos, neg))
     unbalanced = 0
     for comp in cyclic_components(n, adj):
         if _balanced(comp, pos, neg):
@@ -571,7 +571,7 @@ def shih_dong_condition(f: BooleanNetwork) -> bool:
     """Every local interaction graph is acyclic."""
     n = f.width
     return all(
-        rows_girth(n, tuple(p | m for p, m in zip(pos, neg))) is None
+        rows_girth(n, tuple(map(or_, pos, neg))) is None
         for pos, neg in local_rows(f)
     )
 
@@ -600,7 +600,7 @@ def counting_condition(f: BooleanNetwork, filt: CycleFilter = CycleFilter.ALL) -
     per_k = [0] * (n + 1)
     for rows in local_rows(f):
         if filt is CycleFilter.ALL:
-            shortest = rows_girth(n, tuple(p | m for p, m in zip(*rows)))
+            shortest = rows_girth(n, tuple(map(or_, *rows)))
         else:
             shortest = _min_chordless_cycle_len(n, rows, want)
         if shortest is not None:

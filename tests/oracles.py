@@ -43,6 +43,14 @@ def scatter_bits(code: int, mask: int) -> int:
     return out
 
 
+def parse_code(text: str, width: int) -> int | None:
+    """The code of a bit string, leftmost character first; None unless it is
+    exactly width characters, each an ASCII 0 or 1."""
+    if len(text) != width or any(ch not in ("0", "1") for ch in text):
+        return None
+    return sum(1 << k for k, ch in enumerate(text) if ch == "1")
+
+
 # -- plain network predicates -------------------------------------------------
 
 

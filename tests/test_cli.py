@@ -22,8 +22,8 @@ from boolcube import (
     render_bn,
     subnetworks,
 )
-from boolcube import siggraph
-from boolcube.hypercube import parse_point
+from boolcube import cli, network, siggraph
+from boolcube.hypercube import format_code, parse_point
 from boolcube.network import fixed_point_codes
 from boolcube.cli import main
 from boolcube.dotfmt import digraph_dot, validate_dot
@@ -483,6 +483,52 @@ def test_analyze_builds_no_global_rows(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "analyze", str(path))
     assert code == 0
     assert calls == []
+
+
+def test_analyze_builds_the_conjugate_image_once(tmp_path, capsys, monkeypatch):
+    """eosd_class reads the parity_class memo, so analyze runs table_parity on
+    the full table once; sub-tables of the EOSD search may add calls of their own."""
+    calls = []
+    build = network.table_parity
+
+    def counting(table):
+        calls.append(len(table))
+        return build(table)
+
+    monkeypatch.setattr(network, "table_parity", counting)
+    path = tmp_path / "w8.bn"
+    path.write_text(render_bn(random_network(8, 0)), encoding="utf-8")
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert calls.count(256) == 1
+
+
+def test_malformed_code_exits_2(tmp_path, capsys):
+    """int(text, 2) would read 1_0 as 2; the row is rejected before that."""
+    path = tmp_path / "bad.bn"
+    rows = [f"{format_code(x, 3)} -> 000" for x in range(1, 8)]
+    path.write_text("components a b c\n1_0 -> 000\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: expected 3 bits, got '1_0'\n"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli._parser() is cli._parser()
+    first = run(capsys, "analyze", EX1)
+    assert first[0] == 0
+    assert run(capsys, "analyze", EX1) == first
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 2
+    usage = capsys.readouterr()
+    assert run(capsys, "analyze", EX1) == first
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit):
+        main(["analyze"])
+    assert capsys.readouterr() == usage
+    cli._parser.cache_clear()
+    assert run(capsys, "analyze", EX1) == first
 
 
 def test_gfx_builds_no_local_rows_memo(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -45,6 +46,34 @@ def test_parse_code_rejects_bad_text():
         parse_code("10", 3)
     with pytest.raises(FormatError):
         parse_code("10x", 3)
+
+
+@pytest.mark.parametrize("text", ["1_0", "+10", "-10", " 10", "10 ", "0b1", "\u0661\u0660\u0660"])
+def test_parse_code_rejects_what_int_accepts(text):
+    """Each text has the right length, and int(text, 2) accepts some of them
+    (underscores, a sign, whitespace, Arabic-Indic digits)."""
+    with pytest.raises(FormatError) as exc:
+        parse_code(text, 3)
+    assert str(exc.value) == f"expected 3 bits, got {text!r}"
+    with pytest.raises(FormatError):
+        parse_point(text, ABC)
+
+
+def test_parse_code_matches_the_reference_on_every_short_string():
+    alphabet = "01 _+-b\u0660\u0661x"
+    for width in range(4):
+        for length in range(width + 2):
+            for chars in product(alphabet, repeat=length):
+                text = "".join(chars)
+                want = oracles.parse_code(text, width)
+                if want is None:
+                    with pytest.raises(FormatError):
+                        parse_code(text, width)
+                else:
+                    assert parse_code(text, width) == want
+                    if width:
+                        assert parse_point(text, ABC[:width]).code == want
+    assert parse_code("", 0) == 0
 
 
 @given(st.integers(1, 8), st.data())
