@@ -62,7 +62,7 @@ from .theorems import (
     AndNets,
     Circular,
     Exhaustive,
-    NonExpansiveFiltered,
+    NonExpansive,
     Sample,
     Subsets,
     TheoremId,
@@ -204,9 +204,7 @@ def _build_generator(args: argparse.Namespace, for_lemma1: bool):
     if args.family == "circular":
         return Circular(args.n)
     if args.family == "nonexpansive":
-        if args.seed is None:
-            raise FormatError("--family nonexpansive requires --seed")
-        return NonExpansiveFiltered(args.n, args.count, args.seed)
+        return NonExpansive(args.n)
     raise FormatError("--mode family requires --family andnets|circular|nonexpansive")
 
 

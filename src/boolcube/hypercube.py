@@ -110,7 +110,8 @@ def _index_of(components: tuple[str, ...], label: str) -> int:
 
 
 def format_code(code: int, width: int) -> str:
-    return "".join("1" if code >> k & 1 else "0" for k in range(width))
+    # the bit at width keeps the leading zeros; the reversed slice drops it and "0b"
+    return bin(code | 1 << width)[:2:-1]
 
 
 def parse_code(text: str, width: int) -> int:

@@ -539,10 +539,8 @@ class Circular:
 
 
 @dataclass(frozen=True)
-class NonExpansiveFiltered:
+class NonExpansive:
     n: int
-    count: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -550,7 +548,7 @@ class Subsets:
     n: int
 
 
-Generator = Union[Exhaustive, Sample, AndNets, Circular, NonExpansiveFiltered, Subsets]
+Generator = Union[Exhaustive, Sample, AndNets, Circular, NonExpansive, Subsets]
 
 
 def describe_generator(gen: Generator) -> str:
@@ -562,20 +560,20 @@ def describe_generator(gen: Generator) -> str:
         return f"family(andnets(n={gen.n}))"
     if isinstance(gen, Circular):
         return f"family(circular(n={gen.n}))"
-    if isinstance(gen, NonExpansiveFiltered):
-        return f"family(nonexpansive(n={gen.n},count={gen.count},seed={gen.seed}))"
+    if isinstance(gen, NonExpansive):
+        return f"family(nonexpansive(n={gen.n}))"
     return f"subsets(n={gen.n})"
 
 
 def generator_count(gen: Generator) -> int:
     if gen.n < 1:
         raise ValueError(f"--n must be at least 1, got {gen.n}")
-    if isinstance(gen, (Sample, NonExpansiveFiltered)) and gen.count < 0:
+    if isinstance(gen, Sample) and gen.count < 0:
         raise ValueError(f"--count must be at least 0, got {gen.count}")
     if isinstance(gen, Exhaustive):
         check_width("an exhaustive sweep", gen.n, 3)
         return 1 << (gen.n << gen.n)
-    if isinstance(gen, (Sample, NonExpansiveFiltered)):
+    if isinstance(gen, Sample):
         check_width("sampling", gen.n, RANDOM_WIDTH_CAP)
         return gen.count
     if isinstance(gen, AndNets):
@@ -584,6 +582,9 @@ def generator_count(gen: Generator) -> int:
     if isinstance(gen, Circular):
         check_width("the circular family", gen.n, 8)
         return math.factorial(gen.n - 1) << gen.n
+    if isinstance(gen, NonExpansive):
+        check_width("the non-expansive family", gen.n, 3)
+        return len(non_expansive_tables(gen.n))
     check_width("a subset sweep", gen.n, 4)
     return 1 << (1 << gen.n)
 
@@ -617,10 +618,27 @@ def circular_candidate(n: int, index: int) -> BooleanNetwork:
     )
 
 
+@lru_cache(maxsize=4)
+def non_expansive_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every non-expansive table of width n, ascending: each point takes the
+    values within distance 1 of those at its lower neighbours, and every edge
+    of the cube has one lower end."""
+    tables = [()]
+    for x in range(1 << n):
+        lower = [x ^ 1 << k for k in range(n) if x >> k & 1]
+        tables = [
+            t + (v,) for t in tables for v in range(1 << n)
+            if all((v ^ t[y]).bit_count() < 2 for y in lower)
+        ]
+    return tuple(tables)
+
+
 def candidate_network(gen: Generator, index: int) -> BooleanNetwork:
     if isinstance(gen, Exhaustive):
         return network_from_index(gen.n, index)
-    if isinstance(gen, (Sample, NonExpansiveFiltered)):
+    if isinstance(gen, NonExpansive):
+        return BooleanNetwork(default_components(gen.n), non_expansive_tables(gen.n)[index])
+    if isinstance(gen, Sample):
         return network_from_index(gen.n, sample_table_index(gen.n, gen.seed, index))
     if isinstance(gen, AndNets):
         table = and_net_table(gen.n, *simple_digraph_rows_from_index(gen.n, index))
@@ -656,6 +674,7 @@ _QUESTIONS: dict[
 class _Report:
     """A versioned header, then key=value lines in alphabetical order with the
     notes as note.*, then one indented payload block per candidate."""
+    notes: tuple[str, ...] = ()
 
     def _render(self, wall_time_s: float | None) -> str:
         header, values, label, payloads = self._parts()
@@ -715,7 +734,6 @@ class SearchReport(_Report):
     examined: int
     hypothesis_hits: int
     discoveries: tuple[tuple[int, str], ...]
-    notes: tuple[str, ...] = ()
     wall_time_s: float = 0.0
 
     @property
@@ -768,7 +786,7 @@ def _orbits(
 
 def _evaluate_keys(
     keys: tuple[str, ...], gen: Generator, count: int, chunk: tuple[int, int]
-) -> tuple[dict[str, _Tally], int]:
+) -> dict[str, _Tally]:
     """Tally each key over the orbits of the chunk [lo, hi), one candidate per
     orbit and each verdict once per member below count; a counterexample
     lists every member."""
@@ -778,13 +796,8 @@ def _evaluate_keys(
         make = partial(_PointSet, gen.n)
     else:
         make = partial(candidate_network, gen)
-    rejected = 0
-    filtered = isinstance(gen, NonExpansiveFiltered)
     for index, members in _orbits(gen, *chunk, count):
         f = make(index)
-        if filtered and not is_non_expansive(f):
-            rejected += 1
-            continue
         weight = len(members)
         for tally, hyp, concl in entries:
             if not hyp(f):
@@ -795,7 +808,7 @@ def _evaluate_keys(
                 tally.counterexamples.extend(
                     (m, _render(f if m == index else make(m))) for m in members
                 )
-    return tallies, rejected
+    return tallies
 
 
 def _chunk_ranges(gen: Generator, count: int, jobs: int) -> list[tuple[int, int]]:
@@ -824,14 +837,10 @@ def _worker_count(jobs: int, chunks: int) -> int:
 
 def _drive(
     keys: tuple[str, ...], generator: Generator, jobs: int, budget: int | None = None
-) -> tuple[dict[str, _Tally], int, tuple[str, ...], float]:
-    """Tally each key over the generator's candidates, the first budget of
-    them when one is given, chunk by chunk: in this process for one worker,
-    else in a process pool.
-
-    Returns the tallies, the number of candidates the generator accepted, the
-    report notes and the wall time.
-    """
+) -> tuple[dict[str, _Tally], int, float]:
+    """The tallies of each key over the generator's candidates, the first
+    budget of them when one is given, their number and the wall time.  Chunks
+    run in this process for one worker, else in a process pool."""
     if any((key == "LEMMA1_HYPERCUBE") != isinstance(generator, Subsets) for key in keys):
         raise ValueError("LEMMA1_HYPERCUBE sweeps over subsets; every other key sweeps networks")
     count = generator_count(generator)
@@ -849,16 +858,10 @@ def _drive(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(evaluate, ranges))
     merged = {key: _Tally() for key in keys}
-    rejected = 0
-    for tallies, chunk_rejected in chunks:
-        rejected += chunk_rejected
+    for tallies in chunks:
         for key, tally in tallies.items():
             merged[key].add(tally)
-    accepted = count - rejected
-    notes = ()
-    if isinstance(generator, NonExpansiveFiltered):
-        notes = (f"accepted={accepted}/{count}",)
-    return merged, accepted, notes, time.perf_counter() - started
+    return merged, count, time.perf_counter() - started
 
 
 def sweep_many(
@@ -869,26 +872,26 @@ def sweep_many(
     """Run several catalog entries over one candidate stream in a single pass."""
     keys = tuple(_resolve(t, _THEOREM_KEYS, "theorem") for t in theorems)
     noted = tuple(_NOTED_TALLIES[key][0] for key in keys if key in _NOTED_TALLIES)
-    tallies, accepted, notes, wall = _drive(tuple(dict.fromkeys(keys + noted)), generator, jobs)
+    tallies, count, wall = _drive(tuple(dict.fromkeys(keys + noted)), generator, jobs)
     descriptor = describe_generator(generator)
     reports = {}
     for key in keys:
         tally = tallies[key]
-        key_notes = notes
+        notes = ()
         if key in _NOTED_TALLIES:
             other, prefix = _NOTED_TALLIES[key]
-            key_notes += (
+            notes = (
                 f"{prefix}_confirmed={tallies[other].confirmed}",
                 f"{prefix}_counterexamples={len(tallies[other].counterexamples)}",
             )
         reports[key] = SweepReport(
             theorem=key,
             generator=descriptor,
-            candidates=accepted,
+            candidates=count,
             vacuous=tally.vacuous,
             confirmed=tally.confirmed,
             counterexamples=tuple(sorted(tally.counterexamples)),
-            notes=key_notes,
+            notes=notes,
             wall_time_s=wall,
         )
     return reports
@@ -908,15 +911,14 @@ def open_question_search(
     jobs: int = 1,
 ) -> SearchReport:
     key = _resolve(question, _QUESTIONS, "question")
-    tallies, accepted, notes, wall = _drive((key,), generator, jobs, budget)
+    tallies, count, wall = _drive((key,), generator, jobs, budget)
     tally = tallies[key]
     return SearchReport(
         question=key,
         generator=describe_generator(generator),
-        examined=accepted,
-        hypothesis_hits=accepted - tally.vacuous,
+        examined=count,
+        hypothesis_hits=count - tally.vacuous,
         discoveries=tuple(sorted(tally.counterexamples)),
-        notes=notes,
         wall_time_s=wall,
     )
 

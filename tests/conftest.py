@@ -12,6 +12,7 @@ LABELS = {
     7: "cycle enumeration vs brute-force oracle",
     8: "critical and self-dual fixtures classify",
     9: "deterministic reports across repeats and jobs",
+    10: "non-expansive family width 3, the paper's non-expansive theorems",
 }
 
 _NOTES: dict[int, str] = {}

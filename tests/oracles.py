@@ -43,6 +43,11 @@ def scatter_bits(code: int, mask: int) -> int:
     return out
 
 
+def format_code(code: int, width: int) -> str:
+    """The bit string of a code, one character per component, first component first."""
+    return "".join("1" if code >> k & 1 else "0" for k in range(width))
+
+
 def parse_code(text: str, width: int) -> int | None:
     """The code of a bit string, leftmost character first; None unless it is
     exactly width characters, each an ASCII 0 or 1."""

@@ -5,9 +5,11 @@ PASS/FAIL summary per criterion after the run.  Budgets are wall-clock seconds
 on a single core.
 """
 
+import hashlib
 import itertools
 import os
 import random
+import re
 import time
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from boolcube.theorems import (
     AndNets,
     Circular,
     Exhaustive,
+    NonExpansive,
     Sample,
     Subsets,
     candidate_network,
@@ -49,6 +52,7 @@ from boolcube.theorems import (
 )
 
 DATA = Path(__file__).parent / "data"
+RESULTS = Path(__file__).parent.parent / "results"
 SEED = 20260825
 
 # The theorem set named by criterion 2, reused by the sampled battery.
@@ -69,6 +73,15 @@ CRITERION2_KEYS = (
     "PROP_ODD_OUTDEGREE",
     "LOCAL_SUBGRAPH_CONTAINMENT",
     "DYNAMICS_ISOMORPHISM",
+)
+
+# The paper's non-expansive theorems and the fixed-point theorem they extend.
+NONEXP_KEYS = (
+    "THM_CIRCULAR_EOSD",
+    "THM_CRITICAL_NONEXP",
+    "COR_NONEXP_DICHOTOMY",
+    "COR_COUNTING_SIGNED",
+    "RICHARD2011",
 )
 
 ANDNET_KEYS = (
@@ -317,3 +330,23 @@ def test_criterion_9_determinism():
     repeat = open_question_search("Q1_NEG_LOCAL_CYCLES", gen, jobs=2).canonical_text()
     assert search == repeat
     note(9, "jobs=1 and jobs=2 byte-identical")
+
+
+def test_criterion_10_non_expansive_family():
+    started = time.perf_counter()
+    gen = NonExpansive(3)
+    reports = sweep_many(NONEXP_KEYS, gen)
+    assert_clean(reports, candidates=15_488)
+    richard = reports["RICHARD2011"]
+    assert (richard.confirmed, richard.vacuous) == (3_049, 12_439)
+    circular = [i for i in range(15_488) if detect_circular(candidate_network(gen, i)) is not None]
+    assert len(circular) == 16  # 2! cycle orders times 2^3 sign patterns
+
+    text = (RESULTS / "nonexpansive3.txt").read_text(encoding="utf-8")
+    pinned = {key: digest for digest, key in re.findall(r"^([0-9a-f]{64}) (\w+)$", text, re.M)}
+    for key, report in reports.items():
+        assert hashlib.sha256(report.canonical_text().encode()).hexdigest() == pinned[key], key
+
+    elapsed = time.perf_counter() - started
+    note(10, f"{elapsed:.2f}s, {len(circular)} circular")
+    assert elapsed < 60.0

@@ -250,9 +250,8 @@ def test_usage_errors_exit_2(capsys, argv):
     [
         (("verify", "--theorem", "MAIN_EOSD", "--mode", "sample", "--n", "3",
           "--count", "-5", "--seed", "1"), "--count must be at least 0, got -5"),
-        (("verify", "--theorem", "MAIN_EOSD", "--mode", "family", "--family",
-          "nonexpansive", "--n", "3", "--count", "-1", "--seed", "1"),
-         "--count must be at least 0, got -1"),
+        (("search", "--question", "Q1_NEG_LOCAL_CYCLES", "--mode", "sample", "--n", "3",
+          "--count", "-1", "--seed", "1"), "--count must be at least 0, got -1"),
         (("search", "--question", "Q1_NEG_LOCAL_CYCLES", "--mode", "sample", "--n", "3",
           "--seed", "1", "--budget", "-1"), "--budget must be at least 0, got -1"),
         (("verify", "--theorem", "ROBERT", "--mode", "exhaustive", "--n", "0"),
@@ -325,6 +324,12 @@ def test_width_cap_exits_3(capsys):
     )
     assert code == 3
     assert "error:" in err
+    code, out, err = run(
+        capsys, "verify", "--theorem", "COR_NONEXP_DICHOTOMY", "--mode", "family",
+        "--family", "nonexpansive", "--n", "4",
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: the non-expansive family is capped at width 3, got 4\n"
 
 
 def test_gen_random_width_cap_exits_3(capsys):
@@ -555,26 +560,19 @@ def test_gfx_builds_no_local_rows_memo(tmp_path, capsys, monkeypatch):
     assert out.read_text(encoding="utf-8") == digraph_dot(local_interaction_graph(f, x))
 
 
-def test_search_examines_only_accepted_candidates(capsys):
-    code, out, _ = run(
-        capsys,
-        "search",
-        "--question",
-        "Q1_NEG_LOCAL_CYCLES",
-        "--mode",
-        "family",
-        "--family",
-        "nonexpansive",
-        "--n",
-        "2",
-        "--count",
-        "200",
-        "--seed",
-        "1",
-    )
+def test_search_examines_every_non_expansive_network(capsys):
+    """The family lists all 84 width-2 networks; --count and --seed are not
+    read for it, a negative count included."""
+    argv = ("search", "--question", "Q1_NEG_LOCAL_CYCLES", "--mode", "family",
+            "--family", "nonexpansive", "--n", "2")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert "examined=66\n" in out
-    assert "note.accepted=66/200\n" in out
+    assert "examined=84\n" in out
+    assert "note." not in out
+    canonical = out.split("wall_time_s=")[0]
+    for extra in (("--count", "200", "--seed", "1"), ("--count", "-1")):
+        code, other, _ = run(capsys, *argv, *extra)
+        assert (code, other.split("wall_time_s=")[0]) == (0, canonical)
 
 
 def test_search_reports_no_discoveries(capsys):

@@ -82,6 +82,12 @@ def test_format_parse_round_trip(width, data):
     assert parse_code(format_code(code, width), width) == code
 
 
+def test_format_code_matches_oracle_at_every_code():
+    for width in range(11):
+        for code in range(1 << width):
+            assert format_code(code, width) == oracles.format_code(code, width)
+
+
 def test_point_basics():
     p = parse_point("101", ABC)
     assert p.code == 5

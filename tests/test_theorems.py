@@ -1,7 +1,7 @@
 import ast
 import os
 import random
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -28,7 +28,7 @@ from boolcube.theorems import (
     AndNets,
     Circular,
     Exhaustive,
-    NonExpansiveFiltered,
+    NonExpansive,
     OpenQuestion,
     Sample,
     Subsets,
@@ -211,10 +211,7 @@ def test_describe_generator():
     assert describe_generator(Sample(3, 10, 7)) == "sample(n=3,count=10,seed=7)"
     assert describe_generator(AndNets(3)) == "family(andnets(n=3))"
     assert describe_generator(Circular(4)) == "family(circular(n=4))"
-    assert (
-        describe_generator(NonExpansiveFiltered(3, 10, 7))
-        == "family(nonexpansive(n=3,count=10,seed=7))"
-    )
+    assert describe_generator(NonExpansive(3)) == "family(nonexpansive(n=3))"
     assert describe_generator(Subsets(4)) == "subsets(n=4)"
 
 
@@ -224,7 +221,10 @@ def test_generator_counts_and_caps():
     assert generator_count(Circular(3)) == 16
     assert generator_count(Subsets(3)) == 256
     assert generator_count(Sample(3, 1234, 0)) == 1234
-    for gen in (Exhaustive(4), AndNets(4), Circular(9), Subsets(5), Sample(17, 1, 0)):
+    assert generator_count(NonExpansive(3)) == 15488
+    for gen in (
+        Exhaustive(4), AndNets(4), Circular(9), Subsets(5), Sample(17, 1, 0), NonExpansive(4)
+    ):
         with pytest.raises(WidthCapError):
             generator_count(gen)
 
@@ -263,11 +263,40 @@ def test_and_net_generator_matches_graph_enumeration():
     assert generated == built
 
 
-def test_non_expansive_filter_reports_acceptance():
-    report = sweep("MAIN_EOSD", NonExpansiveFiltered(2, 60, seed=1))
-    assert report.notes and report.notes[0].startswith("accepted=")
-    accepted = int(report.notes[0].split("=")[1].split("/")[0])
-    assert report.candidates == accepted <= 60
+@pytest.mark.parametrize("n,count", [(1, 4), (2, 84)])
+def test_non_expansive_family_is_the_filter_over_every_table(n, count):
+    members = [candidate_network(NonExpansive(n), i).table for i in range(count)]
+    every = (network_from_index(n, i) for i in range(generator_count(Exhaustive(n))))
+    expected = sorted(f.table for f in every if oracles.non_expansive(f))
+    assert generator_count(NonExpansive(n)) == count
+    assert members == expected
+
+
+def test_non_expansive_family_at_width_three():
+    gen = NonExpansive(3)
+    tables = [candidate_network(gen, i).table for i in range(generator_count(gen))]
+    assert len(tables) == 15488
+    assert all(a < b for a, b in zip(tables, tables[1:]))
+    assert all(oracles.non_expansive(BooleanNetwork(default_components(3), t)) for t in tables)
+
+
+@pytest.mark.skipif(
+    os.environ.get("BOOLCUBE_DEEP") != "1",
+    reason="deep mode: set BOOLCUBE_DEEP=1 to filter all 2^24 width-3 tables",
+)
+def test_non_expansive_family_at_width_three_is_the_filter_over_every_table():
+    """The oracle over all 2^24 tables, in ascending order: about 80 s on one
+    core of a 2-core Xeon."""
+    every = (BooleanNetwork(default_components(3), t) for t in product(range(8), repeat=8))
+    expected = [f.table for f in every if oracles.non_expansive(f)]
+    gen = NonExpansive(3)
+    assert [candidate_network(gen, i).table for i in range(generator_count(gen))] == expected
+
+
+def test_non_expansive_sweep_counts_every_member():
+    report = sweep("MAIN_EOSD", NonExpansive(2))
+    assert report.notes == ()
+    assert report.candidates == 84
     assert report.vacuous + report.confirmed == report.candidates
 
 
@@ -336,14 +365,15 @@ def test_open_question_searches():
         open_question_search("Q9_UNKNOWN", Exhaustive(2))
 
 
-def test_searches_apply_the_non_expansive_filter():
-    gen = NonExpansiveFiltered(2, 200, seed=1)
+@pytest.mark.parametrize("n", [2, 3])
+def test_searches_over_the_non_expansive_family(n):
+    gen = NonExpansive(n)
     report = open_question_search("Q1_NEG_LOCAL_CYCLES", gen)
-    # RICHARD2011 has the Q1 hypothesis plus non-expansiveness, which the
-    # filter already guarantees, so its hits are the search's hits.
+    # RICHARD2011 has the Q1 hypothesis plus non-expansiveness, which every
+    # member of the family has, so its hits are the search's hits.
     richard = sweep("RICHARD2011", gen)
-    assert report.notes == richard.notes == ("accepted=66/200",)
-    assert report.examined == richard.candidates == 66
+    assert report.notes == richard.notes == ()
+    assert report.examined == richard.candidates == generator_count(gen)
     assert report.hypothesis_hits == richard.candidates - richard.vacuous
 
 
@@ -378,7 +408,7 @@ def test_one_worker_runs_the_same_chunks(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(theorems, "_evaluate_keys", recording)
-    gens = (Exhaustive(2), AndNets(2), Subsets(2), NonExpansiveFiltered(2, 30, 1))
+    gens = (Exhaustive(2), AndNets(2), Subsets(2), NonExpansive(2))
     for gen in gens:
         chunks.clear()
         sweep("LEMMA1_HYPERCUBE" if isinstance(gen, Subsets) else "ROBERT", gen, jobs=1)
