@@ -10,7 +10,7 @@ import argparse
 import sys
 from functools import lru_cache
 
-from .dotfmt import digraph_dot, state_graph_dot, validate_dot
+from .dotfmt import digraph_dot, state_graph_dot
 from .dynamics import (
     asynchronous_state_graph,
     attractors,
@@ -245,7 +245,6 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
             text = digraph_dot(local_interaction_graph(f, x))
         else:
             text = state_graph_dot(asynchronous_state_graph(f), fixed_point_codes(f))
-    validate_dot(text)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
     return EXIT_OK

@@ -1,14 +1,14 @@
-"""Graphviz DOT rendering for graphs and state graphs, plus a format check.
+"""Graphviz DOT rendering for graphs and state graphs.
 
 Positive arcs render with arrowhead=normal, negative arcs with arrowhead=tee
 and a sign="-" attribute.  State-graph nodes are labeled with bitstrings and
-fixed points are double-circled.  validate_dot runs a small grammar check so
-exports can be verified without Graphviz installed.
+fixed points are double-circled.  Every name is a quoted string with \\ and "
+escaped, so any vertex label renders as one DOT name.
 """
 
 from __future__ import annotations
 
-from .hypercube import FormatError, format_code
+from .hypercube import format_code
 from .dynamics import StateGraph
 from .siggraph import SignedDigraph
 
@@ -43,91 +43,3 @@ def state_graph_dot(sg: StateGraph, fixed_codes: tuple[int, ...]) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch == '"':
-            end = k + 1
-            while end < len(text):
-                if text[end] == "\\":
-                    end += 2
-                    continue
-                if text[end] == '"':
-                    break
-                end += 1
-            if end >= len(text):
-                raise FormatError("unterminated string in DOT output")
-            tokens.append(text[k : end + 1])
-            k = end + 1
-            continue
-        if text.startswith("->", k):
-            tokens.append("->")
-            k += 2
-            continue
-        if ch in "{}[];,=":
-            tokens.append(ch)
-            k += 1
-            continue
-        end = k
-        while end < len(text) and (text[end].isalnum() or text[end] in "_."):
-            end += 1
-        if end == k:
-            raise FormatError(f"unexpected character {ch!r} in DOT output")
-        tokens.append(text[k:end])
-        k = end
-    return tokens
-
-
-def _is_name(token: str) -> bool:
-    return token.startswith('"') or token.replace("_", "").replace(".", "").isalnum()
-
-
-def validate_dot(text: str) -> None:
-    """Check the shape digraph NAME { (node|edge statements with attrs)* }."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def expect(token: str) -> None:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != token:
-            got = tokens[pos] if pos < len(tokens) else "<eof>"
-            raise FormatError(f"DOT: expected {token!r}, got {got!r}")
-        pos += 1
-
-    def take_name() -> None:
-        nonlocal pos
-        if pos >= len(tokens) or not _is_name(tokens[pos]):
-            got = tokens[pos] if pos < len(tokens) else "<eof>"
-            raise FormatError(f"DOT: expected a name, got {got!r}")
-        pos += 1
-
-    expect("digraph")
-    take_name()
-    expect("{")
-    while pos < len(tokens) and tokens[pos] != "}":
-        take_name()
-        while pos < len(tokens) and tokens[pos] == "->":
-            pos += 1
-            take_name()
-        if pos < len(tokens) and tokens[pos] == "[":
-            pos += 1
-            while True:
-                take_name()
-                expect("=")
-                take_name()
-                if pos < len(tokens) and tokens[pos] == ",":
-                    pos += 1
-                    continue
-                break
-            expect("]")
-        expect(";")
-    expect("}")
-    if pos != len(tokens):
-        raise FormatError("DOT: trailing content after closing brace")

@@ -169,10 +169,6 @@ def table_eosd_class(table: tuple[int, ...]) -> ParityClass | None:
     return p
 
 
-def table_is_eosd(table: tuple[int, ...]) -> bool:
-    return table_eosd_class(table) is not None
-
-
 @memo
 def eosd_class(f: BooleanNetwork) -> ParityClass | None:
     """ParityClass.EVEN/ODD for even-/odd-self-dual networks, else None."""

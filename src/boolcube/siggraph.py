@@ -551,15 +551,13 @@ def rows_has_positive_cycle(
             if comp >> u & 1 and (pos[u] & neg[u] & comp or pos[u] >> u & 1):
                 return True
         unbalanced |= comp
+    # No arc left here carries both signs, so a cycle is positive exactly
+    # when it has an even number of negative arcs.
     for verts in _unsigned_cycles(n, tuple(a & unbalanced for a in adj)):
         length = len(verts)
         odd = 0
         for k, src in enumerate(verts):
-            dst = verts[(k + 1) % length]
-            if pos[src] >> dst & 1:
-                if neg[src] >> dst & 1:
-                    return True
-            else:
+            if not pos[src] >> verts[(k + 1) % length] & 1:
                 odd ^= 1
         if not odd:
             return True

@@ -27,7 +27,7 @@ from .network import (
     enumerate_networks,
     fixed_point_codes,
     memo,
-    table_is_eosd,
+    table_eosd_class,
 )
 from .siggraph import detect_circular, literal_cycle, output_bitsets
 
@@ -270,7 +270,7 @@ def find_eosd_subnetwork(
     """First even- or odd-self-dual subnetwork in enumeration order, if any;
     the walk stops there."""
     for mask, code, table in item_tables(f):
-        if table_is_eosd(table):
+        if table_eosd_class(table) is not None:
             spec = SubnetworkSpec(f.components, mask, code)
             return spec, BooleanNetwork(spec.free, table)
     return None

@@ -26,7 +26,7 @@ from boolcube import cli, network, siggraph
 from boolcube.hypercube import format_code, parse_point
 from boolcube.network import fixed_point_codes
 from boolcube.cli import main
-from boolcube.dotfmt import digraph_dot, validate_dot
+from boolcube.dotfmt import digraph_dot
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
@@ -615,7 +615,7 @@ def test_export_dot_outputs(tmp_path, capsys):
     code, _, _ = run(capsys, "export-dot", "--input", EX1, "--what", "gf", "--out", str(gf))
     assert code == 0
     text = gf.read_text()
-    validate_dot(text)
+    oracles.validate_dot(text)
     assert text.startswith("digraph interaction {")
     assert '"1" -> "2" [arrowhead=normal];' in text
     assert '"1" -> "3" [arrowhead=tee, sign="-"];' in text
@@ -623,7 +623,7 @@ def test_export_dot_outputs(tmp_path, capsys):
     gamma = tmp_path / "gamma.dot"
     run(capsys, "export-dot", "--input", EX1, "--what", "gamma", "--out", str(gamma))
     text = gamma.read_text()
-    validate_dot(text)
+    oracles.validate_dot(text)
     assert text.startswith("digraph dynamics {")
     assert '"000" [shape=doublecircle];' in text
     assert text.count("doublecircle") == 1
@@ -631,7 +631,7 @@ def test_export_dot_outputs(tmp_path, capsys):
     local = tmp_path / "local.dot"
     run(capsys, "export-dot", "--input", EX1, "--what", "gfx", "000", "--out", str(local))
     text = local.read_text()
-    validate_dot(text)
+    oracles.validate_dot(text)
     assert "tee" not in text  # all three local arcs at 000 are positive
 
     from_graph = tmp_path / "from_graph.dot"

@@ -46,6 +46,7 @@ from boolcube.siggraph import (
     simple_digraph_rows_from_index,
     transpose,
 )
+from boolcube.subnetwork import is_zero_critical, item_circular_forms
 
 DATA = Path(__file__).parent / "data"
 
@@ -496,6 +497,47 @@ def test_every_small_circular_form_round_trips_through_the_oracle():
                 checked += 1
     assert checked == 2 + 4 + 2 * 8 + 6 * 16 + 24 * 32
 
+
+
+# D_n is the all-negative and-net with arcs i -> i+d (mod n) for d = 1..n-2.
+# It has no fixed point, yet no subnetwork of it, itself included, is a
+# circular network with an odd number of negative arcs.  That answers the
+# paper's open C- question for and-nets in the negative, but only on this
+# code's definitions: C- is read off the global interaction graph, and a
+# vertex with no in-arc reads 1.  PAPER.md holds only the abstract, so these
+# definitions are not checked against the paper's text.
+
+
+def d_net(n: int) -> BooleanNetwork:
+    neg = tuple(sum(1 << (i + d) % n for d in range(1, n - 1)) for i in range(n))
+    return and_net(graph_from_rows(labels(n), (0,) * n, neg))
+
+
+def _negative_circular(form) -> bool:
+    return form is not None and bin(form[1]).count("1") % 2 == 1
+
+
+def test_d4_against_the_oracles():
+    f = and_net(load_sg(str(DATA / "d4.sg")))
+    rows = simple_digraph_rows_from_index(4, 4624800)
+    assert siggraph.global_rows(f) == rows
+    assert f == d_net(4)
+    assert is_and_net(f) and f.table == oracles.and_net_table(4, *rows)
+    assert oracles.fixed_point_list(f) == []
+    assert oracles.zero_critical(f)
+    for table in oracles.all_strict_sub_tables(f) + [f.table]:
+        g = BooleanNetwork(labels(len(table).bit_length() - 1), table)
+        assert not _negative_circular(oracles.circular_form(g))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_d_n_is_a_zero_critical_and_net_with_no_negative_circular_subnetwork(n):
+    f = d_net(n)
+    assert is_and_net(f)
+    assert fixed_point_codes(f) == ()
+    assert is_zero_critical(f)
+    assert detect_circular(f) is None
+    assert not any(map(_negative_circular, item_circular_forms(f)))
 
 def test_simple_digraph_enumeration():
     seen = {

@@ -30,8 +30,8 @@ from boolcube.network import (
     fixed_point_codes,
     load_bn,
     random_network,
+    table_eosd_class,
     table_fixed_point_codes,
-    table_is_eosd,
 )
 from boolcube.subnetwork import (
     has_eosd_subnetwork,
@@ -331,7 +331,7 @@ def test_item_counts_match_the_sub_tables():
 def test_lazy_walks_agree_with_the_eager_definitions():
     for f in plan_networks():
         items = spec_items(f)
-        eosd = [item for item in items if table_is_eosd(item[2])]
+        eosd = [item for item in items if table_eosd_class(item[2]) is not None]
         found = find_eosd_subnetwork(f)
         if eosd:
             spec, g = found
@@ -339,7 +339,7 @@ def test_lazy_walks_agree_with_the_eager_definitions():
             assert g.components == spec.free
         else:
             assert found is None
-        strict_eosd = any(table_is_eosd(table) for _, _, table in items[:-1])
+        strict_eosd = any(table_eosd_class(table) is not None for _, _, table in items[:-1])
         if f.width <= 4:
             assert oracles.is_critical_eosd(f) == (
                 eosd_class(f) is not None and not strict_eosd
