@@ -179,9 +179,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def _cmd_dynamics(args: argparse.Namespace) -> int:
     f = load_bn(args.network, ("dynamics", RANDOM_WIDTH_CAP))
     n = f.width
-    sg = asynchronous_state_graph(f)
-    for src, dst in sg.arc_list():
-        print(f"{format_code(src, n)} -> {format_code(dst, n)}")
+    names = [format_code(code, n) for code in range(1 << n)]
+    for src, dst in asynchronous_state_graph(f).arc_list():
+        print(f"{names[src]} -> {names[dst]}")
     for a in attractors(f):
         kind = "cyclic" if a.cyclic else "punctual"
         print(f"attractor {_point_set_text(a.states, n)} {kind}")

@@ -33,13 +33,11 @@ def digraph_dot(g: SignedDigraph) -> str:
 def state_graph_dot(sg: StateGraph, fixed_codes: tuple[int, ...]) -> str:
     width = len(sg.components)
     fixed = set(fixed_codes)
+    names = [_quote(format_code(code, width)) for code in range(1 << width)]
     lines = ["digraph dynamics {"]
-    for code in range(1 << width):
+    for code, name in enumerate(names):
         shape = "doublecircle" if code in fixed else "circle"
-        lines.append(f"  {_quote(format_code(code, width))} [shape={shape}];")
-    for src, dst in sg.arc_list():
-        lines.append(
-            f"  {_quote(format_code(src, width))} -> {_quote(format_code(dst, width))};"
-        )
+        lines.append(f"  {name} [shape={shape}];")
+    lines.extend(f"  {names[src]} -> {names[dst]};" for src, dst in sg.arc_list())
     lines.append("}")
     return "\n".join(lines) + "\n"

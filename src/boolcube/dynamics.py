@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypercube import Point
-from .network import BooleanNetwork, check_width, fixed_point_codes, memo
+from .hypercube import Point, coordinate_sets
+from .network import BooleanNetwork, check_width, fixed_point_codes, memo, unstable_sets
 
 WIDTH_CAP = 20
 
@@ -151,39 +151,26 @@ def attractor_summary(f: BooleanNetwork) -> tuple[int, bool]:
 
 @memo
 def weak_convergence(f: BooleanNetwork) -> bool:
-    """A unique fixed point reachable from every state along a geodesic.
-
-    Equivalent to one reverse BFS from the fixed point using only the arcs
-    that decrease the distance to it.
-    """
+    """A unique fixed point t reachable from every state along a geodesic: the
+    states at distance d + 1 that do are those where flipping an unstable k
+    gives a state at distance d that does and agrees with t at k."""
     check_width("the state graph", f.width, WIDTH_CAP)
     fixed = fixed_point_codes(f)
     if len(fixed) != 1:
         return False
     target = fixed[0]
-    table = f.table
-    n = f.width
-    seen = bytearray(len(table))
-    seen[target] = 1
-    frontier = [target]
-    reached = 1
-    while frontier:
-        new_frontier = []
-        for y in frontier:
-            agree = ~(y ^ target)
-            for i in range(n):
-                if not agree >> i & 1:
-                    continue
-                x = y ^ (1 << i)
-                if seen[x]:
-                    continue
-                # arc x -> y exists iff component i is unstable at x
-                if (table[x] ^ x) >> i & 1:
-                    seen[x] = 1
-                    new_frontier.append(x)
-                    reached += 1
-        frontier = new_frontier
-    return reached == len(table)
+    sets = tuple(zip(coordinate_sets(f.width), unstable_sets(f)))
+    layer = reached = 1 << target
+    while layer:
+        step = 0
+        for k, (x, unstable) in enumerate(sets):
+            if target >> k & 1:
+                step |= (layer & x) >> (1 << k) & unstable
+            else:
+                step |= (layer & ~x) << (1 << k) & unstable
+        layer = step
+        reached |= step
+    return reached == (1 << len(f.table)) - 1
 
 
 @memo

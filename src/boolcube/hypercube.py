@@ -10,7 +10,7 @@ the bitset with bit c set for each member's code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
 
@@ -195,14 +195,23 @@ def neighbor_set(points: Iterable[Point]) -> frozenset[Point]:
 
 
 @lru_cache(maxsize=None)
+def coordinate_sets(n: int) -> tuple[int, ...]:
+    """X_j for each j < n: the bitset of the points of the n-cube with x_j = 1."""
+    full = (1 << (1 << n)) - 1
+    # blocks of 2^j zeros then 2^j ones: a repunit of period 2^(j+1) times one block
+    return tuple(
+        full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j))
+        for j in range(n)
+    )
+
+
+@lru_cache(maxsize=None)
 def cube_literals(n: int) -> dict[int, tuple[int, int]]:
     """Map from each literal x_j or not x_j of the n-cube, as the bitset of
     the points where it is 1, to (j, 1 if negated else 0)."""
     full = (1 << (1 << n)) - 1
     out = {}
-    for j in range(n):
-        # blocks of 2^j zeros then 2^j ones: a repunit of period 2^(j+1) times one block
-        x = full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j))
+    for j, x in enumerate(coordinate_sets(n)):
         out[x], out[full ^ x] = (j, 0), (j, 1)
     return out
 
@@ -210,19 +219,15 @@ def cube_literals(n: int) -> dict[int, tuple[int, int]]:
 @lru_cache(maxsize=None)
 def parity_sets(n: int) -> tuple[int, int]:
     """(even, odd): the bitsets of the points of even and of odd weight; a
-    point is odd where an odd number of the positive literals x_j is 1."""
-    odd = 0
-    for x, (_, negated) in cube_literals(n).items():
-        if not negated:
-            odd ^= x
+    point is odd where an odd number of the x_j is 1."""
+    odd = reduce(int.__xor__, coordinate_sets(n), 0)
     return ((1 << (1 << n)) - 1) ^ odd, odd
 
 
 def neighborhood(n: int, members: int) -> int:
     """N(X) for the point bitset X = members: flipping x_j moves the points
-    where not x_j holds up by 2^j, and those where x_j holds down by 2^j."""
+    where x_j holds down by 2^j, and the others up by 2^j."""
     out = 0
-    for x, (j, negated) in cube_literals(n).items():
-        part = members & x
-        out |= part << (1 << j) if negated else part >> (1 << j)
+    for j, x in enumerate(coordinate_sets(n)):
+        out |= (members & x) >> (1 << j) | (members & ~x) << (1 << j)
     return out

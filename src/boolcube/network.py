@@ -15,10 +15,12 @@ the cached data lives and dies with the network.  An exception is never cached.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
 from itertools import chain
+from operator import xor
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .hypercube import (
@@ -26,6 +28,7 @@ from .hypercube import (
     Point,
     check_components,
     component_mask,
+    coordinate_sets,
     format_code,
     parse_code,
     parse_header,
@@ -113,6 +116,26 @@ def conjugate(f: BooleanNetwork) -> BooleanNetwork:
 @memo
 def conjugate_codes(f: BooleanNetwork) -> tuple[int, ...]:
     return tuple(v ^ x for x, v in enumerate(f.table))
+
+
+_DIGITS = tuple(bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8))
+
+
+@memo
+def output_bitsets(f: BooleanNetwork) -> tuple[int, ...]:
+    """The bit planes O_i, the bitsets of the points where f_i is 1: the entries,
+    last first, as little-endian 4-byte words on any host; O_i reads byte i // 8
+    of each word as the ASCII digit of its bit i % 8 (_DIGITS), base 2."""
+    table = f.table
+    words = struct.pack(f"<{len(table)}I", *reversed(table))
+    return tuple(
+        int(words[i >> 3 :: 4].translate(_DIGITS[i & 7]), 2) for i in range(f.width)
+    )
+
+
+def unstable_sets(f: BooleanNetwork) -> tuple[int, ...]:
+    """O_k xor X_k: the points where f_k(x) != x_k, the conjugate's bit k."""
+    return tuple(map(xor, output_bitsets(f), coordinate_sets(f.width)))
 
 
 def table_fixed_point_codes(table: tuple[int, ...]) -> tuple[int, ...]:

@@ -17,8 +17,10 @@ from itertools import permutations, product
 from operator import mul, or_
 from typing import Iterable, Iterator, Sequence
 
-from .hypercube import FormatError, Point, check_components, cube_literals, parse_header
-from .network import BooleanNetwork, check_width, memo
+from .hypercube import (
+    FormatError, Point, check_components, coordinate_sets, cube_literals, parse_header
+)
+from .network import BooleanNetwork, check_width, memo, output_bitsets
 
 Arc = tuple[str, int, str]
 # (positive, negative): bit i of pos[j] (neg[j]) is an arc j -> i of sign +1 (-1)
@@ -383,30 +385,17 @@ def circular_network(form: CircularForm) -> BooleanNetwork:
     return and_net(form.graph())
 
 
-def output_bitset(f: BooleanNetwork, i: int) -> int:
-    """f_i as the bitset of the points where it is 1."""
-    bit = 1 << i
-    return int("".join(["1" if v & bit else "0" for v in reversed(f.table)]), 2)
-
-
-@memo
-def output_bitsets(f: BooleanNetwork) -> tuple[int, ...]:
-    return tuple(output_bitset(f, i) for i in range(f.width))
-
-
 def bitset_global_rows(n: int, ones: Sequence[int]) -> Rows:
-    """(positive, negative) global rows from the output bitsets O_i: on the literal
-    N_j = not x_j, up = O_i >> 2^j is f_i(x + e_j) and d = (up ^ O_i) & N_j is where
-    f_i changes along e_j, so j -> i is positive iff d & up, negative iff d & O_i."""
+    """(positive, negative) global rows from the output bitsets O_i: off X_j,
+    up = O_i >> 2^j is f_i(x + e_j) and d = (up ^ O_i) & ~X_j is where f_i
+    changes along e_j, so j -> i is positive iff d & up, negative iff d & O_i."""
     pos = [0] * n
     neg = [0] * n
-    for low, (j, negated) in cube_literals(n).items():
-        if not negated:
-            continue
+    for j, x in enumerate(coordinate_sets(n)):
         shift = 1 << j
         for i, o in enumerate(ones):
             up = o >> shift
-            d = (up ^ o) & low
+            d = (up ^ o) & ~x
             if d & up:
                 pos[j] |= 1 << i
             if d & o:
@@ -440,13 +429,9 @@ def literal_cycle(
 
 @memo
 def detect_circular(f: BooleanNetwork) -> CircularForm | None:
-    """The circular form of f, when G(f) is a cycle through every component;
-    each f_i's bitset is built only when literal_cycle reaches it."""
-    ones = (output_bitset(f, i) for i in range(f.width))
-    found = literal_cycle(cube_literals(f.width), ones)
-    if found is None:
-        return None
-    return CircularForm(f.components, found[0], found[1])
+    """The circular form of f, when G(f) is a cycle through every component."""
+    found = literal_cycle(cube_literals(f.width), output_bitsets(f))
+    return None if found is None else CircularForm(f.components, *found)
 
 
 def and_net_table(

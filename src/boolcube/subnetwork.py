@@ -19,17 +19,18 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .hypercube import Point, component_mask, cube_literals, gather_bits, mask_labels
+from .hypercube import Point, component_mask, coordinate_sets, gather_bits, mask_labels
 from .network import (
     BooleanNetwork,
     check_width,
-    conjugate_codes,
     enumerate_networks,
     fixed_point_codes,
     memo,
+    output_bitsets,
     table_eosd_class,
+    unstable_sets,
 )
-from .siggraph import detect_circular, literal_cycle, output_bitsets
+from .siggraph import detect_circular, literal_cycle
 
 # Widest network whose subnetworks are walked: the plan's gather tables hold
 # 4^n entries, about 12 MB at width 10.
@@ -175,11 +176,10 @@ def item_tables(
 def _fixed_sets(f: BooleanNetwork) -> tuple[int, ...]:
     """Per free mask, the bitset of the points x whose conjugate vanishes on
     the mask, i.e. the points fixed in the subnetwork that contains them."""
-    conj = conjugate_codes(f)
-    zero = [(1 << len(conj)) - 1] * len(conj)
-    for k in range(f.width):
-        zero[1 << k] = sum(1 << x for x, c in enumerate(conj) if not c >> k & 1)
-    for mask in range(1, len(conj)):
+    zero = [(1 << len(f.table)) - 1] * len(f.table)
+    for k, unstable in enumerate(unstable_sets(f)):
+        zero[1 << k] ^= unstable
+    for mask in range(1, len(f.table)):
         top = 1 << (mask.bit_length() - 1)
         zero[mask] = zero[mask ^ top] & zero[top]
     return tuple(zero)
@@ -187,11 +187,11 @@ def _fixed_sets(f: BooleanNetwork) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _free_literals(n: int) -> tuple[tuple[tuple[int, ...], dict[int, tuple[int, int]]], ...]:
-    """Per free mask: its free components, and the literals of cube_literals(n)
-    on those components restricted to the mask's points, as a map from each
+    """Per free mask: its free components, and the literals x_j and not x_j of
+    those components restricted to the mask's points, as a map from each
     bitset to (local index of j, 1 if negated else 0)."""
     points = subnetwork_plan(n).points
-    cube = [x for x, (_, negated) in cube_literals(n).items() if not negated]
+    cube = coordinate_sets(n)
     out = []
     for mask, on in enumerate(points):
         free = tuple(k for k in range(n) if mask >> k & 1)

@@ -63,6 +63,12 @@ def fixed_point_list(f: BooleanNetwork) -> list[int]:
     return [x for x in range(1 << f.width) if f.table[x] == x]
 
 
+def output_bitset(f: BooleanNetwork, i: int) -> int:
+    """f_i as the bitset of the points where it is 1."""
+    bit = 1 << i
+    return int("".join(["1" if v & bit else "0" for v in reversed(f.table)]), 2)
+
+
 def self_dual(f: BooleanNetwork) -> bool:
     mask = (1 << f.width) - 1
     return all(f.table[x ^ mask] == f.table[x] ^ mask for x in range(len(f.table)))

@@ -272,6 +272,7 @@ def test_usage_errors_exit_2(capsys, argv):
           "andnets", "--n", "-1"), "--n must be at least 1, got -1"),
         (("gen", "--random", "-1", "5"), "--random needs a width of at least 1, got -1"),
         (("gen", "--random", "0", "5"), "--random needs a width of at least 1, got 0"),
+        (("gen", "--random", "x", "1"), "--random needs integer width and seed"),
     ],
 )
 def test_negative_counts_budgets_and_widths_exit_2(capsys, argv, message):

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from boolcube import (
     BooleanNetwork,
+    Point,
     WidthCapError,
     asynchronous_state_graph,
     attractor_summary,
@@ -49,6 +51,8 @@ def test_state_graph_of_the_worked_example():
     assert graph.components == EX1.components
     assert graph.arcs == EX1_ARCS
     assert graph.arc_list() == tuple(sorted(EX1_ARCS))
+    assert graph.point(6) == Point(EX1.components, 6)
+    assert str(graph.point(6)) == "011"
 
 
 @given(tables(3))
@@ -127,6 +131,41 @@ def test_convergence_exhaustive_width_two():
         assert weak_convergence(f) == oracles.weakly_convergent(f)
         assert strong_convergence(f) == oracles.strongly_convergent(f)
         assert [a.states for a in attractors(f)] == oracles.attractor_sets(f)
+
+
+def converging_table(n, rng):
+    """x -> x xor s(x), s(x) a random nonempty subset of the bits where x
+    differs from a chosen c: c is the one fixed point, and every arc of the
+    state graph steps toward it."""
+    c = rng.randrange(1 << n)
+    table = []
+    for x in range(1 << n):
+        step = 0
+        while x != c and not step:
+            step = rng.getrandbits(n) & (x ^ c)
+        table.append(x ^ step)
+    return table
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_weak_convergence_matches_oracle_on_converging_networks(n):
+    """Random tables of width 4 and up rarely converge; these all do, and a
+    copy with one entry changed may or may not."""
+    rng = random.Random(n)
+    labels = tuple(str(k + 1) for k in range(n))
+    verdicts = set()
+    for _ in range(12):
+        table = converging_table(n, rng)
+        f = BooleanNetwork(labels, tuple(table))
+        assert weak_convergence(f) and oracles.weakly_convergent(f)
+        for _ in range(3):
+            perturbed = list(table)
+            x = rng.randrange(1 << n)
+            perturbed[x] ^= rng.randrange(1, 1 << n)
+            g = BooleanNetwork(labels, tuple(perturbed))
+            verdicts.add(weak_convergence(g))
+            assert weak_convergence(g) == oracles.weakly_convergent(g)
+    assert verdicts == {True, False}
 
 
 def test_width_cap_raises_on_every_call(monkeypatch):

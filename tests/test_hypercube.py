@@ -22,6 +22,8 @@ from boolcube import (
 )
 from boolcube.hypercube import (
     component_mask,
+    coordinate_sets,
+    cube_literals,
     format_code,
     gather_bits,
     mask_labels,
@@ -168,6 +170,8 @@ def test_neighbor_set():
     assert neighbor_set([]) == frozenset()
     both = [parse_point("00", ("a", "b")), parse_point("11", ("a", "b"))]
     assert {q.bits for q in neighbor_set(both)} == {"10", "01"}
+    with pytest.raises(ValueError, match="points live over different component lists"):
+        neighbor_set([p, parse_point("00", ("a", "c"))])
 
 
 @given(st.integers(1, 6), st.data())
@@ -182,6 +186,13 @@ def test_neighbors_are_at_distance_one(width, data):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_parity_sets_and_neighborhood_match_brute_force(n):
     space = list(all_points(tuple(str(k + 1) for k in range(n))))
+    xs = tuple(sum(1 << p.code for p in space if p.code >> j & 1) for j in range(n))
+    assert coordinate_sets(n) == xs
+    full = (1 << (1 << n)) - 1
+    assert cube_literals(n) == {
+        **{x: (j, 0) for j, x in enumerate(xs)},
+        **{full ^ x: (j, 1) for j, x in enumerate(xs)},
+    }
     even, odd = parity_sets(n)
     assert even == sum(1 << p.code for p in space if p.weight % 2 == 0)
     assert odd == sum(1 << p.code for p in space if p.weight % 2 == 1)

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from boolcube import (
     xor_output,
 )
 from boolcube import network, theorems
+from boolcube.dynamics import weak_convergence
 from boolcube.network import (
     conjugate,
     conjugate_codes,
@@ -34,8 +36,17 @@ from boolcube.network import (
     load_bn,
     memo,
     network_from_index,
+    output_bitsets,
+    unstable_sets,
 )
-from boolcube.subnetwork import BaseProperty, minimal_forbidden_set, subnetwork_plan
+from boolcube.siggraph import detect_circular, global_rows
+from boolcube.subnetwork import (
+    BaseProperty,
+    is_zero_critical,
+    item_circular_forms,
+    minimal_forbidden_set,
+    subnetwork_plan,
+)
 from boolcube.theorems import AndNets, Circular, Exhaustive, Sample, Subsets, sweep
 
 DATA = Path(__file__).parent / "data"
@@ -262,6 +273,69 @@ def test_memo_is_per_instance_and_never_caches_an_exception():
             probe(bad)
     assert len(computed) == 4
     assert probe.__name__ == "probe"
+
+
+def assert_planes_match_the_string_join(f):
+    planes = output_bitsets(f)
+    assert planes == tuple(oracles.output_bitset(f, i) for i in range(f.width))
+    g = conjugate(f)
+    assert unstable_sets(f) == tuple(oracles.output_bitset(g, k) for k in range(f.width))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bit_planes_of_every_table(n):
+    for f in enumerate_networks(n):
+        assert_planes_match_the_string_join(f)
+
+
+def random_table_network(n, seed):
+    rng = random.Random(seed)
+    return BooleanNetwork(labels(n), tuple(rng.getrandbits(n) for _ in range(1 << n)))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_bit_planes_at_every_byte_width(n):
+    """Widths 9-16 put two bytes in each entry; the planes of the high byte
+    come from the second byte of every packed word."""
+    for seed in range(3):
+        assert_planes_match_the_string_join(random_table_network(n, seed))
+    # a table whose every entry has its top bit set, and one whose none has
+    top = 1 << (n - 1)
+    for table in ([top | x % top for x in range(1 << n)], [x % top for x in range(1 << n)]):
+        assert_planes_match_the_string_join(BooleanNetwork(labels(n), tuple(table)))
+
+
+def test_bit_planes_at_width_20():
+    """Three bytes per entry: the widest table the state-graph cap admits."""
+    n = 20
+    f = random_table_network(n, 20)
+    planes = output_bitsets(f)
+    assert planes == tuple(oracles.output_bitset(f, i) for i in range(n))
+    assert output_bitsets(f) is planes
+
+
+def test_plane_readers_share_one_build(monkeypatch):
+    """Circular detection, global rows, subnetwork circular forms, subnetwork
+    fixed points and weak convergence all read the output_bitsets memo."""
+    packed = []
+    pack = network.struct.pack
+
+    class Counting:
+        @staticmethod
+        def pack(fmt, *values):
+            packed.append(len(values))
+            return pack(fmt, *values)
+
+    monkeypatch.setattr(network, "struct", Counting)
+    for f in (random_network(8, 4), oracles.constant_network(5, 7)):
+        packed.clear()
+        f = BooleanNetwork(f.components, f.table)  # no memo yet
+        detect_circular(f)
+        global_rows(f)
+        item_circular_forms(f)
+        is_zero_critical(f)
+        weak_convergence(f)
+        assert packed == [len(f.table)]
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,8 @@ def test_local_graphs_of_the_worked_example():
     assert at0.arc_list() == (("1", 1, "2"), ("2", 1, "3"), ("3", 1, "1"))
     at7 = local_interaction_graph(EX1, parse_point("111", EX1.components))
     assert at7.arc_list() == (("1", -1, "3"), ("2", -1, "1"), ("3", -1, "2"))
+    with pytest.raises(ValueError, match="point components do not match the network"):
+        local_interaction_graph(EX1, parse_point("000", ("a", "b", "c")))
 
 
 def test_global_graph_of_the_worked_example():
@@ -365,6 +367,10 @@ def test_delocalizing_needs_two_distinct_targets():
     cycle = next(c for c in enumerate_cycles(same) if c.length == 2)
     assert delocalizing_vertices(same, cycle) == ()
     assert delocalizing_vertices(split, cycle) == ("3",)
+    stranger = Cycle(("1", "4"), (1, 1))
+    for judge in (is_chordless, delocalizing_vertices):
+        with pytest.raises(ValueError, match="cycle vertex '4' is not in the graph"):
+            judge(same, stranger)
 
 
 def test_cycle_str_and_validation():

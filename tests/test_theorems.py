@@ -89,6 +89,8 @@ def test_check_type_errors():
         check("LEMMA1_HYPERCUBE", EX1)
     with pytest.raises(ValueError):
         check("ROBERT", points)
+    with pytest.raises(ValueError, match="points live over different component lists"):
+        check("LEMMA1_HYPERCUBE", points + [parse_point("00", ("a", "b"))])
     with pytest.raises(ValueError):
         check("NO_SUCH_THEOREM", EX1)
 
@@ -608,6 +610,7 @@ def test_sweep_report_rendering():
     )
     assert "wall_time_s=1.500" in report.text()
     assert "wall_time_s" not in report.canonical_text()
+    assert str(report) == report.text()
 
 
 def test_search_report_rendering():
