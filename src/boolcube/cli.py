@@ -83,7 +83,7 @@ ANALYZE_WIDTH_CAP = 10
 # lines in about 2 s and 80 MB, nearly all of them global cycles.
 GRAPH_WIDTH_CAP = 7
 # dynamics and export-dot take the gen --random cap, RANDOM_WIDTH_CAP: at width 16
-# dynamics and --what gamma peak at 131 and 207 MB, --what gf and gfx at 32 MB each.
+# dynamics and --what gamma peak at 92 and 150 MB, --what gf and gfx at 32 MB each.
 
 
 def _bool_text(value: bool) -> str:
@@ -244,7 +244,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
             x = parse_point(args.what[1], f.components)
             text = digraph_dot(local_interaction_graph(f, x))
         else:
-            text = state_graph_dot(asynchronous_state_graph(f), fixed_point_codes(f))
+            text = state_graph_dot(asynchronous_state_graph(f))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
     return EXIT_OK

@@ -30,14 +30,12 @@ def digraph_dot(g: SignedDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def state_graph_dot(sg: StateGraph, fixed_codes: tuple[int, ...]) -> str:
+def state_graph_dot(sg: StateGraph) -> str:
     width = len(sg.components)
-    fixed = set(fixed_codes)
     names = [_quote(format_code(code, width)) for code in range(1 << width)]
     lines = ["digraph dynamics {"]
-    for code, name in enumerate(names):
-        shape = "doublecircle" if code in fixed else "circle"
-        lines.append(f"  {name} [shape={shape}];")
+    for name, diff in zip(names, sg.unstable):
+        lines.append(f"  {name} [shape={'circle' if diff else 'doublecircle'}];")
     lines.extend(f"  {names[src]} -> {names[dst]};" for src, dst in sg.arc_list())
     lines.append("}")
     return "\n".join(lines) + "\n"

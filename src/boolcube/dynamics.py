@@ -11,20 +11,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypercube import Point, coordinate_sets
-from .network import BooleanNetwork, check_width, fixed_point_codes, memo, unstable_sets
+from .network import BooleanNetwork, check_width, conjugate_codes, fixed_point_codes, memo
+from .network import unstable_sets
 
 WIDTH_CAP = 20
 
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Arcs are (state code, state code) pairs differing in one component."""
+    """unstable[x] = f(x) xor x: bit k set is the arc x -> x xor e_k; a zero is a fixed point."""
 
     components: tuple[str, ...]
-    arcs: frozenset[tuple[int, int]]
+    unstable: tuple[int, ...]
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.arc_list())
 
     def arc_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.arcs))
+        """Arcs by source, then target: for each x, the flips that clear a bit
+        of x from the highest bit down, then those that set one from the lowest up."""
+        arcs = []
+        for x, diff in enumerate(self.unstable):
+            down = diff & x
+            up = diff ^ down
+            while down:
+                high = 1 << down.bit_length() - 1
+                arcs.append((x, x ^ high))
+                down ^= high
+            while up:
+                low = up & -up
+                arcs.append((x, x ^ low))
+                up ^= low
+        return tuple(arcs)
 
     def point(self, code: int) -> Point:
         return Point(self.components, code)
@@ -45,94 +64,70 @@ class Attractor:
 
 def asynchronous_state_graph(f: BooleanNetwork) -> StateGraph:
     check_width("the state graph", f.width, WIDTH_CAP)
-    succs = _successor_lists(f.table)
-    return StateGraph(f.components, frozenset((x, y) for x, ys in enumerate(succs) for y in ys))
+    return StateGraph(f.components, conjugate_codes(f))
 
 
-def _successor_lists(table: tuple[int, ...]) -> list[list[int]]:
-    out = []
-    for x, v in enumerate(table):
-        diff = x ^ v
-        succ = []
-        while diff:
-            low = diff & -diff
-            succ.append(x ^ low)
-            diff ^= low
-        out.append(succ)
-    return out
-
-
-def _tarjan_components(succs: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    size = len(succs)
+def _tarjan_components(unstable: tuple[int, ...]) -> tuple[list[list[int]], int]:
+    """Iterative Tarjan: (the terminal components, the number of components).
+    index[x] is -1 until x is reached and len(unstable) once its component closes;
+    x leaves its component by an arc into a closed one or through a child that does."""
+    size = len(unstable)
     index = [-1] * size
     low = [0] * size
-    onstack = bytearray(size)
+    leaves = bytearray(size)
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    terminal: list[list[int]] = []
+    count = counter = 0
     for root in range(size):
         if index[root] != -1:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        onstack[root] = 1
-        call: list[tuple[int, int]] = [(root, 0)]
+        call = [(root, unstable[root])]
         while call:
-            v, pos = call[-1]
-            advanced = False
-            while pos < len(succs[v]):
-                w = succs[v][pos]
-                pos += 1
+            v, pending = call[-1]
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                w = v ^ bit
                 if index[w] == -1:
-                    call[-1] = (v, pos)
+                    call[-1] = (v, pending)
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    onstack[w] = 1
-                    call.append((w, 0))
-                    advanced = True
+                    call.append((w, unstable[w]))
                     break
-                if onstack[w] and index[w] < low[v]:
+                if index[w] == size:
+                    leaves[v] = 1
+                elif index[w] < low[v]:
                     low[v] = index[w]
-            if advanced:
-                continue
-            call.pop()
-            if call:
-                u = call[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
+            else:
+                call.pop()
+                if low[v] == index[v]:
+                    count += 1
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = size
+                    if not leaves[v]:
+                        terminal.append(comp)
+                if call:
+                    u = call[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if leaves[v] or index[v] == size:
+                        leaves[u] = 1
+    return terminal, count
 
 
 @memo
 def _terminal_components(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """(terminal SCCs sorted by smallest state, whether the graph is acyclic)."""
-    succs = _successor_lists(f.table)
-    comps = _tarjan_components(succs)
-    comp_id = [0] * len(f.table)
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = k
-    terminal = []
-    acyclic = True
-    for k, comp in enumerate(comps):
-        if len(comp) > 1:
-            acyclic = False
-        if all(comp_id[w] == k for v in comp for w in succs[v]):
-            terminal.append(tuple(sorted(comp)))
-    terminal.sort(key=lambda comp: comp[0])
-    return tuple(terminal), acyclic
+    unstable = conjugate_codes(f)
+    terminal, count = _tarjan_components(unstable)
+    return tuple(sorted(tuple(sorted(comp)) for comp in terminal)), count == len(unstable)
 
 
 @memo

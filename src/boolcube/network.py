@@ -110,7 +110,7 @@ def evaluate(f: BooleanNetwork, x: Point) -> Point:
 
 def conjugate(f: BooleanNetwork) -> BooleanNetwork:
     """The network x -> f(x) xor x; its fixed-point-free zeros drive everything."""
-    return BooleanNetwork(f.components, tuple(v ^ x for x, v in enumerate(f.table)))
+    return BooleanNetwork(f.components, conjugate_codes(f))
 
 
 @memo
@@ -239,12 +239,19 @@ def translate(f: BooleanNetwork, members: Iterable[str]) -> BooleanNetwork:
 
 
 def network_from_index(n: int, index: int) -> BooleanNetwork:
-    """Decode a table from an integer: component block c holds f(c), low bits first."""
+    """Decode a table from an integer: component block c holds f(c), low bits first.
+    Halving the index into words of at most 64 blocks keeps every shift short."""
     size = 1 << n
     mask = size - 1
-    if not 0 <= index < 1 << (n * size):
+    bits = n * size
+    if not 0 <= index < 1 << bits:
         raise ValueError(f"network index {index} out of range for width {n}")
-    table = tuple(index >> (c * n) & mask for c in range(size))
+    words = [index]
+    while bits > n << 6:
+        bits >>= 1
+        low = (1 << bits) - 1
+        words = [w for word in words for w in (word & low, word >> bits)]
+    table = tuple([word >> s & mask for word in words for s in range(0, bits, n)])
     return BooleanNetwork(default_components(n), table)
 
 

@@ -31,6 +31,12 @@ def constant_network(n: int, code: int) -> BooleanNetwork:
     return BooleanNetwork(_labels(n), tuple(code for _ in range(1 << n)))
 
 
+def table_from_index(n: int, index: int) -> tuple[int, ...]:
+    """The table decode as first written: one shift of the whole index per entry."""
+    size = 1 << n
+    return tuple(index >> (c * n) & (size - 1) for c in range(size))
+
+
 def scatter_bits(code: int, mask: int) -> int:
     """Inverse of gather_bits: spread low-order bits of code onto mask positions."""
     out = 0

@@ -1,6 +1,8 @@
 """The DOT renderers against the grammar check in oracles, for every label
 that check_components accepts."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from boolcube import FormatError, SignedDigraph, asynchronous_state_graph, random_network
 from boolcube.dotfmt import digraph_dot, state_graph_dot
+from boolcube.hypercube import format_code
 from boolcube.network import fixed_point_codes
 
 # Characters that mean something to a DOT tokenizer, plus non-ASCII ones.
@@ -43,4 +46,13 @@ def test_digraph_dot_is_valid_for_any_accepted_labels(g):
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_state_graph_dot_is_valid(n, seed):
     f = random_network(n, seed)
-    oracles.validate_dot(state_graph_dot(asynchronous_state_graph(f), fixed_point_codes(f)))
+    oracles.validate_dot(state_graph_dot(asynchronous_state_graph(f)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_state_graph_dot_double_circles_exactly_the_fixed_points(n):
+    for f in (random_network(n, 1), random_network(n, 2), oracles.identity_network(n)):
+        text = state_graph_dot(asynchronous_state_graph(f))
+        doubled = re.findall(r'^  "([01]+)" \[shape=doublecircle\];$', text, re.M)
+        assert doubled == [format_code(x, n) for x in fixed_point_codes(f)]
+        assert text.count("[shape=") == 1 << n

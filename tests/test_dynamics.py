@@ -168,10 +168,51 @@ def test_weak_convergence_matches_oracle_on_converging_networks(n):
     assert verdicts == {True, False}
 
 
+def networks_at(n, rng):
+    """The identity (no arcs), the negation (every arc), random tables, and
+    converging tables (acyclic state graphs: every component a singleton),
+    each converging table also with one entry changed."""
+    labels = tuple(str(k + 1) for k in range(n))
+    yield oracles.identity_network(n)
+    yield oracles.negation_network(n)
+    for _ in range(3):
+        yield BooleanNetwork(labels, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+        table = converging_table(n, rng)
+        yield BooleanNetwork(labels, tuple(table))
+        table[rng.randrange(1 << n)] = rng.randrange(1 << n)
+        yield BooleanNetwork(labels, tuple(table))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_arc_list_is_the_sorted_successor_oracle_at_every_width(n):
+    for f in networks_at(n, random.Random(n)):
+        graph = asynchronous_state_graph(f)
+        succ = oracles.successor_map(f)
+        assert graph.arcs == {(x, y) for x, ys in enumerate(succ) for y in ys}
+        assert graph.arc_list() == tuple(sorted(graph.arcs))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_attractors_and_strong_convergence_match_oracles_at_wider_widths(n):
+    verdicts = set()
+    for f in networks_at(n, random.Random(100 + n)):
+        assert [a.states for a in attractors(f)] == oracles.attractor_sets(f)
+        assert strong_convergence(f) == oracles.strongly_convergent(f)
+        verdicts.add(strong_convergence(f))
+    assert verdicts == {True, False}
+
+
 def test_width_cap_raises_on_every_call(monkeypatch):
     monkeypatch.setattr(dynamics, "WIDTH_CAP", 1)
     f = oracles.identity_network(2)
-    for check in (asynchronous_state_graph, attractors, weak_convergence, strong_convergence):
+    entry_points = (
+        asynchronous_state_graph,
+        attractors,
+        attractor_summary,
+        weak_convergence,
+        strong_convergence,
+    )
+    for check in entry_points:
         for _ in range(2):
             with pytest.raises(WidthCapError):
                 check(f)

@@ -204,6 +204,20 @@ def test_network_from_index_rejects_out_of_range():
         network_from_index(2, 1 << 8)
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_network_from_index_matches_the_per_entry_decode(n):
+    """The per-entry oracle is quadratic in n 2^n, so the widest widths get one
+    random index each."""
+    rng = random.Random(n)
+    bits = n << n
+    mask = (1 << n) - 1
+    assert network_from_index(n, 0).table == (0,) * (1 << n)
+    assert network_from_index(n, (1 << bits) - 1).table == (mask,) * (1 << n)
+    for _ in range(3 if n <= 12 else 1):
+        index = rng.getrandbits(bits)
+        assert network_from_index(n, index).table == oracles.table_from_index(n, index)
+
+
 def test_enumerate_networks():
     tables_seen = [f.table for f in enumerate_networks(1)]
     assert tables_seen == [(0, 0), (1, 0), (0, 1), (1, 1)]
