@@ -18,7 +18,19 @@ class FormatError(ValueError):
     """Raised when a textual point, network or graph cannot be parsed."""
 
 
+# Label tuples that passed check_components, so a repeated tuple is checked
+# once per process; at the cap the set starts over.  A failure is never kept,
+# and labels that cannot be hashed (a list of them, say) are checked per call.
+_VALID_LABELS: set[tuple[str, ...]] = set()
+_VALID_LABELS_CAP = 256
+
+
 def check_components(components: tuple[str, ...]) -> None:
+    try:
+        if components in _VALID_LABELS:
+            return
+    except TypeError:
+        pass
     if not components:
         raise ValueError("component list must be nonempty")
     seen = set()
@@ -28,6 +40,10 @@ def check_components(components: tuple[str, ...]) -> None:
         if label in seen:
             raise ValueError(f"duplicate component label {label!r}")
         seen.add(label)
+    if type(components) is tuple:
+        if len(_VALID_LABELS) >= _VALID_LABELS_CAP:
+            _VALID_LABELS.clear()
+        _VALID_LABELS.add(components)
 
 
 def parse_header(

@@ -10,6 +10,11 @@ Facts derived from a network are memoized with @memo, per instance: only
 one-argument functions of the instance are memoized, each in the instance's
 __dict__ under a key derived from the function's module and qualified name, so
 the cached data lives and dies with the network.  An exception is never cached.
+Only sub-table facts outlive their network: subnetwork.item_local_planes
+caches a sub-table's local planes per process, keyed by (width, free mask,
+table), in an LRU cache of 800 entries.  An entry is an integer of at most
+2n^2 2^n bits, 27 KB at the walk's width cap of 10, and its key holds a table
+of at most 512 entries (4 KB), so the cache holds at most 26 MB.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import wraps
+from functools import lru_cache, wraps
 from itertools import chain
 from operator import xor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -98,6 +103,7 @@ class BooleanNetwork:
         return Point(self.components, code)
 
 
+@lru_cache(maxsize=None)
 def default_components(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(1, n + 1))
 

@@ -30,11 +30,16 @@ from .network import (
     table_eosd_class,
     unstable_sets,
 )
-from .siggraph import detect_circular, literal_cycle
+from .siggraph import detect_circular, literal_cycle, local_planes
 
 # Widest network whose subnetworks are walked: the plan's gather tables hold
 # 4^n entries, about 12 MB at width 10.
 SUBNETWORK_WIDTH_CAP = 10
+
+# Distinct sub-tables whose local planes are kept per process.  A width-3 sweep
+# meets at most 780 of them: 4 tables on each of the 3 one-component masks and
+# 256 on each of the 3 two-component masks.
+LOCAL_PLANES_CACHE = 800
 
 
 @dataclass(frozen=True)
@@ -199,6 +204,43 @@ def _free_literals(n: int) -> tuple[tuple[tuple[int, ...], dict[int, tuple[int, 
         literals = {v: (b, neg) for b, x in enumerate(xs) for neg, v in enumerate((x, on ^ x))}
         out.append((free, literals))
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def pair_fields(n: int, mask: int) -> int:
+    """The fields of local_planes(n, ...) whose arc j -> i has both j and i in
+    the free mask; kept for the 64 masks used last, 1.7 MB at width 10."""
+    pair = (1 << (2 << n)) - 1  # the two sign fields of one arc
+    free = [k for k in range(n) if mask >> k & 1]
+    return sum(pair << ((j * n + i) * 2 << n) for j in free for i in free)
+
+
+@lru_cache(maxsize=None)
+def _spread(n: int, m: int) -> tuple[int, ...]:
+    """Per m-bit value v: bit a of v moved to bit a * 2^n, so one entry of an
+    m-component table lands in m bit planes of the n-cube at once."""
+    return tuple(
+        sum(1 << (a << n) for a in range(m) if v >> a & 1) for v in range(1 << m)
+    )
+
+
+@lru_cache(maxsize=LOCAL_PLANES_CACHE)
+def item_local_planes(n: int, mask: int, table: tuple[int, ...]) -> int:
+    """local_planes of the subnetwork with this table on the free mask, laid
+    out in the parent n-cube at frozen code 0: point y is the parent point
+    scatter[mask][y], and local component a is the mask's a-th free component.
+    Shifted left by a frozen code, it is the item at that code."""
+    scatter = subnetwork_plan(n).scatter[mask]
+    spread = _spread(n, len(table).bit_length() - 1)
+    lifted = 0
+    for s, v in zip(scatter, table):
+        lifted |= spread[v] << s
+    full = (1 << (1 << n)) - 1
+    ones = [0] * n
+    free = (k for k in range(n) if mask >> k & 1)
+    for a, k in enumerate(free):
+        ones[k] = lifted >> (a << n) & full
+    return local_planes(n, ones, mask)
 
 
 @memo

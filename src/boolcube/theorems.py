@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import groupby, permutations
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence, Union
 
 from .dynamics import attractor_summary, weak_convergence
@@ -37,6 +38,7 @@ from .network import (
     is_non_expansive,
     memo,
     network_from_index,
+    output_bitsets,
     parity_class,
     render_bn,
     table_is_conjugate_bijective,
@@ -51,6 +53,7 @@ from .siggraph import (
     detect_circular,
     global_rows,
     is_and_net,
+    local_planes,
     local_rows,
     point_rows,
     rows_chordless,
@@ -73,6 +76,8 @@ from .subnetwork import (
     item_circular_forms,
     item_fixed_point_counts,
     item_is_minimal_violation,
+    item_local_planes,
+    pair_fields,
     spec_items,
     subnetwork_plan,
 )
@@ -320,18 +325,17 @@ def _concl_dynamics_iso(f: BooleanNetwork) -> bool:
 
 def _concl_local_subgraph(f: BooleanNetwork) -> bool:
     """Each subnetwork's local graph at y is f's local graph at the matching
-    parent point, restricted to the free components."""
-    plan = subnetwork_plan(f.width)
-    lrows = local_rows(f)
-    for mask, code, sub in spec_items(f)[:-1]:
-        g = plan.gather[mask]
-        free = [k for k in range(f.width) if mask >> k & 1]
-        for y, s in enumerate(plan.scatter[mask]):
-            pos, neg = lrows[code | s]
-            sub_pos, sub_neg = point_rows(len(free), sub, y)
-            for b, j in enumerate(free):
-                if sub_pos[b] != g[pos[j]] or sub_neg[b] != g[neg[j]]:
-                    return False
+    parent point, restricted to the free components.  The subcubes of one free
+    mask tile the cube, so their planes, each shifted to its frozen code, must
+    equal f's planes on the mask's free pairs."""
+    n = f.width
+    planes = local_planes(n, output_bitsets(f))
+    for mask, items in groupby(spec_items(f)[:-1], itemgetter(0)):
+        tiled = 0
+        for _, code, sub in items:
+            tiled |= item_local_planes(n, mask, sub) << code
+        if tiled != planes & pair_fields(n, mask):
+            return False
     return True
 
 

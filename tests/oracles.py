@@ -9,6 +9,8 @@ from __future__ import annotations
 from itertools import product
 
 from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, neighbor_set
+from boolcube.siggraph import local_rows, point_rows
+from boolcube.subnetwork import spec_items, subnetwork_plan
 
 
 # -- reference networks and bit helpers ----------------------------------------
@@ -135,6 +137,24 @@ def all_strict_sub_tables(f: BooleanNetwork) -> list[tuple[int, ...]]:
         for bits in product([0, 1], repeat=len(rest)):
             tables.append(sub_table(f, free, dict(zip(rest, bits))))
     return tables
+
+
+def local_subgraph_containment(f: BooleanNetwork) -> bool:
+    """LOCAL_SUBGRAPH_CONTAINMENT's conclusion as first written: per item and
+    per point, the sub-table's local rows against f's, gathered onto the free
+    components."""
+    plan = subnetwork_plan(f.width)
+    lrows = local_rows(f)
+    for mask, code, sub in spec_items(f)[:-1]:
+        g = plan.gather[mask]
+        free = [k for k in range(f.width) if mask >> k & 1]
+        for y, s in enumerate(plan.scatter[mask]):
+            pos, neg = lrows[code | s]
+            sub_pos, sub_neg = point_rows(len(free), sub, y)
+            for b, j in enumerate(free):
+                if sub_pos[b] != g[pos[j]] or sub_neg[b] != g[neg[j]]:
+                    return False
+    return True
 
 
 def eosd(f: BooleanNetwork) -> bool:

@@ -20,7 +20,9 @@ from boolcube import (
     restrict,
     xor,
 )
+from boolcube import hypercube
 from boolcube.hypercube import (
+    check_components,
     component_mask,
     coordinate_sets,
     cube_literals,
@@ -224,3 +226,35 @@ def test_file_header_errors(parse, keyword, what, text, message):
     with pytest.raises(FormatError) as info:
         parse(text.format(keyword=keyword))
     assert str(info.value) == message.format(keyword=keyword, what=what)
+
+
+@pytest.mark.parametrize(
+    "labels, error, message",
+    [
+        ((), ValueError, "component list must be nonempty"),
+        (("a", ""), ValueError, "bad component label ''"),
+        (("a b",), ValueError, "bad component label 'a b'"),
+        (("#a",), ValueError, "bad component label '#a'"),
+        (("a", "b", "a"), ValueError, "duplicate component label 'a'"),
+        (["a", "a"], ValueError, "duplicate component label 'a'"),
+        (("a", ["b"]), AttributeError, "'list' object has no attribute 'startswith'"),
+    ],
+)
+def test_component_check_never_keeps_a_failure(labels, error, message):
+    """A malformed label raises the same error on every call, whether the
+    labels come as a tuple or a list; only passing tuples are kept."""
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            check_components(labels)
+        assert str(caught.value) == message
+    assert all(kept != tuple(labels) for kept in hypercube._VALID_LABELS)
+
+
+def test_component_check_keeps_a_passing_tuple():
+    labels = ("p", "q", "r")
+    hypercube._VALID_LABELS.discard(labels)
+    check_components(labels)
+    assert labels in hypercube._VALID_LABELS
+    check_components(labels)
+    check_components(["s", "t"])  # a list passes and is not kept
+    assert ("s", "t") not in hypercube._VALID_LABELS

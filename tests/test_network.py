@@ -197,6 +197,7 @@ def test_builtin_networks():
     assert fixed_point_codes(oracles.negation_network(2)) == ()
     assert fixed_point_codes(oracles.constant_network(2, 3)) == (3,)
     assert default_components(3) == ("1", "2", "3")
+    assert default_components(3) is default_components(3)
 
 
 def test_network_from_index_rejects_out_of_range():

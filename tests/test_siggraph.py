@@ -31,13 +31,15 @@ from boolcube import (
     shih_dong_condition,
 )
 from boolcube.hypercube import parse_point
-from boolcube.network import fixed_point_codes, random_network
+from boolcube.network import fixed_point_codes, output_bitsets, random_network
 from boolcube.siggraph import (
     cycle_sign,
     cyclic_components,
     graph_from_rows,
     graph_rows,
     load_sg,
+    local_planes,
+    point_rows,
     rows_girth,
     rows_has_negative_cycle,
     rows_has_positive_cycle,
@@ -47,6 +49,7 @@ from boolcube.siggraph import (
     transpose,
 )
 from boolcube.subnetwork import is_zero_critical, item_circular_forms
+from boolcube.theorems import Circular, candidate_network, generator_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -606,3 +609,33 @@ def test_sg_round_trip_everywhere(g):
 def test_parse_sg_rejects(text):
     with pytest.raises(FormatError):
         parse_sg(text)
+
+
+def _row_planes(n, rows_at, sources=-1):
+    """local_planes' layout built one point at a time from (pos, neg) rows."""
+    fields = [0] * (2 * n * n)
+    for x, rows in enumerate(rows_at):
+        for t, row in enumerate(rows):
+            for j in range(n):
+                for i in range(n):
+                    if sources >> j & 1 and row[j] >> i & 1:
+                        fields[(j * n + i) * 2 + t] |= 1 << x
+    return sum(field << (k << n) for k, field in enumerate(fields))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_local_planes_match_point_rows_at_every_width(n):
+    """Field (j*n + i)*2 + t holds the points where j -> i has sign t, on
+    random tables, the identity, a constant, and at width 4 every circular
+    network; sources keeps only the arcs out of its members."""
+    rng = random.Random(n)
+    nets = [random_network(n, rng.randrange(1 << 30)) for _ in range(3)]
+    nets += [oracles.identity_network(n), oracles.constant_network(n, 1)]
+    if n == 4:
+        nets += [candidate_network(Circular(4), k) for k in range(generator_count(Circular(4)))]
+    for f in nets:
+        expected = _row_planes(n, siggraph.local_rows(f))
+        assert local_planes(n, output_bitsets(f)) == expected
+        sources = rng.randrange(1 << n)
+        by_point = (point_rows(n, f.table, x) for x in range(1 << n))
+        assert local_planes(n, output_bitsets(f), sources) == _row_planes(n, by_point, sources)

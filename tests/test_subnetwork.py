@@ -34,13 +34,16 @@ from boolcube.network import (
     table_fixed_point_codes,
 )
 from boolcube.subnetwork import (
+    LOCAL_PLANES_CACHE,
     has_eosd_subnetwork,
     is_minimal_violation,
     is_two_critical,
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
+    item_local_planes,
     item_tables,
+    pair_fields,
     spec_items,
     sub_table,
     subnetwork_plan,
@@ -54,6 +57,7 @@ from boolcube.theorems import (
     candidate_network,
     describe_generator,
     generator_count,
+    sweep,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -471,3 +475,46 @@ def test_detect_circular_above_the_plan_cap_matches_the_definition(n):
     assert [oracles.circular_form(f) for f in cases] == expected
     assert [_detected(f) for f in cases] == expected
 
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_item_local_planes_lay_the_sub_table_out_in_the_parent_cube(n):
+    """Shifted by its frozen code, an item's planes hold, in field (J*n + I)*2 + t
+    of the parent components J and I, the parent points code | scatter(y) where
+    the sub-table's arc b -> a has sign t; pair_fields covers exactly the free
+    pairs of each mask."""
+    f = random_network(n, 40 + n)
+    for mask, code, table in spec_items(f):
+        free = [k for k in range(n) if mask >> k & 1]
+        expected = 0
+        for y in range(len(table)):
+            x = code | oracles.scatter_bits(y, mask)
+            for t, row in enumerate(siggraph.point_rows(len(free), table, y)):
+                for b, j in enumerate(free):
+                    for a, i in enumerate(free):
+                        if row[b] >> a & 1:
+                            expected |= 1 << (((j * n + i) * 2 + t << n) + x)
+        assert item_local_planes(n, mask, table) << code == expected
+        pairs = sum(((1 << (2 << n)) - 1) << ((j * n + i) * 2 << n) for j in free for i in free)
+        assert pair_fields(n, mask) == pairs
+
+
+def test_local_planes_cache_holds_each_distinct_sub_table_once():
+    """A width-3 sweep meets at most 4 tables on each one-component mask and 256
+    on each two-component mask; a corrupted table is a key of its own; a wider
+    sweep fills the cache to its bound and no further."""
+    item_local_planes.cache_clear()
+    sweep("LOCAL_SUBGRAPH_CONTAINMENT", Sample(3, 2000, 1))
+    info = item_local_planes.cache_info()
+    assert info.maxsize == LOCAL_PLANES_CACHE
+    assert info.currsize == info.misses <= 3 * 4 + 3 * 256 < info.hits
+
+    mask, code, table = spec_items(random_network(3, 5))[-2]
+    bad = (table[0] ^ 1,) + table[1:]
+    item_local_planes.cache_clear()
+    assert item_local_planes(3, mask, bad) != item_local_planes(3, mask, table)
+    assert item_local_planes.cache_info().currsize == 2
+
+    item_local_planes.cache_clear()
+    sweep("LOCAL_SUBGRAPH_CONTAINMENT", Sample(4, 100, 1))
+    info = item_local_planes.cache_info()
+    assert info.misses > info.currsize == LOCAL_PLANES_CACHE

@@ -458,6 +458,46 @@ def test_subnetwork_checks_catch_a_corrupted_sub_table(monkeypatch, key):
             assert check(key, EX1).kind is VerdictKind.COUNTEREXAMPLE, (k, y)
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [
+        Sample(1, 4, 1),
+        Sample(2, 200, 1),
+        Sample(3, 500, 1),
+        Sample(4, 100, 2),
+        Sample(5, 20, 3),
+        Sample(6, 4, 4),
+        AndNets(3),
+        Circular(4),
+        NonExpansive(3),
+    ],
+    ids=describe_generator,
+)
+def test_local_subgraph_planes_match_the_per_point_loop(gen):
+    """The packed-plane conclusion gives the per-point loop's verdict."""
+    for k in range(generator_count(gen)):
+        f = candidate_network(gen, k)
+        assert theorems._concl_local_subgraph(f) is oracles.local_subgraph_containment(f) is True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_local_subgraph_planes_catch_every_single_bit_corruption(monkeypatch, n):
+    """Any one output bit flipped in any entry of any sub-table is caught, as
+    the per-point loop catches it."""
+    for index in range(3):
+        f = candidate_network(Sample(n, 3, 5), index)
+        items = subnetwork.spec_items(f)
+        for k, (mask, code, table) in enumerate(items[:-1]):
+            for y in range(len(table)):
+                for bit in range(mask.bit_count()):
+                    bad = table[:y] + (table[y] ^ 1 << bit,) + table[y + 1 :]
+                    corrupted = items[:k] + ((mask, code, bad),) + items[k + 1 :]
+                    monkeypatch.setattr(theorems, "spec_items", lambda f: corrupted)
+                    monkeypatch.setattr(oracles, "spec_items", lambda f: corrupted)
+                    new = theorems._concl_local_subgraph(f)
+                    assert new is oracles.local_subgraph_containment(f) is False, (k, y, bit)
+
+
 def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
     """Circular detection and the subnetwork items' circular forms come from
     bitsets: no subnetwork table and no subnetwork's global rows are built."""
