@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from operator import mul, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -187,6 +187,63 @@ def local_planes(n: int, ones: Sequence[int], sources: int = -1) -> int:
             lo |= lo << step
             planes |= ((lo & ~hi) << size | hi & ~lo) << (j * n * 2 << n)
     return planes
+
+
+@memo
+def local_arc_sets(f: BooleanNetwork) -> tuple[tuple[int, ...], ...]:
+    """A[j][i], the points x where j -> i is an arc of G(f, x) of either sign:
+    f_i changes along e_j there, so A[j][i] = O_i ^ flip_j(O_i), where
+    flip_j(S) = (S & X_j) >> 2^j | (S & ~X_j) << 2^j moves S across e_j."""
+    ones = output_bitsets(f)
+    full = (1 << len(f.table)) - 1
+    arcs = []
+    for j, x in enumerate(coordinate_sets(f.width)):
+        step, off = 1 << j, full ^ x
+        arcs.append(tuple([o ^ ((o & x) >> step | (o & off) << step) for o in ones]))
+    return tuple(arcs)
+
+
+@memo
+def local_girth_sets(f: BooleanNetwork) -> tuple[int, ...]:
+    """Entry k - 1 is the set of points whose local graph has a cycle of
+    length <= k, for k = 1..n.
+
+    A walk from v through the vertices >= v is one list of point sets per
+    length: entry i - v holds the points where such a walk leads from v to i.
+    A closed walk at x holds a cycle at x no longer than it, and a shortest
+    cycle at x is a closed walk from its smallest vertex, so the first length
+    that closes a walk at x is x's girth.  A point found at one length is
+    dropped from the later walks, and the walks from v stop after n - v
+    steps, the longest cycle on the vertices >= v.
+    """
+    n = f.width
+    arcs = local_arc_sets(f)
+    full = (1 << len(f.table)) - 1
+    # the walks of length 1 are the arcs out of v, the closed ones its loops
+    walks = [arcs[v][v:] for v in range(n)]
+    found = 0
+    for v in range(n):
+        found |= arcs[v][v]
+    sets = [found]
+    for length in range(2, n + 1):
+        if found == full:
+            break
+        alive = full ^ found
+        for v in range(n - length + 1):
+            step = None
+            for j, reach in enumerate(walks[v], v):
+                reach &= alive
+                if reach:
+                    row = arcs[j][v:]
+                    if step is None:
+                        step = [reach & a for a in row]
+                    else:
+                        step = [s | reach & a for s, a in zip(step, row)]
+            walks[v] = step or ()
+            if step:
+                found |= step[0]
+        sets.append(found)
+    return tuple(sets + [found] * (n - len(sets)))
 
 
 @memo
@@ -580,14 +637,9 @@ def rows_has_positive_cycle(
     return False
 
 
-@memo
 def shih_dong_condition(f: BooleanNetwork) -> bool:
     """Every local interaction graph is acyclic."""
-    n = f.width
-    return all(
-        rows_girth(n, tuple(map(or_, pos, neg))) is None
-        for pos, neg in local_rows(f)
-    )
+    return not local_girth_sets(f)[-1]
 
 
 class CycleFilter(Enum):
@@ -607,24 +659,20 @@ def _min_chordless_cycle_len(n: int, rows: Rows, want: int) -> int | None:
 
 def counting_condition(f: BooleanNetwork, filt: CycleFilter = CycleFilter.ALL) -> bool:
     """For each k <= n, at most 2^k - 1 points see a qualifying local cycle of
-    length <= k.  Qualifying: any cycle (All) or a chordless cycle of the given
-    sign, chords judged in the local graph."""
+    length <= k.  Qualifying: any cycle (All, read off local_girth_sets) or a
+    chordless cycle of the given sign, chords judged in the local graph."""
     n = f.width
-    want = 1 if filt is CycleFilter.POSITIVE_CHORDLESS else -1
-    per_k = [0] * (n + 1)
-    for rows in local_rows(f):
-        if filt is CycleFilter.ALL:
-            shortest = rows_girth(n, tuple(map(or_, *rows)))
-        else:
+    if filt is CycleFilter.ALL:
+        counts = [found.bit_count() for found in local_girth_sets(f)]
+    else:
+        want = 1 if filt is CycleFilter.POSITIVE_CHORDLESS else -1
+        per_k = [0] * n
+        for rows in local_rows(f):
             shortest = _min_chordless_cycle_len(n, rows, want)
-        if shortest is not None:
-            per_k[shortest] += 1
-    running = 0
-    for k in range(1, n + 1):
-        running += per_k[k]
-        if running > (1 << k) - 1:
-            return False
-    return True
+            if shortest is not None:
+                per_k[shortest - 1] += 1
+        counts = accumulate(per_k)
+    return all(count < 1 << k for k, count in enumerate(counts, 1))
 
 
 def parse_sg(text: str) -> SignedDigraph:

@@ -18,9 +18,9 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import groupby, permutations
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence, Union
 
 from .dynamics import attractor_summary, weak_convergence
@@ -53,6 +53,7 @@ from .siggraph import (
     detect_circular,
     global_rows,
     is_and_net,
+    local_arc_sets,
     local_planes,
     local_rows,
     point_rows,
@@ -111,6 +112,7 @@ class TheoremId(Enum):
 class OpenQuestion(Enum):
     Q1_NEG_LOCAL_CYCLES = "Q1_NEG_LOCAL_CYCLES"
     Q2_0CRITICAL_ANDNET = "Q2_0CRITICAL_ANDNET"
+    Q3_ANDNET_NO_NEG_CIRCULAR_SUB = "Q3_ANDNET_NO_NEG_CIRCULAR_SUB"
 
 
 class VerdictKind(Enum):
@@ -278,11 +280,10 @@ def _concl_andnet_chordless(f: BooleanNetwork) -> bool:
 
 
 def _concl_odd_outdegree(f: BooleanNetwork) -> bool:
-    for pos, neg in local_rows(f):
-        for p, m in zip(pos, neg):
-            if (p | m).bit_count() % 2 == 0:
-                return False
-    return True
+    """j has odd out-degree in G(f, x) exactly when x lies in an odd number
+    of the arc sets A[j][i]: their XOR must be the whole cube for every j."""
+    full = (1 << len(f.table)) - 1
+    return all(reduce(xor, row) == full for row in local_arc_sets(f))
 
 
 def _concl_critical_dynamics(f: BooleanNetwork) -> bool:
@@ -667,6 +668,12 @@ _QUESTIONS: dict[
     "Q2_0CRITICAL_ANDNET": (
         lambda f: is_and_net(f) and is_zero_critical(f),
         lambda f: _circular_sign(f) == -1,
+    ),
+    # Does every and-net with no negative circular subnetwork, f included,
+    # have a fixed point?  (The paper's open C- analogue.)
+    "Q3_ANDNET_NO_NEG_CIRCULAR_SUB": (
+        lambda f: is_and_net(f) and not _has_circular_sub(f)[1],
+        lambda f: _fp_count(f) >= 1,
     ),
 }
 

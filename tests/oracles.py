@@ -7,9 +7,10 @@ Widths stay small in the tests, so quadratic and exponential loops are fine.
 from __future__ import annotations
 
 from itertools import product
+from operator import or_
 
 from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, neighbor_set
-from boolcube.siggraph import local_rows, point_rows
+from boolcube.siggraph import local_rows, point_rows, rows_girth
 from boolcube.subnetwork import spec_items, subnetwork_plan
 
 
@@ -209,6 +210,49 @@ def global_arcs(f: BooleanNetwork) -> set[tuple[str, int, str]]:
     for code in range(len(f.table)):
         arcs |= local_arcs(f, code)
     return arcs
+
+
+def local_girth_sets(f: BooleanNetwork) -> tuple[int, ...]:
+    """siggraph.local_girth_sets one point at a time: rows_girth of each local
+    graph, and the point joins every set from its girth up."""
+    n = f.width
+    sets = [0] * n
+    for x, (pos, neg) in enumerate(local_rows(f)):
+        shortest = rows_girth(n, tuple(map(or_, pos, neg)))
+        if shortest is not None:
+            for k in range(shortest - 1, n):
+                sets[k] |= 1 << x
+    return tuple(sets)
+
+
+def shih_dong_condition(f: BooleanNetwork) -> bool:
+    """Every local graph is acyclic, one point at a time."""
+    n = f.width
+    return all(rows_girth(n, tuple(map(or_, pos, neg))) is None for pos, neg in local_rows(f))
+
+
+def counting_condition(f: BooleanNetwork) -> bool:
+    """counting_condition over all cycles as first written: a histogram of the
+    per-point girths, summed up to each k and held below 2^k."""
+    n = f.width
+    per_k = [0] * (n + 1)
+    for pos, neg in local_rows(f):
+        shortest = rows_girth(n, tuple(map(or_, pos, neg)))
+        if shortest is not None:
+            per_k[shortest] += 1
+    running = 0
+    for k in range(1, n + 1):
+        running += per_k[k]
+        if running > (1 << k) - 1:
+            return False
+    return True
+
+
+def odd_outdegree(f: BooleanNetwork) -> bool:
+    """Every vertex has odd out-degree in every local graph."""
+    return all(
+        (p | m).bit_count() % 2 for pos, neg in local_rows(f) for p, m in zip(pos, neg)
+    )
 
 
 def cycle_set(g: SignedDigraph) -> set[tuple[tuple[str, ...], tuple[int, ...]]]:

@@ -295,7 +295,8 @@ def test_negative_counts_budgets_and_widths_exit_2(capsys, argv, message):
          "DYNAMICS_ISOMORPHISM, LOCAL_SUBGRAPH_CONTAINMENT, EOSD_ANDNET_CIRCULAR, "
          "CHORDLESS_LOCAL_CYCLE_CIRCULAR, CIRCULAR_SUBNETWORK_CRITERION"),
         (("search", "--question", "Q9", "--mode", "exhaustive", "--n", "2"),
-         "unknown question 'Q9'; known: Q1_NEG_LOCAL_CYCLES, Q2_0CRITICAL_ANDNET"),
+         "unknown question 'Q9'; known: Q1_NEG_LOCAL_CYCLES, Q2_0CRITICAL_ANDNET, "
+         "Q3_ANDNET_NO_NEG_CIRCULAR_SUB"),
     ],
 )
 def test_unknown_keys_list_the_known_ones(capsys, argv, message):
@@ -559,6 +560,27 @@ def test_gfx_builds_no_local_rows_memo(tmp_path, capsys, monkeypatch):
     assert calls == []
     x = parse_point("01101001", f.components)
     assert out.read_text(encoding="utf-8") == digraph_dot(local_interaction_graph(f, x))
+
+
+def test_analyze_builds_no_local_rows_memo(tmp_path, capsys, monkeypatch):
+    """analyze reads the girth kernel for shih_dong and counting_condition,
+    never the local rows of every point."""
+    calls = []
+    build = siggraph.local_rows
+
+    def counting(f):
+        calls.append(f.width)
+        return build(f)
+
+    monkeypatch.setattr(siggraph, "local_rows", counting)
+    f = random_network(8, 0)
+    path = tmp_path / "w8.bn"
+    path.write_text(render_bn(f), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert calls == []
+    assert f"counting_condition: {str(oracles.counting_condition(f)).lower()}\n" in out
+    assert f"shih_dong: {str(oracles.shih_dong_condition(f)).lower()}\n" in out
 
 
 def test_search_examines_every_non_expansive_network(capsys):

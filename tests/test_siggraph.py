@@ -49,7 +49,7 @@ from boolcube.siggraph import (
     transpose,
 )
 from boolcube.subnetwork import is_zero_critical, item_circular_forms
-from boolcube.theorems import Circular, candidate_network, generator_count
+from boolcube.theorems import Circular, Sample, candidate_network, generator_count, sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -548,6 +548,16 @@ def test_d_n_is_a_zero_critical_and_net_with_no_negative_circular_subnetwork(n):
     assert detect_circular(f) is None
     assert not any(map(_negative_circular, item_circular_forms(f)))
 
+
+def test_d_n_answers_the_c_minus_question_no():
+    """Q3's hypothesis holds on D_4 (the fixture) and on D_5..D_8, and its
+    conclusion fails: an and-net with no negative circular subnetwork, f
+    itself included, need not have a fixed point."""
+    hyp, concl = theorems._QUESTIONS["Q3_ANDNET_NO_NEG_CIRCULAR_SUB"]
+    for f in [and_net(load_sg(str(DATA / "d4.sg")))] + [d_net(n) for n in range(5, 9)]:
+        assert hyp(f) and not concl(f)
+
+
 def test_simple_digraph_enumeration():
     seen = {
         graph_from_rows(labels(2), *simple_digraph_rows_from_index(2, index))
@@ -583,6 +593,82 @@ def test_counting_condition():
     assert not counting_condition(negation)
     assert counting_condition(negation, CycleFilter.POSITIVE_CHORDLESS)
     assert not counting_condition(negation, CycleFilter.NEGATIVE_CHORDLESS)
+
+
+def _check_girth_kernel(f):
+    """local_girth_sets, the two conditions that read it, the arc sets and the
+    odd out-degree conclusion against the per-point oracles; True when some k
+    has exactly 2^k points with a cycle of length <= k, the counting bound."""
+    n = f.width
+    sets = siggraph.local_girth_sets(f)
+    assert sets == oracles.local_girth_sets(f)
+    assert shih_dong_condition(f) == oracles.shih_dong_condition(f)
+    assert counting_condition(f) == oracles.counting_condition(f)
+    arcs = [[0] * n for _ in range(n)]
+    for x in range(1 << n):
+        pos, neg = point_rows(n, f.table, x)
+        for j in range(n):
+            for i in range(n):
+                if (pos[j] | neg[j]) >> i & 1:
+                    arcs[j][i] |= 1 << x
+    assert siggraph.local_arc_sets(f) == tuple(map(tuple, arcs))
+    assert theorems._concl_odd_outdegree(f) == oracles.odd_outdegree(f)
+    return any(found.bit_count() == 1 << k for k, found in enumerate(sets, 1))
+
+
+def test_local_girth_sets_on_every_table_up_to_width_2():
+    at_bound = 0
+    for n in (1, 2):
+        size = 1 << n
+        for table in product(range(size), repeat=size):
+            at_bound += _check_girth_kernel(BooleanNetwork(labels(n), table))
+    assert at_bound
+
+
+def _perturbed(base, density, rng):
+    """base's table with each output bit flipped with probability density."""
+    n = base.width
+    table = tuple(
+        v ^ sum(1 << i for i in range(n) if rng.random() < density) for v in base.table
+    )
+    return BooleanNetwork(base.components, table)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_local_girth_sets_on_random_tables_of_every_density(n):
+    """Tables near a constant, the identity and a circular network, from
+    untouched to uniformly random, so girths run from none to n."""
+    rng = random.Random(n)
+    pred = tuple((i - 1) % n for i in range(n))
+    bases = (
+        oracles.constant_network(n, 0),
+        oracles.identity_network(n),
+        circular_network(CircularForm(labels(n), pred, rng.randrange(1 << n))),
+    )
+    girths = set()
+    for base in bases:
+        for density in (0.0, 0.01, 0.03, 0.1, 0.3, 0.5):
+            for _ in range(2):
+                f = _perturbed(base, density, rng)
+                _check_girth_kernel(f)
+                sets = (0, *siggraph.local_girth_sets(f))
+                girths.update(k for k in range(1, n + 1) if sets[k] != sets[k - 1])
+    assert girths == set(range(1, n + 1))
+
+
+@pytest.mark.parametrize("key", ["SHIH_DONG", "COR_COUNTING"])
+def test_girth_sweeps_match_the_per_point_oracle(key, monkeypatch):
+    """Width-8 sweeps: every candidate's girth sets, then the report with the
+    oracle as the hypothesis."""
+    gen = Sample(8, 30, 1)
+    report = sweep(key, gen).canonical_text()
+    for index in range(gen.count):
+        f = candidate_network(gen, index)
+        assert siggraph.local_girth_sets(f) == oracles.local_girth_sets(f)
+    oracle = {"SHIH_DONG": oracles.shih_dong_condition, "COR_COUNTING": oracles.counting_condition}
+    concl = theorems.NETWORK_CATALOG[key][1]
+    monkeypatch.setitem(theorems.NETWORK_CATALOG, key, (oracle[key], concl))
+    assert sweep(key, gen).canonical_text() == report
 
 
 def test_sg_round_trip():

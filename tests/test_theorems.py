@@ -358,6 +358,11 @@ def test_open_question_searches():
         0,
     )
 
+    # on 3 vertices every and-net without a negative circular subnetwork has a
+    # fixed point; the counterexample D_4 has 4 vertices
+    report = open_question_search(OpenQuestion.Q3_ANDNET_NO_NEG_CIRCULAR_SUB, AndNets(3))
+    assert (report.examined, report.hypothesis_hits, report.discovery_count) == (19683, 5116, 0)
+
     capped = open_question_search("Q1_NEG_LOCAL_CYCLES", Exhaustive(2), budget=10)
     assert capped.examined == 10
 
