@@ -76,8 +76,8 @@ EXIT_CAP = 3
 EXIT_COUNTEREXAMPLE = 4
 
 # Widest network analyze and subnets accept: at width 10 analyze takes about
-# 0.2-0.3 s and 35 MB on a 2-core host (3-4 ms of it reading and analysing the
-# file, the rest interpreter start and imports), subnets about 1.6 s and 42 MB.
+# 0.16-0.2 s and 22 MB on a 2-core host (10-11 ms of it reading and analysing
+# the file, the rest interpreter start and imports), subnets about 1.6 s and 42 MB.
 ANALYZE_WIDTH_CAP = 10
 # Widest network graph accepts: for a random width-7 network it prints 166k
 # lines in about 2 s and 80 MB, nearly all of them global cycles.

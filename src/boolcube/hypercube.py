@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -52,7 +54,8 @@ def parse_header(
     """(labels, the remaining lines) of a text, given as its lines, whose first
     line is '<keyword> <label> <label> ...'; '#' starts a comment and blank
     lines are dropped.  No line past the header is read here."""
-    content = filter(None, (raw.split("#", 1)[0].strip() for raw in lines))
+    heads = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    content = filter(None, map(str.strip, heads))
     first = next(content, None)
     if first is None:
         raise FormatError(f"empty {what} description")

@@ -294,16 +294,27 @@ def parse_bn(
     size = 1 << n
     if len(rows) != size:
         raise FormatError(f"expected {size} table rows, got {len(rows)}")
+    codes = _code_texts(n)
     table: list[int | None] = [None] * size
     for line in rows:
         parts = line.split()
         if len(parts) != 3 or parts[1] != "->":
             raise FormatError(f"bad table row {line!r}")
-        src = parse_code(parts[0], n)
+        src = codes.get(parts[0])
+        if src is None:  # no code, or a width past the map: parse_code decides
+            src = parse_code(parts[0], n)
         if table[src] is not None:
             raise FormatError(f"duplicate table row for input {parts[0]}")
-        table[src] = parse_code(parts[2], n)
+        dst = codes.get(parts[2])
+        table[src] = parse_code(parts[2], n) if dst is None else dst
     return BooleanNetwork(components, tuple(table))  # type: ignore[arg-type]
+
+
+@lru_cache(maxsize=None)
+def _code_texts(n: int) -> dict[str, int]:
+    """Each of the 2^n texts parse_code accepts at width n, mapped to its code, up
+    to width 12 (0.5 MB); wider, none, since at width 16 the map alone is 9 MB."""
+    return {format_code(x, n): x for x in range(1 << n)} if n <= 12 else {}
 
 
 def render_bn(f: BooleanNetwork) -> str:

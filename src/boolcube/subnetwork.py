@@ -6,9 +6,10 @@ the free coordinates.  Enumeration order everywhere: |I| ascending, then I in
 lexicographic order, then z in lexicographic (bitstring) order, so witnesses
 are deterministic.
 
-Every walk over the subnetworks reads one SubnetworkPlan per width, built
-once.  Searches build one subnetwork's table at a time and stop at the first
-one that decides the answer.
+Every walk over the subnetworks reads the masks of one SubnetworkPlan per
+width, and each mask's record, built the first time a walk reaches it.
+Searches build one subnetwork's table at a time and stop at the first one that
+decides the answer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator
 
 from .hypercube import Point, component_mask, coordinate_sets, gather_bits, mask_labels
@@ -32,8 +33,8 @@ from .network import (
 )
 from .siggraph import detect_circular, literal_cycle, local_planes
 
-# Widest network whose subnetworks are walked: the plan's gather tables hold
-# 4^n entries, about 12 MB at width 10.
+# Widest network whose subnetworks are walked: a mask's gather table holds 2^n
+# entries, so a walk over every mask keeps 4^n of them, about 12 MB at width 10.
 SUBNETWORK_WIDTH_CAP = 10
 
 # Distinct sub-tables whose local planes are kept per process.  A width-3 sweep
@@ -84,51 +85,51 @@ class SubnetworkSpec:
         return text
 
 
+class MaskRecords(dict):
+    """Per free mask of one width, (codes, scatter, points, gather), built when
+    first read from the mask without its top bit t: item (mask, code) for code in
+    codes, in order, has point y at parent point code | scatter[y]; points is their
+    bitset; gather maps a parent code to its free bits, a 2^t-entry block repeated."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, mask: int) -> tuple:
+        n, top = self.n, 1 << (mask.bit_length() - 1)
+        _, scatter, points, gather = self[mask ^ top] if mask != top else ((), (0,), 1, (0,) * top)
+        low = gather[:top]
+        high = tuple(map((1 << (mask.bit_count() - 1)).__or__, low))
+        fixed = [0]  # z in bitstring-lex order: the lowest frozen bit varies slowest
+        for k in range(n - 1, -1, -1):
+            if not mask >> k & 1:
+                fixed += [c | 1 << k for c in fixed]
+        scatter += tuple(map(top.__or__, scatter))
+        gather = (low + high) * ((1 << n) // (2 * top))
+        return self.setdefault(mask, (tuple(fixed), scatter, points | points << top, gather))
+
+
 @dataclass(frozen=True)
 class SubnetworkPlan:
     """Every subnetwork item (mask, code) of one width: for mask in masks, for
-    code in codes[mask], f's own item last.  Point y of item (mask, code) is
-    the parent point code | scatter[mask][y]; points[mask] holds the same
-    points as a bitset, and gather[mask] maps a parent code to its free bits."""
+    code in the codes of records[mask], f's own item last."""
 
     masks: tuple[int, ...]
-    codes: tuple[tuple[int, ...], ...]
-    scatter: tuple[tuple[int, ...], ...]
-    points: tuple[int, ...]
-    gather: tuple[tuple[int, ...], ...]
+    records: MaskRecords
 
     def items(self, include_self: bool = True) -> Iterator[tuple[int, int]]:
         for mask in self.masks if include_self else self.masks[:-1]:
-            for code in self.codes[mask]:
+            for code in self.records[mask][0]:
                 yield mask, code
 
 
 @lru_cache(maxsize=None)
 def subnetwork_plan(n: int) -> SubnetworkPlan:
-    """The plan of width n, built once.  A mask's entries extend those of the
-    mask without its top bit t; its gather table depends only on the bits
-    below t, so it repeats a block of 2^t entries, bit t off and then on."""
+    """The mask order of width n, and its records, none built yet."""
     check_width("the subnetwork walk", n, SUBNETWORK_WIDTH_CAP)
-    size = 1 << n
-    scatter, points, codes = [(0,)] * size, [1] * size, [()] * size
-    gather = [(0,) * size] * size
-    for mask in range(1, size):
-        top = 1 << (mask.bit_length() - 1)
-        rest = mask ^ top
-        scatter[mask] = scatter[rest] + tuple(map(top.__or__, scatter[rest]))
-        points[mask] = points[rest] | points[rest] << top
-        low = gather[rest][:top]
-        high = tuple(map((1 << (mask.bit_count() - 1)).__or__, low))
-        gather[mask] = (low + high) * (size // (2 * top))
-        fixed = [0]  # z in bitstring-lex order: the lowest frozen bit varies slowest
-        for k in range(n - 1, -1, -1):
-            if not mask >> k & 1:
-                fixed += [c | 1 << k for c in fixed]
-        codes[mask] = tuple(fixed)
-    masks = tuple(
-        sum(1 << i for i in combo) for m in range(1, n + 1) for combo in combinations(range(n), m)
-    )
-    return SubnetworkPlan(masks, tuple(codes), tuple(scatter), tuple(points), tuple(gather))
+    bits = [1 << k for k in range(n)]
+    masks = map(sum, chain.from_iterable(combinations(bits, m) for m in range(1, n + 1)))
+    return SubnetworkPlan(tuple(masks), MaskRecords(n))
 
 
 def _lookup(at: Callable[[int], int], g: Callable[[int], int], scatter: tuple, code: int) -> tuple:
@@ -140,9 +141,8 @@ def sub_table(
     table: tuple[int, ...], free_mask: int, fixed_code: int
 ) -> tuple[int, ...]:
     """Truth table of the subnetwork: evaluate with frozen bits, keep free bits."""
-    plan = subnetwork_plan((len(table) - 1).bit_length())
-    g = plan.gather[free_mask].__getitem__
-    return _lookup(table.__getitem__, g, plan.scatter[free_mask], fixed_code)
+    _, scatter, _, gather = subnetwork_plan(len(table).bit_length() - 1).records[free_mask]
+    return _lookup(table.__getitem__, gather.__getitem__, scatter, fixed_code)
 
 
 def induced_subnetwork(f: BooleanNetwork, spec: SubnetworkSpec) -> BooleanNetwork:
@@ -169,11 +169,11 @@ def item_tables(
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """(free_mask, fixed_code, table) per subnetwork in enumeration order, f's
     own last; a table is built only when the walk reaches it."""
-    plan = subnetwork_plan(f.width)
-    at = f.table.__getitem__
+    plan, at = subnetwork_plan(f.width), f.table.__getitem__
     for mask in plan.masks if include_self else plan.masks[:-1]:
-        g, scatter = plan.gather[mask].__getitem__, plan.scatter[mask]
-        for code in plan.codes[mask]:
+        codes, scatter, _, gather = plan.records[mask]
+        g = gather.__getitem__
+        for code in codes:
             yield mask, code, _lookup(at, g, scatter, code)
 
 
@@ -191,19 +191,18 @@ def _fixed_sets(f: BooleanNetwork) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _free_literals(n: int) -> tuple[tuple[tuple[int, ...], dict[int, tuple[int, int]]], ...]:
+def _free_literals(n: int) -> dict[int, tuple[tuple[int, ...], dict[int, tuple[int, int]]]]:
     """Per free mask: its free components, and the literals x_j and not x_j of
     those components restricted to the mask's points, as a map from each
     bitset to (local index of j, 1 if negated else 0)."""
-    points = subnetwork_plan(n).points
-    cube = coordinate_sets(n)
-    out = []
-    for mask, on in enumerate(points):
+    plan, cube, out = subnetwork_plan(n), coordinate_sets(n), {}
+    for mask in plan.masks:
+        on = plan.records[mask][2]
         free = tuple(k for k in range(n) if mask >> k & 1)
         xs = [cube[j] & on for j in free]
         literals = {v: (b, neg) for b, x in enumerate(xs) for neg, v in enumerate((x, on ^ x))}
-        out.append((free, literals))
-    return tuple(out)
+        out[mask] = free, literals
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -228,9 +227,9 @@ def _spread(n: int, m: int) -> tuple[int, ...]:
 def item_local_planes(n: int, mask: int, table: tuple[int, ...]) -> int:
     """local_planes of the subnetwork with this table on the free mask, laid
     out in the parent n-cube at frozen code 0: point y is the parent point
-    scatter[mask][y], and local component a is the mask's a-th free component.
-    Shifted left by a frozen code, it is the item at that code."""
-    scatter = subnetwork_plan(n).scatter[mask]
+    scatter[y] of the mask's record, and local component a is the mask's a-th
+    free component.  Shifted left by a frozen code, it is the item at that code."""
+    scatter = subnetwork_plan(n).records[mask][1]
     spread = _spread(n, len(table).bit_length() - 1)
     lifted = 0
     for s, v in zip(scatter, table):
@@ -248,14 +247,13 @@ def item_circular_forms(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] 
     """Per item in plan order, f's own last, (predecessor map, constant) in
     the item's local indices when the subnetwork is a circular network, else
     None.  Reads f's output bitsets, builds no table; f's own is detect_circular's."""
-    plan = subnetwork_plan(f.width)
-    free_literals = _free_literals(f.width)
+    plan, free_literals = subnetwork_plan(f.width), _free_literals(f.width)
     ones = output_bitsets(f)
     forms = []
     for mask in plan.masks[:-1]:
+        codes, _, on, _ = plan.records[mask]
         free, literals = free_literals[mask]
-        on = plan.points[mask]
-        for code in plan.codes[mask]:
+        for code in codes:
             forms.append(literal_cycle(literals, [ones[i] >> code & on for i in free]))
     own = detect_circular(f)
     forms.append(None if own is None else (own.predecessor, own.constant))
@@ -264,10 +262,11 @@ def item_circular_forms(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] 
 
 def _item_counts(f: BooleanNetwork, include_self: bool = True) -> Iterator[int]:
     """Fixed-point count per item in enumeration order, with no table."""
-    plan = subnetwork_plan(f.width)
-    fixed = _fixed_sets(f)
-    for mask, code in plan.items(include_self):
-        yield (fixed[mask] >> code & plan.points[mask]).bit_count()
+    plan, fixed = subnetwork_plan(f.width), _fixed_sets(f)
+    for mask in plan.masks if include_self else plan.masks[:-1]:
+        codes, _, on, _ = plan.records[mask]
+        for code in codes:
+            yield (fixed[mask] >> code & on).bit_count()
 
 
 def subnetworks(

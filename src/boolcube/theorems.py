@@ -150,7 +150,8 @@ def _global_negative_cycle(f: BooleanNetwork) -> bool:
 
 @memo
 def _local_positive_cycle(f: BooleanNetwork) -> bool:
-    return any(rows_has_positive_cycle(f.width, *rows) for rows in local_rows(f))
+    n = f.width
+    return any(rows_has_positive_cycle(n, *point_rows(n, f.table, x)) for x in range(1 << n))
 
 
 @memo
@@ -314,13 +315,13 @@ def _concl_cor11(f: BooleanNetwork) -> bool:
 def _concl_dynamics_iso(f: BooleanNetwork) -> bool:
     """Each subnetwork's conjugate is f's conjugate at the matching parent
     points, projected onto the free components."""
-    plan = subnetwork_plan(f.width)
-    conj = conjugate_codes(f)
-    for mask, code, sub in spec_items(f)[:-1]:
-        g = plan.gather[mask]
-        for y, (s, v) in enumerate(zip(plan.scatter[mask], sub)):
-            if g[conj[code | s]] != v ^ y:
-                return False
+    conj, records = conjugate_codes(f), subnetwork_plan(f.width).records
+    for mask, items in groupby(spec_items(f)[:-1], itemgetter(0)):
+        _, scatter, _, g = records[mask]
+        for _, code, sub in items:
+            for y, (s, v) in enumerate(zip(scatter, sub)):
+                if g[conj[code | s]] != v ^ y:
+                    return False
     return True
 
 

@@ -6,11 +6,12 @@ Widths stay small in the tests, so quadratic and exponential loops are fine.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import or_
+from itertools import combinations, groupby, product
+from operator import itemgetter, or_
 
-from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, neighbor_set
-from boolcube.siggraph import local_rows, point_rows, rows_girth
+from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, hypercube, neighbor_set
+from boolcube.hypercube import check_components
+from boolcube.siggraph import local_rows, point_rows, rows_girth, rows_has_positive_cycle
 from boolcube.subnetwork import spec_items, subnetwork_plan
 
 
@@ -55,6 +56,39 @@ def scatter_bits(code: int, mask: int) -> int:
 def format_code(code: int, width: int) -> str:
     """The bit string of a code, one character per component, first component first."""
     return "".join("1" if code >> k & 1 else "0" for k in range(width))
+
+
+def parse_bn(text: str) -> BooleanNetwork:
+    """The .bn decode as first written: a generator step per line for the
+    header, then each row's two codes through parse_code (the library's, whose
+    FormatError texts are the reference)."""
+    content = filter(None, (raw.split("#", 1)[0].strip() for raw in text.splitlines()))
+    first = next(content, None)
+    if first is None:
+        raise FormatError("empty network description")
+    head = first.split()
+    if head[0] != "components" or len(head) < 2:
+        raise FormatError("first line must be: components <label> <label> ...")
+    components = tuple(head[1:])
+    try:
+        check_components(components)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    n = len(components)
+    rows = list(content)
+    size = 1 << n
+    if len(rows) != size:
+        raise FormatError(f"expected {size} table rows, got {len(rows)}")
+    table: list[int | None] = [None] * size
+    for line in rows:
+        parts = line.split()
+        if len(parts) != 3 or parts[1] != "->":
+            raise FormatError(f"bad table row {line!r}")
+        src = hypercube.parse_code(parts[0], n)
+        if table[src] is not None:
+            raise FormatError(f"duplicate table row for input {parts[0]}")
+        table[src] = hypercube.parse_code(parts[2], n)
+    return BooleanNetwork(components, tuple(table))
 
 
 def parse_code(text: str, width: int) -> int | None:
@@ -140,21 +174,46 @@ def all_strict_sub_tables(f: BooleanNetwork) -> list[tuple[int, ...]]:
     return tables
 
 
+def eager_plan(n: int) -> tuple[tuple[int, ...], list, list, list, list]:
+    """(masks, codes, scatter, points, gather) of width n as the subnetwork
+    plan was first built: every free mask's entries at once, indexed by mask."""
+    size = 1 << n
+    scatter, points, codes = [(0,)] * size, [1] * size, [()] * size
+    gather = [(0,) * size] * size
+    for mask in range(1, size):
+        top = 1 << (mask.bit_length() - 1)
+        rest = mask ^ top
+        scatter[mask] = scatter[rest] + tuple(map(top.__or__, scatter[rest]))
+        points[mask] = points[rest] | points[rest] << top
+        low = gather[rest][:top]
+        high = tuple(map((1 << (mask.bit_count() - 1)).__or__, low))
+        gather[mask] = (low + high) * (size // (2 * top))
+        fixed = [0]
+        for k in range(n - 1, -1, -1):
+            if not mask >> k & 1:
+                fixed += [c | 1 << k for c in fixed]
+        codes[mask] = tuple(fixed)
+    masks = tuple(
+        sum(1 << i for i in combo) for m in range(1, n + 1) for combo in combinations(range(n), m)
+    )
+    return masks, codes, scatter, points, gather
+
+
 def local_subgraph_containment(f: BooleanNetwork) -> bool:
     """LOCAL_SUBGRAPH_CONTAINMENT's conclusion as first written: per item and
     per point, the sub-table's local rows against f's, gathered onto the free
     components."""
-    plan = subnetwork_plan(f.width)
-    lrows = local_rows(f)
-    for mask, code, sub in spec_items(f)[:-1]:
-        g = plan.gather[mask]
+    lrows, records = local_rows(f), subnetwork_plan(f.width).records
+    for mask, items in groupby(spec_items(f)[:-1], itemgetter(0)):
+        _, scatter, _, g = records[mask]
         free = [k for k in range(f.width) if mask >> k & 1]
-        for y, s in enumerate(plan.scatter[mask]):
-            pos, neg = lrows[code | s]
-            sub_pos, sub_neg = point_rows(len(free), sub, y)
-            for b, j in enumerate(free):
-                if sub_pos[b] != g[pos[j]] or sub_neg[b] != g[neg[j]]:
-                    return False
+        for _, code, sub in items:
+            for y, s in enumerate(scatter):
+                pos, neg = lrows[code | s]
+                sub_pos, sub_neg = point_rows(len(free), sub, y)
+                for b, j in enumerate(free):
+                    if sub_pos[b] != g[pos[j]] or sub_neg[b] != g[neg[j]]:
+                        return False
     return True
 
 
@@ -210,6 +269,12 @@ def global_arcs(f: BooleanNetwork) -> set[tuple[str, int, str]]:
     for code in range(len(f.table)):
         arcs |= local_arcs(f, code)
     return arcs
+
+
+def local_positive_cycle(f: BooleanNetwork) -> bool:
+    """REMY_RUET_THIEFFRY's hypothesis as first written: the local rows of
+    every point, then a positive cycle in any of them."""
+    return any(rows_has_positive_cycle(f.width, *rows) for rows in local_rows(f))
 
 
 def local_girth_sets(f: BooleanNetwork) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from boolcube import (
     render_bn,
     subnetworks,
 )
-from boolcube import cli, network, siggraph
+from boolcube import cli, network, siggraph, subnetwork
 from boolcube.hypercube import format_code, parse_point
 from boolcube.network import fixed_point_codes
 from boolcube.cli import main
@@ -581,6 +581,19 @@ def test_analyze_builds_no_local_rows_memo(tmp_path, capsys, monkeypatch):
     assert calls == []
     assert f"counting_condition: {str(oracles.counting_condition(f)).lower()}\n" in out
     assert f"shih_dong: {str(oracles.shih_dong_condition(f)).lower()}\n" in out
+
+
+def test_analyze_builds_few_mask_records(tmp_path, capsys):
+    """analyze's subnetwork walks stop at the first deciding subnetwork, so
+    they build the records of the free masks they reach, not of all 2^8 - 1."""
+    f = random_network(8, 0)
+    path = tmp_path / "w8.bn"
+    path.write_text(render_bn(f), encoding="utf-8")
+    records = subnetwork.subnetwork_plan(8).records
+    records.clear()
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert 0 < len(records) < (1 << 8) - 1
 
 
 def test_search_examines_every_non_expansive_network(capsys):

@@ -45,6 +45,7 @@ from boolcube.subnetwork import (
     is_zero_critical,
     item_circular_forms,
     minimal_forbidden_set,
+    sub_table,
     subnetwork_plan,
 )
 from boolcube.theorems import AndNets, Circular, Exhaustive, Sample, Subsets, sweep
@@ -269,6 +270,53 @@ def test_parse_bn_rejects(text):
         parse_bn(text)
 
 
+def _decoded(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _mutants(text):
+    """Every single-character substitution, deletion and duplication of text,
+    then its rows reordered, duplicated, dropped, extended and commented."""
+    alphabet = "01 ->#\n\r_+a\u0661\uff11\x1c\xa0\u2028"
+    for k, ch in enumerate(text):
+        yield text[:k] + text[k + 1 :]
+        yield text[:k] + ch + text[k:]
+        for sub in alphabet:
+            if sub != ch:
+                yield text[:k] + sub + text[k + 1 :]
+    head, *rows = text.splitlines()
+    for order in (rows[::-1], rows[1:] + rows[:1], sorted(rows, key=lambda r: r[::-1])):
+        yield "\n".join([head, *order])
+    for k, row in enumerate(rows):
+        dropped, repeated, bad_dst = [], [row, row], [rows[k - 1][:-1] + "_"]
+        bad_row = ["\xa0" + row.replace("->", "=>") + "\t"]
+        commented = [row + " # note", "  # a comment line"]
+        for middle in (dropped, repeated, [rows[k - 1]], bad_dst, bad_row, commented):
+            yield "\n".join([head, *rows[:k], *middle, *rows[k + 1 :]])
+    yield "# leading comment\n\n" + head + "  # labels\n" + "\n\n".join(rows)
+
+
+@pytest.mark.parametrize("mapped", [True, False], ids=["mapped", "unmapped"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_parse_bn_decodes_every_mutant_as_the_reference_does(monkeypatch, n, mapped):
+    """One dict lookup per code decodes what the per-row parse_code calls
+    decoded, and raises the same FormatError text in the same order, on every
+    mutant of a width-2 and a width-3 text; so does parse_code alone, as at
+    the widths past the map of code texts."""
+    if not mapped:
+        monkeypatch.setattr(network, "_code_texts", lambda n: {})
+    text = render_bn(random_network(n, 5))
+    seen = set()
+    for mutant in _mutants(text):
+        expected = _decoded(oracles.parse_bn, mutant)
+        assert _decoded(parse_bn, mutant) == expected, mutant
+        seen.add(expected[0] if isinstance(expected, tuple) else "ok")
+    assert seen == {FormatError, "ok"}
+
+
 def test_memo_is_per_instance_and_never_caches_an_exception():
     computed = []
 
@@ -364,6 +412,7 @@ def test_plane_readers_share_one_build(monkeypatch):
         (lambda: next(enumerate_networks(4)), 4, 3),
         (lambda: random_network(17, 0), 17, 16),
         (lambda: subnetwork_plan(11), 11, 10),
+        (lambda: sub_table(tuple(range(1 << 11)), 1, 0), 11, 10),
         (lambda: next(minimal_forbidden_set(BaseProperty.AT_MOST_ONE, 4)), 4, 3),
     ],
     ids=[
@@ -375,12 +424,13 @@ def test_plane_readers_share_one_build(monkeypatch):
         "enumerate_networks",
         "random_network",
         "subnetwork_plan",
+        "sub_table",
         "minimal_forbidden_set",
     ],
 )
 def test_library_width_caps_raise_before_building(monkeypatch, call, width, cap):
     """Every library cap raises through network.check_width, with one message
-    form, before a network or a subnetwork plan is built."""
+    form, before a network or a subnetwork plan and its records are built."""
 
     def no_network(*args):
         raise AssertionError("a network was built")

@@ -292,23 +292,33 @@ def documented_order(n):
     return items
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_plan_order_and_tuples(n):
+    """The items follow the documented order, and each mask's record, built
+    on demand, holds the entries of the plan first built for the whole width
+    at once (oracles.eager_plan)."""
     plan = subnetwork_plan(n)
     items = list(plan.items())
     assert items == documented_order(n)
     assert list(plan.items(include_self=False)) == items[:-1]
+    masks, codes, scatter, points, gather = oracles.eager_plan(n)
+    assert plan.masks == masks
     for mask in range(1, 1 << n):
         m = mask.bit_count()
-        assert plan.scatter[mask] == tuple(oracles.scatter_bits(y, mask) for y in range(1 << m))
-        assert plan.points[mask] == sum(1 << s for s in plan.scatter[mask])
-        assert plan.gather[mask] == tuple(gather_bits(v, mask) for v in range(1 << n))
+        record = plan.records[mask]
+        assert record == (codes[mask], scatter[mask], points[mask], gather[mask])
+        assert scatter[mask] == tuple(oracles.scatter_bits(y, mask) for y in range(1 << m))
+        assert points[mask] == sum(1 << s for s in scatter[mask])
+        assert gather[mask] == tuple(gather_bits(v, mask) for v in range(1 << n))
+        assert plan.records[mask] is record
     assert subnetwork_plan(n) is plan
 
 
 def test_plan_width_cap():
     with pytest.raises(WidthCapError):
         subnetwork_plan(11)
+    with pytest.raises(WidthCapError):
+        sub_table(tuple(range(1 << 11)), 1, 0)
 
 
 def test_plan_tables_match_sub_table_and_the_oracle():

@@ -503,6 +503,40 @@ def test_local_subgraph_planes_catch_every_single_bit_corruption(monkeypatch, n)
                     assert new is oracles.local_subgraph_containment(f) is False, (k, y, bit)
 
 
+@pytest.mark.parametrize(
+    "gen", [Sample(3, 2000, 1), AndNets(3), Circular(4)], ids=describe_generator
+)
+def test_local_positive_cycle_matches_the_local_rows_form(gen):
+    """REMY_RUET_THIEFFRY's hypothesis, built one point at a time, gives the
+    verdict of the form that builds every point's local rows first."""
+    for k in range(generator_count(gen)):
+        f = candidate_network(gen, k)
+        assert theorems._local_positive_cycle(f) is oracles.local_positive_cycle(f)
+
+
+def test_battery_sweep_builds_no_local_rows_memo(monkeypatch):
+    """The criterion-2 battery reads the local graphs point by point or from
+    the girth kernel, never the local rows of every point."""
+    calls = []
+    build = siggraph.local_rows
+
+    def counting(f):
+        calls.append(f.width)
+        return build(f)
+
+    monkeypatch.setattr(siggraph, "local_rows", counting)
+    monkeypatch.setattr(theorems, "local_rows", counting)
+    keys = (
+        "MAIN_EOSD", "COR11_EQUIVALENCE", "ROBERT", "DICHOTOMY_UNIQUE",
+        "DICHOTOMY_EXIST", "SHIH_DONG", "REMY_RUET_THIEFFRY", "RICHARD2010",
+        "RICHARD2011", "COR_COUNTING", "COR_GEODESIC", "THM_CIRCULAR_EOSD",
+        "THM_CRITICAL_NONEXP", "PROP_ODD_OUTDEGREE", "LOCAL_SUBGRAPH_CONTAINMENT",
+        "DYNAMICS_ISOMORPHISM",
+    )
+    sweep_many(keys, Sample(3, 300, 1))
+    assert calls == []
+
+
 def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
     """Circular detection and the subnetwork items' circular forms come from
     bitsets: no subnetwork table and no subnetwork's global rows are built."""
