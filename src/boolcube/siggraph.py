@@ -290,36 +290,6 @@ def rows_reach(rows: tuple[int, ...], start: int, allowed: int = -1) -> int:
     return reached
 
 
-def rows_girth(n: int, adj: tuple[int, ...]) -> int | None:
-    """Length of a shortest cycle (a loop has length 1), None when acyclic.
-
-    The frontier loop of rows_reach from each vertex v, one level per cycle
-    length: the first level that reaches v again closes a shortest closed
-    walk through v, and a shortest closed walk repeats no vertex.
-    """
-    best = None
-    for v in range(n):
-        bit = 1 << v
-        reached = 0
-        frontier = bit
-        length = 1
-        while frontier and (best is None or length < best):
-            step = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                step |= adj[low.bit_length() - 1]
-            if step & bit:
-                best = length
-                break
-            frontier = step & ~reached
-            reached |= frontier
-            length += 1
-        if best == 1:
-            break
-    return best
-
-
 def _unsigned_cycles(n: int, adj: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Simple cycles as index tuples starting at their smallest vertex, one
     at a time.
@@ -570,41 +540,21 @@ def cyclic_components(n: int, adj: tuple[int, ...]) -> Iterator[int]:
         yield comp
 
 
-def _balanced(comp: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> bool:
-    """Whether some labelling s of the strongly connected vertex mask comp
-    gives every arc u -> v of sign sigma inside comp s(v) = sigma * s(u).
-
-    Labels spread from the lowest vertex of comp along the arcs; each arc is
-    checked once, when its source is taken from the stack.
-    """
-    labelled = comp & -comp
-    minus = 0
-    stack = [labelled.bit_length() - 1]
-    while stack:
-        u = stack.pop()
-        # Positive arcs ask for u's label, negative arcs for the other one.
-        same = pos[u] & comp
-        flip = neg[u] & comp
-        to_minus, to_plus = (same, flip) if minus >> u & 1 else (flip, same)
-        if to_minus & to_plus or to_minus & labelled & ~minus or to_plus & minus:
-            return False
-        new = (to_minus | to_plus) & ~labelled
-        labelled |= new
-        minus |= to_minus & new
-        while new:
-            low = new & -new
-            new ^= low
-            stack.append(low.bit_length() - 1)
-    return True
+def _parity_cover(n: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of the parity double cover, 2n vertices: j + n*p is j reached by
+    a walk with p negative arcs, mod 2, so a negative arc flips p."""
+    even = [p | m << n for p, m in zip(pos, neg)]
+    return tuple(even + [m | p << n for p, m in zip(pos, neg)])
 
 
 def rows_has_negative_cycle(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> bool:
-    """Some component is unbalanced: a strongly connected signed digraph has
-    no negative cycle exactly when it is balanced (Harary 1953)."""
-    adj = tuple(map(or_, pos, neg))
-    return not all(_balanced(comp, pos, neg) for comp in cyclic_components(n, adj))
+    """Some v reaches v + n in the parity cover: a closed walk from v with an
+    odd number of negative arcs.  A closed walk splits into cycles and its
+    sign is the product of theirs, so one of them is negative."""
+    cover = _parity_cover(n, pos, neg)
+    return any(rows_reach(cover, 1 << v) >> n + v & 1 for v in range(n))
 
 
 def rows_has_positive_cycle(
@@ -614,27 +564,27 @@ def rows_has_positive_cycle(
     unbalanced components, search the cycles for one that can be signed
     positively (a both-sign arc, or an even number of negative arcs)."""
     adj = tuple(map(or_, pos, neg))
+    cover = _parity_cover(n, pos, neg)
     unbalanced = 0
     for comp in cyclic_components(n, adj):
-        if _balanced(comp, pos, neg):
-            return True
         # Every arc inside a component lies on a cycle, so a both-sign arc
         # there gives a positive cycle, and so does a positive loop.
         for u in range(n):
             if comp >> u & 1 and (pos[u] & neg[u] & comp or pos[u] >> u & 1):
                 return True
+        # A negative cycle of a strongly connected component closes, with a
+        # path there and back, an odd closed walk from its lowest vertex v;
+        # without one the component is balanced and its cycles are positive.
+        v = (comp & -comp).bit_length() - 1
+        if not rows_reach(cover, 1 << v, comp | comp << n) >> n + v & 1:
+            return True
         unbalanced |= comp
     # No arc left here carries both signs, so a cycle is positive exactly
     # when it has an even number of negative arcs.
-    for verts in _unsigned_cycles(n, tuple(a & unbalanced for a in adj)):
-        length = len(verts)
-        odd = 0
-        for k, src in enumerate(verts):
-            if not pos[src] >> verts[(k + 1) % length] & 1:
-                odd ^= 1
-        if not odd:
-            return True
-    return False
+    return unbalanced != 0 and any(
+        not sum(neg[j] >> i & 1 for j, i in zip(verts, verts[1:] + verts[:1])) & 1
+        for verts in _unsigned_cycles(n, tuple(a & unbalanced for a in adj))
+    )
 
 
 def shih_dong_condition(f: BooleanNetwork) -> bool:

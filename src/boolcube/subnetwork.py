@@ -117,8 +117,8 @@ class SubnetworkPlan:
     masks: tuple[int, ...]
     records: MaskRecords
 
-    def items(self, include_self: bool = True) -> Iterator[tuple[int, int]]:
-        for mask in self.masks if include_self else self.masks[:-1]:
+    def items(self) -> Iterator[tuple[int, int]]:
+        for mask in self.masks:
             for code in self.records[mask][0]:
                 yield mask, code
 

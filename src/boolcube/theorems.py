@@ -59,7 +59,6 @@ from .siggraph import (
     point_rows,
     rows_chordless,
     rows_delocalizers,
-    rows_girth,
     rows_has_negative_cycle,
     rows_has_positive_cycle,
     rows_signed_cycles,
@@ -148,24 +147,27 @@ def _global_negative_cycle(f: BooleanNetwork) -> bool:
     return rows_has_negative_cycle(f.width, *global_rows(f))
 
 
+def _any_local(f: BooleanNetwork, has_cycle: Callable[[int, tuple, tuple], bool]) -> bool:
+    """Builds the local graphs one point at a time and stops at the first
+    with a cycle has_cycle accepts: the Q1 search reads nothing else of them."""
+    n = f.width
+    return any(has_cycle(n, *point_rows(n, f.table, x)) for x in range(1 << n))
+
+
 @memo
 def _local_positive_cycle(f: BooleanNetwork) -> bool:
-    n = f.width
-    return any(rows_has_positive_cycle(n, *point_rows(n, f.table, x)) for x in range(1 << n))
+    return _any_local(f, rows_has_positive_cycle)
 
 
 @memo
 def _local_negative_cycle(f: BooleanNetwork) -> bool:
-    """Builds the local graphs one point at a time and stops at the first
-    with a negative cycle: the Q1 search reads nothing else of them."""
-    n = f.width
-    return any(rows_has_negative_cycle(n, *point_rows(n, f.table, x)) for x in range(1 << n))
+    return _any_local(f, rows_has_negative_cycle)
 
 
-@memo
 def _global_acyclic(f: BooleanNetwork) -> bool:
-    pos, neg = global_rows(f)
-    return rows_girth(f.width, tuple(p | m for p, m in zip(pos, neg))) is None
+    """No cycle of either sign.  The negative fact first: the positive one then
+    runs only when every component is balanced, so no cycle is listed."""
+    return not _global_negative_cycle(f) and not _global_positive_cycle(f)
 
 
 @memo

@@ -11,7 +11,7 @@ from operator import itemgetter, or_
 
 from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, hypercube, neighbor_set
 from boolcube.hypercube import check_components
-from boolcube.siggraph import local_rows, point_rows, rows_girth, rows_has_positive_cycle
+from boolcube.siggraph import local_rows, point_rows, rows_has_positive_cycle
 from boolcube.subnetwork import spec_items, subnetwork_plan
 
 
@@ -275,6 +275,36 @@ def local_positive_cycle(f: BooleanNetwork) -> bool:
     """REMY_RUET_THIEFFRY's hypothesis as first written: the local rows of
     every point, then a positive cycle in any of them."""
     return any(rows_has_positive_cycle(f.width, *rows) for rows in local_rows(f))
+
+
+def rows_girth(n: int, adj: tuple[int, ...]) -> int | None:
+    """Length of a shortest cycle (a loop has length 1), None when acyclic.
+
+    The frontier loop of rows_reach from each vertex v, one level per cycle
+    length: the first level that reaches v again closes a shortest closed
+    walk through v, and a shortest closed walk repeats no vertex.
+    """
+    best = None
+    for v in range(n):
+        bit = 1 << v
+        reached = 0
+        frontier = bit
+        length = 1
+        while frontier and (best is None or length < best):
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                step |= adj[low.bit_length() - 1]
+            if step & bit:
+                best = length
+                break
+            frontier = step & ~reached
+            reached |= frontier
+            length += 1
+        if best == 1:
+            break
+    return best
 
 
 def local_girth_sets(f: BooleanNetwork) -> tuple[int, ...]:

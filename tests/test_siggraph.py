@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import rows_girth
 from boolcube import siggraph, theorems
 from boolcube import (
     BooleanNetwork,
@@ -40,7 +41,6 @@ from boolcube.siggraph import (
     load_sg,
     local_planes,
     point_rows,
-    rows_girth,
     rows_has_negative_cycle,
     rows_has_positive_cycle,
     rows_reach,
@@ -209,9 +209,11 @@ def sparse_wide_graphs():
 
 
 def test_sparse_wide_graphs_match_brute_force():
-    """The reachability kernels against a brute-force search: rows_girth's
-    acyclicity, transpose, rows_reach, cyclic_components, and the strong
-    connectivity that ARACENA_* read from the and-net of the same arcs."""
+    """The reachability kernels against a brute-force search: acyclicity, as
+    the oracle's rows_girth and as ROBERT's hypothesis (no cycle of either
+    sign) on the and-net of the same arcs, transpose, rows_reach,
+    cyclic_components, and the strong connectivity that ARACENA_* read from
+    that and-net."""
     acyclic_seen = cyclic_seen = connected_seen = 0
     for g, allowed in sparse_wide_graphs():
         n = len(g.vertices)
@@ -254,6 +256,7 @@ def test_sparse_wide_graphs_match_brute_force():
         f = and_net(graph_from_rows(verts, pos, tuple(m & ~p for p, m in zip(pos, neg))))
         connected = components == [(1 << n) - 1]
         assert theorems._strongly_connected_with_arc(f) == connected
+        assert theorems._global_acyclic(f) == (not expected)
         connected_seen += connected
     assert acyclic_seen and cyclic_seen and connected_seen
 
@@ -322,8 +325,11 @@ def test_cycle_predicates_on_sparse_wide_graphs():
 
 
 def test_counting_and_q1_enumerate_no_cycles(monkeypatch):
-    """counting_condition reads the girth and the Q1 hypothesis the balance
-    test: neither lists a cycle."""
+    """counting_condition reads the girth kernel, the Q1 hypothesis the
+    parity cover's negative test, and ROBERT's hypothesis the negative fact
+    before the positive one: none lists a cycle.  The and-net of D_4 is
+    unbalanced, all negative, with no both-sign arc and no positive loop, so
+    only the enumeration could answer its positive question."""
     listed = []
 
     def counted(name):
@@ -341,11 +347,14 @@ def test_counting_and_q1_enumerate_no_cycles(monkeypatch):
         theorems, "rows_has_positive_cycle", counted("rows_has_positive_cycle")
     )
     q1_hypothesis = theorems._QUESTIONS["Q1_NEG_LOCAL_CYCLES"][0]
+    robert_hypothesis = theorems.NETWORK_CATALOG["ROBERT"][0]
     for seed in range(4):
         f = random_network(5, seed)
         assert not shih_dong_condition(f)
         counting_condition(f)
         q1_hypothesis(BooleanNetwork(f.components, f.table))
+        assert not robert_hypothesis(f)
+    assert not theorems._global_acyclic(and_net(load_sg(DATA / "d4.sg")))
     assert listed == []
 
 
