@@ -83,7 +83,8 @@ ANALYZE_WIDTH_CAP = 10
 # lines in about 2 s and 80 MB, nearly all of them global cycles.
 GRAPH_WIDTH_CAP = 7
 # dynamics and export-dot take the gen --random cap, RANDOM_WIDTH_CAP: at width 16
-# dynamics and --what gamma peak at 92 and 150 MB, --what gf and gfx at 32 MB each.
+# dynamics and --what gamma peak at 91 and 145 MB, --what gf and gfx at 31 MB each,
+# and dynamics takes 1.1-1.5 s on a random network, nearly all of it printing arcs.
 
 
 def _bool_text(value: bool) -> str:

@@ -139,6 +139,23 @@ def output_bitsets(f: BooleanNetwork) -> tuple[int, ...]:
     )
 
 
+_LANE_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << k))) for k in range(8))
+
+
+def plane_codes(planes, size: int) -> tuple[int, ...]:
+    """The inverse of output_bitsets: entry x has bit i set when plane i holds
+    x.  Plane i's base-2 digits become byte i // 8 of each word, as bit i % 8."""
+    words = bytearray(size << 2)
+    for lane in range(0, len(planes), 8):
+        packed = 0
+        for k, plane in enumerate(planes[lane : lane + 8]):
+            digits = format(plane, f"0{size}b").encode()
+            packed |= int.from_bytes(digits.translate(_LANE_BITS[k]), "big")
+        words[lane >> 3 :: 4] = packed.to_bytes(size, "little")
+    return struct.unpack(f"<{size}I", words)
+
+
+@memo
 def unstable_sets(f: BooleanNetwork) -> tuple[int, ...]:
     """O_k xor X_k: the points where f_k(x) != x_k, the conjugate's bit k."""
     return tuple(map(xor, output_bitsets(f), coordinate_sets(f.width)))

@@ -514,6 +514,85 @@ def strongly_convergent(f: BooleanNetwork) -> bool:
     return not any(x in reach[y] for x in range(len(succ)) for y in succ[x])
 
 
+def tarjan_components(unstable: tuple[int, ...]) -> tuple[list[list[int]], int]:
+    """Iterative Tarjan: (the terminal components, the number of components).
+    index[x] is -1 until x is reached and len(unstable) once its component closes;
+    x leaves its component by an arc into a closed one or through a child that does."""
+    size = len(unstable)
+    index = [-1] * size
+    low = [0] * size
+    leaves = bytearray(size)
+    stack: list[int] = []
+    terminal: list[list[int]] = []
+    count = counter = 0
+    for root in range(size):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        call = [(root, unstable[root])]
+        while call:
+            v, pending = call[-1]
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                w = v ^ bit
+                if index[w] == -1:
+                    call[-1] = (v, pending)
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    call.append((w, unstable[w]))
+                    break
+                if index[w] == size:
+                    leaves[v] = 1
+                elif index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                call.pop()
+                if low[v] == index[v]:
+                    count += 1
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = size
+                    if not leaves[v]:
+                        terminal.append(comp)
+                if call:
+                    u = call[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if leaves[v] or index[v] == size:
+                        leaves[u] = 1
+    return terminal, count
+
+
+def gray_counter(n: int, shape: str) -> BooleanNetwork:
+    """x -> the next code of the reflected Gray code g(i) = i ^ (i >> 1): one
+    arc per state.  'cycle' wraps g(2^n - 1) to g(0), one attractor of 2^n
+    states; 'path' fixes g(2^n - 1), an acyclic graph with one fixed point;
+    'lasso' sends g(2^n - 1) back to g(2^(n-1)), one bit away, so the first
+    half of the codes is a path into a cycle through the second half."""
+    size = 1 << n
+    gray = [i ^ i >> 1 for i in range(size)]
+    last = {"cycle": gray[0], "path": gray[-1], "lasso": gray[size >> 1]}[shape]
+    table = [0] * size
+    for here, there in zip(gray, gray[1:] + [last]):
+        table[here] = there
+    return BooleanNetwork(_labels(n), tuple(table))
+
+
+def oscillator_network(n: int, m: int) -> BooleanNetwork:
+    """The width-m Gray 'cycle' on the first m components beside the identity
+    on the other n - m: 2^(n-m) cyclic attractors of 2^m states each, and no
+    other states.  m = 1 is x -> x xor e_1."""
+    cycle = gray_counter(m, "cycle").table
+    low = (1 << m) - 1
+    return BooleanNetwork(_labels(n), tuple(x & ~low | cycle[x & low] for x in range(1 << n)))
+
+
 # -- DOT exports ------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from boolcube import (
     weak_convergence,
 )
 from boolcube import dynamics
+from boolcube.network import conjugate_codes
 
 DATA = Path(__file__).parent / "data"
 
@@ -177,8 +180,11 @@ def networks_at(n, rng):
     yield oracles.negation_network(n)
     for _ in range(3):
         yield BooleanNetwork(labels, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
+    for _ in range(6):
         table = converging_table(n, rng)
-        yield BooleanNetwork(labels, tuple(table))
+        f = BooleanNetwork(labels, tuple(table))
+        assert strong_convergence(f)
+        yield f
         table[rng.randrange(1 << n)] = rng.randrange(1 << n)
         yield BooleanNetwork(labels, tuple(table))
 
@@ -192,14 +198,110 @@ def test_arc_list_is_the_sorted_successor_oracle_at_every_width(n):
         assert graph.arc_list() == tuple(sorted(graph.arcs))
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+def tarjan_reference(f):
+    """(the attractors' state sets, strong convergence) from the per-state Tarjan."""
+    terminal, count = oracles.tarjan_components(conjugate_codes(f))
+    states = sorted((frozenset(comp) for comp in terminal), key=min)
+    return states, len(oracles.fixed_point_list(f)) == 1 and count == len(f.table)
+
+
+def assert_matches_the_references(f):
+    """Tarjan at every width; the reachability-set oracles, quadratic in the
+    number of states, up to width 8."""
+    found = [a.states for a in attractors(f)]
+    assert (found, strong_convergence(f)) == tarjan_reference(f)
+    if f.width <= 8:
+        assert found == oracles.attractor_sets(f)
+        assert strong_convergence(f) == oracles.strongly_convergent(f)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test once seconds have passed: a closure that stops checking
+    its marks walks a cycle forever.  The alarm interrupts the walk wherever
+    it is, so the failure is reported without that traceback."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"no answer within {seconds} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_attractors_and_strong_convergence_match_oracles_at_wider_widths(n):
     verdicts = set()
-    for f in networks_at(n, random.Random(100 + n)):
-        assert [a.states for a in attractors(f)] == oracles.attractor_sets(f)
-        assert strong_convergence(f) == oracles.strongly_convergent(f)
-        verdicts.add(strong_convergence(f))
+    with time_limit(60):
+        for f in networks_at(n, random.Random(100 + n)):
+            assert_matches_the_references(f)
+            verdicts.add(strong_convergence(f))
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("shape", ["cycle", "path", "lasso"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gray_counters_match_tarjan(n, shape):
+    """One arc per state: from width 7 on, the closures walk these point by
+    point.  A cycle is one attractor of every state, a path ends at its one
+    fixed point, and a lasso's attractor is the second half of the codes."""
+    f = oracles.gray_counter(n, shape)
+    with time_limit(60):
+        assert_matches_the_references(f)
+    size = 1 << n
+    gray = [i ^ i >> 1 for i in range(size)]
+    expected = {
+        "cycle": [frozenset(gray)],
+        "path": [frozenset(gray[-1:])],
+        "lasso": [frozenset(gray[size >> 1 :])],
+    }[shape]
+    assert [a.states for a in attractors(f)] == expected
+    assert strong_convergence(f) == (shape == "path" or n == 1 and shape == "lasso")
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 13) for m in (1, 2, 4) if m <= n])
+def test_oscillators_beside_the_identity_match_tarjan(n, m):
+    """2^(n-m) attractors, the cosets of the first m components' cycle."""
+    f = oracles.oscillator_network(n, m)
+    with time_limit(60):
+        assert_matches_the_references(f)
+    low = (1 << m) - 1
+    expected = [frozenset(range(high, high + low + 1)) for high in range(0, 1 << n, low + 1)]
+    assert [a.states for a in attractors(f)] == expected
+    assert strong_convergence(f) is False
+
+
+def test_many_small_attractors_cost_what_they_reach():
+    """x -> x xor e_1 at width 16 has 2^15 two-state attractors.  Each costs
+    about what its closures reach, well under a second in all.  Stepping
+    every closure by bit planes instead makes about 4n passes over the 2^16
+    states per step, over 10^7 passes in all, and overruns the limit."""
+    f = oracles.oscillator_network(16, 1)
+    with time_limit(5):
+        atts = attractors(f)
+    assert len(atts) == 1 << 15
+    assert all(a.states == {x, x + 1} for a, x in zip(atts, range(0, 1 << 16, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_predecessor_codes_invert_the_successor_oracle(n):
+    """Bit k of entry y is set when y xor e_k steps to y: the point-by-point
+    backward step, one byte lane per 8 components."""
+    for f in (oracles.gray_counter(n, "lasso"), *networks_at(n, random.Random(400 + n))):
+        preds = [0] * len(f.table)
+        for x, ys in enumerate(oracles.successor_map(f)):
+            for y in ys:
+                preds[y] |= x ^ y
+        assert dynamics._predecessor_codes(f) == tuple(preds)
 
 
 def test_width_cap_raises_on_every_call(monkeypatch):

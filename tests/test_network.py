@@ -338,9 +338,19 @@ def test_memo_is_per_instance_and_never_caches_an_exception():
     assert probe.__name__ == "probe"
 
 
+def test_unstable_sets_are_memoized_per_instance():
+    f = random_network(5, 1)
+    assert unstable_sets(f) is unstable_sets(f)
+    g = BooleanNetwork(f.components, f.table)
+    assert unstable_sets(g) == unstable_sets(f)
+    assert unstable_sets(g) is not unstable_sets(f)
+
+
 def assert_planes_match_the_string_join(f):
+    """The planes, and plane_codes reading them back into the table."""
     planes = output_bitsets(f)
     assert planes == tuple(oracles.output_bitset(f, i) for i in range(f.width))
+    assert network.plane_codes(planes, len(f.table)) == f.table
     g = conjugate(f)
     assert unstable_sets(f) == tuple(oracles.output_bitset(g, k) for k in range(f.width))
 
@@ -375,6 +385,7 @@ def test_bit_planes_at_width_20():
     planes = output_bitsets(f)
     assert planes == tuple(oracles.output_bitset(f, i) for i in range(n))
     assert output_bitsets(f) is planes
+    assert network.plane_codes(planes, len(f.table)) == f.table
 
 
 def test_plane_readers_share_one_build(monkeypatch):
