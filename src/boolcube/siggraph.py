@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from .hypercube import (
     FormatError, Point, check_components, coordinate_sets, cube_literals, parse_header
 )
-from .network import BooleanNetwork, check_width, memo, output_bitsets
+from .network import BooleanNetwork, check_width, memo, output_bitsets, unstable_sets
 
 Arc = tuple[str, int, str]
 # (positive, negative): bit i of pos[j] (neg[j]) is an arc j -> i of sign +1 (-1)
@@ -201,6 +201,28 @@ def local_arc_sets(f: BooleanNetwork) -> tuple[tuple[int, ...], ...]:
         step, off = 1 << j, full ^ x
         arcs.append(tuple([o ^ ((o & x) >> step | (o & off) << step) for o in ones]))
     return tuple(arcs)
+
+
+@memo
+def local_loop_sets(f: BooleanNetwork) -> tuple[int, int]:
+    """(positive, negative): the points x where G(f, x) has a loop of that sign.
+
+    A loop i -> i lies on an e_i-edge and is the same at both of its ends:
+    positive where f_i rises along the edge, so both ends are i-stable, and
+    negative where it falls, so both are i-unstable.  With U = U_i and
+    s = 2^i, the lower ends, off X_i, are ~U & ~(U >> s) and U & (U >> s);
+    each loop set is L | L << s over every i.
+    """
+    full = (1 << len(f.table)) - 1
+    pos = neg = 0
+    for i, (u, x) in enumerate(zip(unstable_sets(f), coordinate_sets(f.width))):
+        s = 1 << i
+        up, lower = u >> s, full ^ x
+        stable = lower & ~(u | up)
+        unstable = lower & u & up
+        pos |= stable | stable << s
+        neg |= unstable | unstable << s
+    return pos, neg
 
 
 @memo
@@ -547,30 +569,57 @@ def _parity_cover(n: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> tuple[i
     return tuple(even + [m | p << n for p, m in zip(pos, neg)])
 
 
+def rows_has_loop(rows: tuple[int, ...]) -> bool:
+    """Some vertex i has the loop i -> i: bit i of rows[i]."""
+    bit = 1
+    for row in rows:
+        if row & bit:
+            return True
+        bit <<= 1
+    return False
+
+
 def rows_has_negative_cycle(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> bool:
-    """Some v reaches v + n in the parity cover: a closed walk from v with an
-    odd number of negative arcs.  A closed walk splits into cycles and its
-    sign is the product of theirs, so one of them is negative."""
+    """A negative loop first, the cheapest negative cycle; then some v that
+    reaches v + n in the parity cover: a closed walk from v with an odd
+    number of negative arcs.  A closed walk splits into cycles and its sign
+    is the product of theirs, so one of them is negative.  A vertex that v
+    reaches with one parity only has no such walk, or it would reach itself
+    with the other too, so it needs no search of its own."""
+    if rows_has_loop(neg):
+        return True
     cover = _parity_cover(n, pos, neg)
-    return any(rows_reach(cover, 1 << v) >> n + v & 1 for v in range(n))
+    low = (1 << n) - 1
+    cleared = 0
+    for v in range(n):
+        if not cleared >> v & 1:
+            reach = rows_reach(cover, 1 << v)
+            if reach >> n + v & 1:
+                return True
+            cleared |= (reach ^ reach >> n) & low
+    return False
 
 
 def rows_has_positive_cycle(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> bool:
-    """A balanced component with a cycle has only positive ones; inside the
-    unbalanced components, search the cycles for one that can be signed
-    positively (a both-sign arc, or an even number of negative arcs)."""
+    """A positive loop first, the cheapest positive cycle.  Then a balanced
+    component with a cycle has only positive ones; inside the unbalanced
+    components that are more than one cycle, search the cycles for one that
+    can be signed positively (a both-sign arc, or an even number of negative
+    arcs)."""
+    if rows_has_loop(pos):
+        return True
     adj = tuple(map(or_, pos, neg))
     cover = _parity_cover(n, pos, neg)
     unbalanced = 0
     for comp in cyclic_components(n, adj):
         # Every arc inside a component lies on a cycle, so a both-sign arc
-        # there gives a positive cycle, and so does a positive loop.
+        # there gives a positive cycle.
         for u in range(n):
-            if comp >> u & 1 and (pos[u] & neg[u] & comp or pos[u] >> u & 1):
+            if comp >> u & 1 and pos[u] & neg[u] & comp:
                 return True
         # A negative cycle of a strongly connected component closes, with a
         # path there and back, an odd closed walk from its lowest vertex v;
@@ -578,7 +627,11 @@ def rows_has_positive_cycle(
         v = (comp & -comp).bit_length() - 1
         if not rows_reach(cover, 1 << v, comp | comp << n) >> n + v & 1:
             return True
-        unbalanced |= comp
+        # With one arc out of each vertex, the component is a single cycle,
+        # the negative one, and holds no positive cycle to search for.
+        inside = sum((adj[u] & comp).bit_count() for u in range(n) if comp >> u & 1)
+        if inside > comp.bit_count():
+            unbalanced |= comp
     # No arc left here carries both signs, so a cycle is positive exactly
     # when it has an even number of negative arcs.
     return unbalanced != 0 and any(

@@ -305,20 +305,29 @@ def strict_subitems(mask: int, code: int) -> Iterator[tuple[int, int]]:
 
 
 @memo
-def find_eosd_subnetwork(
-    f: BooleanNetwork,
-) -> tuple[SubnetworkSpec, BooleanNetwork] | None:
-    """First even- or odd-self-dual subnetwork in enumeration order, if any;
-    the walk stops there."""
-    for mask, code, table in item_tables(f):
-        if table_eosd_class(table) is not None:
-            spec = SubnetworkSpec(f.components, mask, code)
-            return spec, BooleanNetwork(spec.free, table)
+def _first_eosd_item(f: BooleanNetwork) -> tuple[int, int, tuple[int, ...]] | None:
+    """(free_mask, fixed_code, table) of the first even- or odd-self-dual
+    subnetwork in enumeration order, if any; the walk stops there."""
+    for item in item_tables(f):
+        if table_eosd_class(item[2]) is not None:
+            return item
     return None
 
 
+def find_eosd_subnetwork(
+    f: BooleanNetwork,
+) -> tuple[SubnetworkSpec, BooleanNetwork] | None:
+    """First even- or odd-self-dual subnetwork in enumeration order, if any."""
+    item = _first_eosd_item(f)
+    if item is None:
+        return None
+    mask, code, table = item
+    spec = SubnetworkSpec(f.components, mask, code)
+    return spec, BooleanNetwork(spec.free, table)
+
+
 def has_eosd_subnetwork(f: BooleanNetwork) -> bool:
-    return find_eosd_subnetwork(f) is not None
+    return _first_eosd_item(f) is not None
 
 
 @dataclass(frozen=True)

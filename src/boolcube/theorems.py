@@ -54,11 +54,13 @@ from .siggraph import (
     global_rows,
     is_and_net,
     local_arc_sets,
+    local_loop_sets,
     local_planes,
     local_rows,
     point_rows,
     rows_chordless,
     rows_delocalizers,
+    rows_has_loop,
     rows_has_negative_cycle,
     rows_has_positive_cycle,
     rows_signed_cycles,
@@ -154,14 +156,32 @@ def _any_local(f: BooleanNetwork, has_cycle: Callable[[int, tuple, tuple], bool]
     return any(has_cycle(n, *point_rows(n, f.table, x)) for x in range(1 << n))
 
 
+def _local_cycle(
+    f: BooleanNetwork, sign: int, has_cycle: Callable[[int, tuple, tuple], bool]
+) -> bool:
+    """Some G(f, x) has a cycle of the sign at entry sign (0 positive, 1
+    negative) of point_rows and local_loop_sets, cheapest witness first: a
+    loop at point 0 (one point's rows; a random table has one with
+    probability 1 - (3/4)^n), a loop anywhere (the bit planes), the walk."""
+    return (
+        rows_has_loop(point_rows(f.width, f.table, 0)[sign])
+        or local_loop_sets(f)[sign] != 0
+        or _any_local(f, has_cycle)
+    )
+
+
 @memo
 def _local_positive_cycle(f: BooleanNetwork) -> bool:
-    return _any_local(f, rows_has_positive_cycle)
+    """Some G(f, x) has a positive cycle: a positive loop at point 0, else
+    one anywhere, else a positive cycle in the walk over the points."""
+    return _local_cycle(f, 0, rows_has_positive_cycle)
 
 
 @memo
 def _local_negative_cycle(f: BooleanNetwork) -> bool:
-    return _any_local(f, rows_has_negative_cycle)
+    """Some G(f, x) has a negative cycle: a negative loop at point 0, else
+    one anywhere, else a negative cycle in the walk over the points."""
+    return _local_cycle(f, 1, rows_has_negative_cycle)
 
 
 def _global_acyclic(f: BooleanNetwork) -> bool:

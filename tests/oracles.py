@@ -11,7 +11,7 @@ from operator import itemgetter, or_
 
 from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, hypercube, neighbor_set
 from boolcube.hypercube import check_components
-from boolcube.siggraph import local_rows, point_rows, rows_has_positive_cycle
+from boolcube.siggraph import local_rows, point_rows
 from boolcube.subnetwork import spec_items, subnetwork_plan
 
 
@@ -271,10 +271,34 @@ def global_arcs(f: BooleanNetwork) -> set[tuple[str, int, str]]:
     return arcs
 
 
+def local_cycle_signs(f: BooleanNetwork, code: int) -> set[int]:
+    """The signs of the cycles of the interaction graph at one state, from
+    its arcs straight off the derivative and the depth-first cycle search."""
+    g = SignedDigraph(f.components, frozenset(local_arcs(f, code)))
+    return {-1 if signs.count(-1) % 2 else 1 for _, signs in cycle_set(g)}
+
+
 def local_positive_cycle(f: BooleanNetwork) -> bool:
-    """REMY_RUET_THIEFFRY's hypothesis as first written: the local rows of
-    every point, then a positive cycle in any of them."""
-    return any(rows_has_positive_cycle(f.width, *rows) for rows in local_rows(f))
+    """REMY_RUET_THIEFFRY's hypothesis negated: some state's interaction
+    graph has a positive cycle."""
+    return any(1 in local_cycle_signs(f, code) for code in range(len(f.table)))
+
+
+def local_negative_cycle(f: BooleanNetwork) -> bool:
+    """Q1's and RICHARD2011's cycle hypothesis negated: some state's
+    interaction graph has a negative cycle."""
+    return any(-1 in local_cycle_signs(f, code) for code in range(len(f.table)))
+
+
+def local_loop_points(f: BooleanNetwork) -> tuple[int, int]:
+    """(positive, negative): the bitsets of the states whose interaction
+    graph has a loop of that sign."""
+    found = {1: 0, -1: 0}
+    for code in range(len(f.table)):
+        for src, sign, dst in local_arcs(f, code):
+            if src == dst:
+                found[sign] |= 1 << code
+    return found[1], found[-1]
 
 
 def rows_girth(n: int, adj: tuple[int, ...]) -> int | None:

@@ -39,6 +39,7 @@ from boolcube.siggraph import (
     graph_from_rows,
     graph_rows,
     load_sg,
+    local_loop_sets,
     local_planes,
     point_rows,
     rows_has_negative_cycle,
@@ -49,7 +50,16 @@ from boolcube.siggraph import (
     transpose,
 )
 from boolcube.subnetwork import is_zero_critical, item_circular_forms
-from boolcube.theorems import Circular, Sample, candidate_network, generator_count, sweep
+from boolcube.theorems import (
+    AndNets,
+    Circular,
+    Exhaustive,
+    Sample,
+    candidate_network,
+    describe_generator,
+    generator_count,
+    sweep,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -325,11 +335,12 @@ def test_cycle_predicates_on_sparse_wide_graphs():
 
 
 def test_counting_and_q1_enumerate_no_cycles(monkeypatch):
-    """counting_condition reads the girth kernel, the Q1 hypothesis the
-    parity cover's negative test, and ROBERT's hypothesis the negative fact
-    before the positive one: none lists a cycle.  The and-net of D_4 is
-    unbalanced, all negative, with no both-sign arc and no positive loop, so
-    only the enumeration could answer its positive question."""
+    """counting_condition reads the girth kernel, the Q1 hypothesis its loop
+    steps or the parity cover's negative test, and ROBERT's hypothesis the
+    negative fact before the positive one: none lists a cycle.  The and-net
+    of D_4 is unbalanced, all negative, with no both-sign arc, no positive
+    loop and more than one cycle, so only the enumeration could answer its
+    positive question."""
     listed = []
 
     def counted(name):
@@ -356,6 +367,62 @@ def test_counting_and_q1_enumerate_no_cycles(monkeypatch):
         assert not robert_hypothesis(f)
     assert not theorems._global_acyclic(and_net(load_sg(DATA / "d4.sg")))
     assert listed == []
+
+
+def test_loop_steps_answer_random_networks_before_any_walk(monkeypatch):
+    """REMY_RUET_THIEFFRY's and Q1's hypotheses find a loop of their sign on
+    random networks, at point 0 or in the loop sets, and build no local
+    graph's cycle search.  The and-net of D_4 has no loop, so both still
+    reach the walk."""
+    listed = []
+
+    def counted(name):
+        real = getattr(theorems, name)
+
+        def wrapper(*args):
+            listed.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("rows_has_positive_cycle", "rows_has_negative_cycle", "_any_local"):
+        monkeypatch.setattr(theorems, name, counted(name))
+    remy_hypothesis = theorems.NETWORK_CATALOG["REMY_RUET_THIEFFRY"][0]
+    q1_hypothesis = theorems._QUESTIONS["Q1_NEG_LOCAL_CYCLES"][0]
+    for n in range(5, 9):
+        for seed in range(4):
+            f = random_network(n, seed)
+            assert not remy_hypothesis(f)
+            assert not q1_hypothesis(f)
+    assert listed == []
+    d4 = and_net(load_sg(DATA / "d4.sg"))
+    assert local_loop_sets(d4) == (0, 0)
+    remy_hypothesis(d4)
+    q1_hypothesis(d4)
+    assert listed.count("_any_local") == 2
+    assert "rows_has_positive_cycle" in listed and "rows_has_negative_cycle" in listed
+
+
+LOOP_GENERATORS = [
+    Exhaustive(1),
+    Exhaustive(2),
+    Circular(4),
+    AndNets(3),
+    *(Sample(n, 40, n) for n in range(3, 9)),
+]
+
+
+@pytest.mark.parametrize("gen", LOOP_GENERATORS, ids=describe_generator)
+def test_local_loop_sets_match_the_oracle(gen):
+    """The bit-plane loop sets against the loops read off each state's arcs;
+    circular networks have no loop at all."""
+    signs = set()
+    for k in range(generator_count(gen)):
+        f = candidate_network(gen, k)
+        found = local_loop_sets(f)
+        assert found == oracles.local_loop_points(f)
+        signs.update(sign for sign, points in zip((1, -1), found) if points)
+    assert signs == (set() if isinstance(gen, Circular) else {1, -1})
 
 
 @given(graphs(4))

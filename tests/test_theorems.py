@@ -504,14 +504,17 @@ def test_local_subgraph_planes_catch_every_single_bit_corruption(monkeypatch, n)
 
 
 @pytest.mark.parametrize(
-    "gen", [Sample(3, 2000, 1), AndNets(3), Circular(4)], ids=describe_generator
+    "gen",
+    [Sample(3, 2000, 1), AndNets(3), Circular(4), Exhaustive(2)],
+    ids=describe_generator,
 )
-def test_local_positive_cycle_matches_the_local_rows_form(gen):
-    """REMY_RUET_THIEFFRY's hypothesis, built one point at a time, gives the
-    verdict of the form that builds every point's local rows first."""
+def test_local_cycle_hypotheses_match_oracles(gen):
+    """The local positive- and negative-cycle facts, loops first, give the
+    verdicts of the cycle search over each state's arcs."""
     for k in range(generator_count(gen)):
         f = candidate_network(gen, k)
         assert theorems._local_positive_cycle(f) is oracles.local_positive_cycle(f)
+        assert theorems._local_negative_cycle(f) is oracles.local_negative_cycle(f)
 
 
 def test_battery_sweep_builds_no_local_rows_memo(monkeypatch):
