@@ -203,26 +203,19 @@ def local_arc_sets(f: BooleanNetwork) -> tuple[tuple[int, ...], ...]:
     return tuple(arcs)
 
 
-@memo
-def local_loop_sets(f: BooleanNetwork) -> tuple[int, int]:
-    """(positive, negative): the points x where G(f, x) has a loop of that sign.
+def has_local_loop(f: BooleanNetwork, sign: int) -> bool:
+    """Some G(f, x) has a loop of the sign, 0 positive or 1 negative.
 
-    A loop i -> i lies on an e_i-edge and is the same at both of its ends:
-    positive where f_i rises along the edge, so both ends are i-stable, and
-    negative where it falls, so both are i-unstable.  With U = U_i and
-    s = 2^i, the lower ends, off X_i, are ~U & ~(U >> s) and U & (U >> s);
-    each loop set is L | L << s over every i.
-    """
+    A loop i -> i lies on an e_i-edge and is the same at both ends: positive
+    where both are i-stable, negative where both are i-unstable.  With V the
+    i-stable set ~U_i or the i-unstable set U_i, the lower such ends, off
+    X_i, are V & (V >> 2^i), since ~U >> s is ~(U >> s)."""
     full = (1 << len(f.table)) - 1
-    pos = neg = 0
     for i, (u, x) in enumerate(zip(unstable_sets(f), coordinate_sets(f.width))):
-        s = 1 << i
-        up, lower = u >> s, full ^ x
-        stable = lower & ~(u | up)
-        unstable = lower & u & up
-        pos |= stable | stable << s
-        neg |= unstable | unstable << s
-    return pos, neg
+        v = u if sign else ~u
+        if v & v >> (1 << i) & (full ^ x):
+            return True
+    return False
 
 
 @memo

@@ -52,9 +52,9 @@ from .siggraph import (
     cyclic_components,
     detect_circular,
     global_rows,
+    has_local_loop,
     is_and_net,
     local_arc_sets,
-    local_loop_sets,
     local_planes,
     local_rows,
     point_rows,
@@ -160,12 +160,12 @@ def _local_cycle(
     f: BooleanNetwork, sign: int, has_cycle: Callable[[int, tuple, tuple], bool]
 ) -> bool:
     """Some G(f, x) has a cycle of the sign at entry sign (0 positive, 1
-    negative) of point_rows and local_loop_sets, cheapest witness first: a
+    negative) of point_rows and has_local_loop, cheapest witness first: a
     loop at point 0 (one point's rows; a random table has one with
     probability 1 - (3/4)^n), a loop anywhere (the bit planes), the walk."""
     return (
         rows_has_loop(point_rows(f.width, f.table, 0)[sign])
-        or local_loop_sets(f)[sign] != 0
+        or has_local_loop(f, sign)
         or _any_local(f, has_cycle)
     )
 
@@ -545,76 +545,159 @@ def _render(candidate: Union[BooleanNetwork, _PointSet]) -> str:
 
 
 @dataclass(frozen=True)
-class Exhaustive:
+class Generator:
+    """A candidate stream of width n.  Each stream class gives its report
+    label, filled from its fields; its size, once the fields pass its checks;
+    the candidate at each index; and its orbits, sets of candidates with the
+    same verdict on every key, so a sweep checks one candidate per orbit."""
+
     n: int
+    on_points = False  # candidates are point sets, not networks
+
+    def _check(self, what: str, cap: int, count: int = 0) -> None:
+        """A width below 1, then a negative count, then the width cap."""
+        if self.n < 1:
+            raise ValueError(f"--n must be at least 1, got {self.n}")
+        if count < 0:
+            raise ValueError(f"--count must be at least 0, got {count}")
+        check_width(what, self.n, cap)
+
+    def chunks(self, count: int, jobs: int) -> list[tuple[int, int]]:
+        """At most 4 * jobs ranges covering [0, count), each opening with an
+        orbit's index; by default equal steps."""
+        chunks = max(1, min(count, jobs * 4))
+        step = max(1, (count + chunks - 1) // chunks)
+        return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+    def orbits(self, lo: int, hi: int, count: int) -> Iterable[tuple[int, Sequence[int]]]:
+        """(index, members below count) of each orbit whose index, its
+        smallest member, lies in [lo, hi); by default every candidate is an
+        orbit of its own."""
+        return zip(range(lo, hi), zip(range(lo, hi)))
+
+
+class Exhaustive(Generator):
+    label = "exhaustive(n={n})"
+
+    def size(self) -> int:
+        self._check("an exhaustive sweep", 3)
+        return 1 << (self.n << self.n)
+
+    def candidate(self, index: int) -> BooleanNetwork:
+        return network_from_index(self.n, index)
 
 
 @dataclass(frozen=True)
-class Sample:
-    n: int
+class Sample(Generator):
     count: int
     seed: int
+    label = "sample(n={n},count={count},seed={seed})"
+
+    def size(self) -> int:
+        self._check("sampling", RANDOM_WIDTH_CAP, self.count)
+        return self.count
+
+    def candidate(self, index: int) -> BooleanNetwork:
+        return network_from_index(self.n, sample_table_index(self.n, self.seed, index))
 
 
-@dataclass(frozen=True)
-class AndNets:
-    n: int
+class AndNets(Generator):
+    """An orbit is a class of digraphs under relabelling the vertices."""
+
+    label = "family(andnets(n={n}))"
+
+    def size(self) -> int:
+        self._check("the and-net family", 3)
+        return simple_digraph_count(self.n)
+
+    def candidate(self, index: int) -> BooleanNetwork:
+        table = and_net_table(self.n, *simple_digraph_rows_from_index(self.n, index))
+        return BooleanNetwork(default_components(self.n), table)
+
+    def chunks(self, count: int, jobs: int) -> list[tuple[int, int]]:
+        """Ranges holding equal numbers of orbits, give or take one."""
+        members, starts = simple_digraph_orbits(self.n)
+        # the representatives ascend, so those below count are a prefix
+        orbits = bisect_left(starts, count, 0, len(starts) - 1, key=members.__getitem__)
+        chunks = min(orbits, jobs * 4)
+        cuts = [members[starts[orbits * k // chunks]] for k in range(chunks)]
+        return list(zip(cuts, cuts[1:] + [count]))
+
+    def orbits(self, lo: int, hi: int, count: int) -> Iterable[tuple[int, Sequence[int]]]:
+        members, starts = simple_digraph_orbits(self.n)
+        return (
+            (members[a], members[a : bisect_left(members, count, a, b)])
+            for a, b in zip(starts, starts[1:])
+            if lo <= members[a] < hi
+        )
 
 
-@dataclass(frozen=True)
-class Circular:
-    n: int
+class Circular(Generator):
+    """Index bits below n are the constant; the rest rank the cycle order."""
+
+    label = "family(circular(n={n}))"
+
+    def size(self) -> int:
+        self._check("the circular family", 8)
+        return math.factorial(self.n - 1) << self.n
+
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def _predecessor_maps(n: int) -> tuple[tuple[int, ...], ...]:
+        """The predecessor map of each cycle through 0, in permutation order."""
+        orders = [(0, *rest) for rest in permutations(range(1, n))]
+        return tuple(tuple(order[order.index(v) - 1] for v in range(n)) for order in orders)
+
+    def candidate(self, index: int) -> BooleanNetwork:
+        n = self.n
+        pred = self._predecessor_maps(n)[index >> n]
+        return circular_network(CircularForm(default_components(n), pred, index & ((1 << n) - 1)))
 
 
-@dataclass(frozen=True)
-class NonExpansive:
-    n: int
+class NonExpansive(Generator):
+    label = "family(nonexpansive(n={n}))"
+
+    def size(self) -> int:
+        self._check("the non-expansive family", 3)
+        return len(self._tables(self.n))
+
+    @staticmethod
+    @lru_cache(maxsize=4)
+    def _tables(n: int) -> tuple[tuple[int, ...], ...]:
+        """Every non-expansive table of width n, ascending: each point takes
+        the values within distance 1 of those at its lower neighbours, and
+        every edge of the cube has one lower end."""
+        tables = [()]
+        for x in range(1 << n):
+            lower = [x ^ 1 << k for k in range(n) if x >> k & 1]
+            tables = [
+                t + (v,) for t in tables for v in range(1 << n)
+                if all((v ^ t[y]).bit_count() < 2 for y in lower)
+            ]
+        return tuple(tables)
+
+    def candidate(self, index: int) -> BooleanNetwork:
+        return BooleanNetwork(default_components(self.n), self._tables(self.n)[index])
 
 
-@dataclass(frozen=True)
-class Subsets:
-    n: int
+class Subsets(Generator):
+    label = "subsets(n={n})"
+    on_points = True
 
+    def size(self) -> int:
+        self._check("a subset sweep", 4)
+        return 1 << (1 << self.n)
 
-Generator = Union[Exhaustive, Sample, AndNets, Circular, NonExpansive, Subsets]
+    def candidate(self, index: int) -> _PointSet:
+        return _PointSet(self.n, index)
 
 
 def describe_generator(gen: Generator) -> str:
-    if isinstance(gen, Exhaustive):
-        return f"exhaustive(n={gen.n})"
-    if isinstance(gen, Sample):
-        return f"sample(n={gen.n},count={gen.count},seed={gen.seed})"
-    if isinstance(gen, AndNets):
-        return f"family(andnets(n={gen.n}))"
-    if isinstance(gen, Circular):
-        return f"family(circular(n={gen.n}))"
-    if isinstance(gen, NonExpansive):
-        return f"family(nonexpansive(n={gen.n}))"
-    return f"subsets(n={gen.n})"
+    return gen.label.format_map(vars(gen))
 
 
 def generator_count(gen: Generator) -> int:
-    if gen.n < 1:
-        raise ValueError(f"--n must be at least 1, got {gen.n}")
-    if isinstance(gen, Sample) and gen.count < 0:
-        raise ValueError(f"--count must be at least 0, got {gen.count}")
-    if isinstance(gen, Exhaustive):
-        check_width("an exhaustive sweep", gen.n, 3)
-        return 1 << (gen.n << gen.n)
-    if isinstance(gen, Sample):
-        check_width("sampling", gen.n, RANDOM_WIDTH_CAP)
-        return gen.count
-    if isinstance(gen, AndNets):
-        check_width("the and-net family", gen.n, 3)
-        return simple_digraph_count(gen.n)
-    if isinstance(gen, Circular):
-        check_width("the circular family", gen.n, 8)
-        return math.factorial(gen.n - 1) << gen.n
-    if isinstance(gen, NonExpansive):
-        check_width("the non-expansive family", gen.n, 3)
-        return len(non_expansive_tables(gen.n))
-    check_width("a subset sweep", gen.n, 4)
-    return 1 << (1 << gen.n)
+    return gen.size()
 
 
 def sample_table_index(n: int, seed: int, index: int) -> int:
@@ -630,50 +713,10 @@ def sample_table_index(n: int, seed: int, index: int) -> int:
     return int.from_bytes(digest, "big") & ((1 << bits) - 1)
 
 
-@lru_cache(maxsize=8)
-def _cycle_orders(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((0,) + rest for rest in permutations(range(1, n)))
-
-
-def circular_candidate(n: int, index: int) -> BooleanNetwork:
-    constant = index & ((1 << n) - 1)
-    order = _cycle_orders(n)[index >> n]
-    pred = [0] * n
-    for t, v in enumerate(order):
-        pred[v] = order[t - 1]
-    return circular_network(
-        CircularForm(default_components(n), tuple(pred), constant)
-    )
-
-
-@lru_cache(maxsize=4)
-def non_expansive_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every non-expansive table of width n, ascending: each point takes the
-    values within distance 1 of those at its lower neighbours, and every edge
-    of the cube has one lower end."""
-    tables = [()]
-    for x in range(1 << n):
-        lower = [x ^ 1 << k for k in range(n) if x >> k & 1]
-        tables = [
-            t + (v,) for t in tables for v in range(1 << n)
-            if all((v ^ t[y]).bit_count() < 2 for y in lower)
-        ]
-    return tuple(tables)
-
-
 def candidate_network(gen: Generator, index: int) -> BooleanNetwork:
-    if isinstance(gen, Exhaustive):
-        return network_from_index(gen.n, index)
-    if isinstance(gen, NonExpansive):
-        return BooleanNetwork(default_components(gen.n), non_expansive_tables(gen.n)[index])
-    if isinstance(gen, Sample):
-        return network_from_index(gen.n, sample_table_index(gen.n, gen.seed, index))
-    if isinstance(gen, AndNets):
-        table = and_net_table(gen.n, *simple_digraph_rows_from_index(gen.n, index))
-        return BooleanNetwork(default_components(gen.n), table)
-    if isinstance(gen, Circular):
-        return circular_candidate(gen.n, index)
-    raise ValueError("subset generators do not yield networks")
+    if gen.on_points:
+        raise ValueError("subset generators do not yield networks")
+    return gen.candidate(index)
 
 
 # Open questions: a candidate that meets the hypothesis and misses the
@@ -801,23 +844,6 @@ class _Tally:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def _orbits(
-    gen: Generator, lo: int, hi: int, count: int
-) -> Iterable[tuple[int, Sequence[int]]]:
-    """(index, members below count) of each orbit of candidates whose index,
-    its smallest member, lies in [lo, hi).  An and-net orbit is a class of
-    digraphs under relabelling the vertices, where every key's verdict is the
-    same; every other candidate is an orbit of its own."""
-    if not isinstance(gen, AndNets):
-        return zip(range(lo, hi), zip(range(lo, hi)))
-    members, starts = simple_digraph_orbits(gen.n)
-    return (
-        (members[a], members[a : bisect_left(members, count, a, b)])
-        for a, b in zip(starts, starts[1:])
-        if lo <= members[a] < hi
-    )
-
-
 def _evaluate_keys(
     keys: tuple[str, ...], gen: Generator, count: int, chunk: tuple[int, int]
 ) -> dict[str, _Tally]:
@@ -826,12 +852,8 @@ def _evaluate_keys(
     lists every member."""
     tallies = {key: _Tally() for key in keys}
     entries = [(tallies[key], *_entry(key)) for key in keys]
-    if isinstance(gen, Subsets):
-        make = partial(_PointSet, gen.n)
-    else:
-        make = partial(candidate_network, gen)
-    for index, members in _orbits(gen, *chunk, count):
-        f = make(index)
+    for index, members in gen.orbits(*chunk, count):
+        f = gen.candidate(index)
         weight = len(members)
         for tally, hyp, concl in entries:
             if not hyp(f):
@@ -840,25 +862,9 @@ def _evaluate_keys(
                 tally.confirmed += weight
             else:
                 tally.counterexamples.extend(
-                    (m, _render(f if m == index else make(m))) for m in members
+                    (m, _render(f if m == index else gen.candidate(m))) for m in members
                 )
     return tallies
-
-
-def _chunk_ranges(gen: Generator, count: int, jobs: int) -> list[tuple[int, int]]:
-    """At most 4 * jobs ranges covering [0, count).  And-net ranges start at
-    orbit representatives and hold equal numbers of orbits, give or take one;
-    other candidates are cut into equal steps."""
-    if isinstance(gen, AndNets):
-        members, starts = simple_digraph_orbits(gen.n)
-        # the representatives ascend, so those below count are a prefix
-        orbits = bisect_left(starts, count, 0, len(starts) - 1, key=members.__getitem__)
-        chunks = min(orbits, jobs * 4)
-        cuts = [members[starts[orbits * k // chunks]] for k in range(chunks)]
-        return list(zip(cuts, cuts[1:] + [count]))
-    chunks = max(1, min(count, jobs * 4))
-    step = max(1, (count + chunks - 1) // chunks)
-    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _worker_count(jobs: int, chunks: int) -> int:
@@ -875,7 +881,7 @@ def _drive(
     """The tallies of each key over the generator's candidates, the first
     budget of them when one is given, their number and the wall time.  Chunks
     run in this process for one worker, else in a process pool."""
-    if any((key == "LEMMA1_HYPERCUBE") != isinstance(generator, Subsets) for key in keys):
+    if any((key == "LEMMA1_HYPERCUBE") != generator.on_points for key in keys):
         raise ValueError("LEMMA1_HYPERCUBE sweeps over subsets; every other key sweeps networks")
     count = generator_count(generator)
     if budget is not None:
@@ -883,7 +889,7 @@ def _drive(
             raise ValueError(f"--budget must be at least 0, got {budget}")
         count = min(count, budget)
     started = time.perf_counter()
-    ranges = _chunk_ranges(generator, count, jobs)
+    ranges = generator.chunks(count, jobs)
     evaluate = partial(_evaluate_keys, keys, generator, count)
     workers = _worker_count(jobs, len(ranges))
     if workers < 2:

@@ -273,6 +273,9 @@ def test_usage_errors_exit_2(capsys, argv):
         (("gen", "--random", "-1", "5"), "--random needs a width of at least 1, got -1"),
         (("gen", "--random", "0", "5"), "--random needs a width of at least 1, got 0"),
         (("gen", "--random", "x", "1"), "--random needs integer width and seed"),
+        # the count is checked before the width cap: --count 5 at width 17 exits 3
+        (("verify", "--theorem", "ROBERT", "--mode", "sample", "--n", "17",
+          "--count", "-1", "--seed", "1"), "--count must be at least 0, got -1"),
     ],
 )
 def test_negative_counts_budgets_and_widths_exit_2(capsys, argv, message):

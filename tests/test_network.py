@@ -447,7 +447,8 @@ def test_library_width_caps_raise_before_building(monkeypatch, call, width, cap)
         raise AssertionError("a network was built")
 
     monkeypatch.setattr(network, "network_from_index", no_network)
-    monkeypatch.setattr(theorems, "candidate_network", no_network)
+    for stream in theorems.Generator.__subclasses__():
+        monkeypatch.setattr(stream, "candidate", no_network)
     plans = subnetwork_plan.cache_info().currsize
     with pytest.raises(WidthCapError) as info:
         call()

@@ -38,8 +38,8 @@ from boolcube.siggraph import (
     cyclic_components,
     graph_from_rows,
     graph_rows,
+    has_local_loop,
     load_sg,
-    local_loop_sets,
     local_planes,
     point_rows,
     rows_has_negative_cycle,
@@ -371,7 +371,7 @@ def test_counting_and_q1_enumerate_no_cycles(monkeypatch):
 
 def test_loop_steps_answer_random_networks_before_any_walk(monkeypatch):
     """REMY_RUET_THIEFFRY's and Q1's hypotheses find a loop of their sign on
-    random networks, at point 0 or in the loop sets, and build no local
+    random networks, at point 0 or across the cube, and build no local
     graph's cycle search.  The and-net of D_4 has no loop, so both still
     reach the walk."""
     listed = []
@@ -396,7 +396,7 @@ def test_loop_steps_answer_random_networks_before_any_walk(monkeypatch):
             assert not q1_hypothesis(f)
     assert listed == []
     d4 = and_net(load_sg(DATA / "d4.sg"))
-    assert local_loop_sets(d4) == (0, 0)
+    assert not has_local_loop(d4, 0) and not has_local_loop(d4, 1)
     remy_hypothesis(d4)
     q1_hypothesis(d4)
     assert listed.count("_any_local") == 2
@@ -414,14 +414,14 @@ LOOP_GENERATORS = [
 
 @pytest.mark.parametrize("gen", LOOP_GENERATORS, ids=describe_generator)
 def test_local_loop_sets_match_the_oracle(gen):
-    """The bit-plane loop sets against the loops read off each state's arcs;
-    circular networks have no loop at all."""
+    """The bit-plane loop test of each sign against the loops read off each
+    state's arcs; circular networks have no loop at all."""
     signs = set()
     for k in range(generator_count(gen)):
         f = candidate_network(gen, k)
-        found = local_loop_sets(f)
-        assert found == oracles.local_loop_points(f)
-        signs.update(sign for sign, points in zip((1, -1), found) if points)
+        found = (has_local_loop(f, 0), has_local_loop(f, 1))
+        assert found == tuple(points != 0 for points in oracles.local_loop_points(f))
+        signs.update(sign for sign, loop in zip((1, -1), found) if loop)
     assert signs == (set() if isinstance(gen, Circular) else {1, -1})
 
 

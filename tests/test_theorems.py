@@ -419,34 +419,48 @@ def test_one_worker_runs_the_same_chunks(monkeypatch):
     for gen in gens:
         chunks.clear()
         sweep("LEMMA1_HYPERCUBE" if isinstance(gen, Subsets) else "ROBERT", gen, jobs=1)
-        assert chunks == theorems._chunk_ranges(gen, generator_count(gen), 1), gen
+        assert chunks == gen.chunks(generator_count(gen), 1), gen
         assert len(chunks) > 1
     chunks.clear()
     open_question_search("Q1_NEG_LOCAL_CYCLES", Exhaustive(2), budget=37, jobs=1)
-    assert chunks == theorems._chunk_ranges(Exhaustive(2), 37, 1)
+    assert chunks == Exhaustive(2).chunks(37, 1)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_and_net_chunks_hold_equal_numbers_of_orbits(n):
-    """--jobs chunks of an and-net stream start at orbit representatives and
-    hold equal numbers of orbits, give or take one, at every budget."""
-    gen = AndNets(n)
-    members, starts = simple_digraph_orbits(n)
-    reps = {members[a] for a in starts[:-1]}
+STREAMS = [
+    Exhaustive(2),
+    Sample(3, 10, 1),
+    AndNets(2),
+    AndNets(3),
+    Circular(3),
+    NonExpansive(2),
+    Subsets(2),
+]
+
+
+@pytest.mark.parametrize("gen", STREAMS, ids=describe_generator)
+def test_stream_chunks_and_orbits_cover_every_candidate_once(gen):
+    """At every budget and --jobs, a stream's chunks cover [0, count) end to
+    end, at most 4 * jobs of them, each opening with an orbit's index; every
+    index below count is a member of exactly one orbit, whose index is its
+    smallest member.  And-net chunks hold equal numbers of orbits, give or
+    take one."""
     full = generator_count(gen)
-    for count in (1, 7, 100, full // 3, full):
+    for count in sorted({min(b, full) for b in (0, 1, 7, 100, full // 3, full)}):
         for jobs in (1, 2, 3, 8):
-            ranges = theorems._chunk_ranges(gen, count, jobs)
-            assert ranges[0][0] == 0 and ranges[-1][1] == count
-            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-            assert {lo for lo, _ in ranges} <= reps
-            sizes = [len(list(theorems._orbits(gen, lo, hi, count))) for lo, hi in ranges]
-            orbits = len([r for r in reps if r < count])
-            assert sum(sizes) == orbits
-            assert len(sizes) == min(orbits, 4 * jobs)
-            assert max(sizes) - min(sizes) <= 1, (count, jobs, sizes)
-    # every other candidate is its own orbit, cut into equal steps
-    assert theorems._chunk_ranges(Sample(3, 10, 1), 10, 1) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+            ranges = gen.chunks(count, jobs)
+            assert [i for lo, hi in ranges for i in range(lo, hi)] == list(range(count))
+            assert len(ranges) <= 4 * jobs
+            chunks = [list(gen.orbits(lo, hi, count)) for lo, hi in ranges]
+            assert all(chunk and chunk[0][0] == lo for chunk, (lo, _) in zip(chunks, ranges))
+            orbits = [orbit for chunk in chunks for orbit in chunk]
+            assert all(index == min(members) for index, members in orbits)
+            assert sorted(m for _, members in orbits for m in members) == list(range(count))
+            if isinstance(gen, AndNets):
+                sizes = [len(chunk) for chunk in chunks]
+                assert len(sizes) == min(len(orbits), 4 * jobs)
+                assert not sizes or max(sizes) - min(sizes) <= 1, (count, jobs, sizes)
+    if gen == Sample(3, 10, 1):
+        assert gen.chunks(10, 1) == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
 
 @pytest.mark.parametrize("key", ["LOCAL_SUBGRAPH_CONTAINMENT", "DYNAMICS_ISOMORPHISM"])
