@@ -337,27 +337,74 @@ def _unsigned_cycles(n: int, adj: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             pending.append(adj[v] & live & ~seen)
 
 
+def rows_chordless_cycles(n: int, adj: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Chordless cycles as index tuples starting at their smallest vertex s,
+    one at a time.
+
+    A loop is a chordless 1-cycle, and a chord of every longer cycle through
+    its vertex.  From each unlooped s, induced paths grow through the unlooped
+    vertices above s: w may follow the last vertex when no earlier path vertex
+    has an arc to w and w has none into the path but to s.  An arc w -> s
+    closes a chordless cycle, and that path goes no further.
+    """
+    loops = 0
+    for v, row in enumerate(adj):
+        loops |= row & 1 << v
+    for s in range(n):
+        bit = 1 << s
+        if loops & bit:
+            yield (s,)
+            continue
+        free = -(bit << 1) & ~loops
+        path = [s]
+        inner = 0  # the path without s
+        # banned[k] holds path[1:k + 1] and the targets of path[:k]
+        banned = [0]
+        pending = [adj[s] & free]
+        while pending:
+            targets = pending[-1]
+            if not targets:
+                pending.pop()
+                banned.pop()
+                inner &= ~(1 << path.pop())
+                continue
+            low = targets & -targets
+            pending[-1] = targets ^ low
+            w = low.bit_length() - 1
+            row = adj[w]
+            if row & inner:
+                continue
+            if row & bit:
+                yield (*path, w)
+                continue
+            ban = banned[-1] | adj[path[-1]] | low
+            path.append(w)
+            inner |= low
+            banned.append(ban)
+            pending.append(row & free & ~ban)
+
+
+def rows_cycle_signings(
+    verts: tuple[int, ...], pos: tuple[int, ...], neg: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """The sign tuples of a cycle's arcs, positive first where an arc carries
+    both signs."""
+    options = []
+    for j, i in zip(verts, verts[1:] + verts[:1]):
+        options.append((1,) * (pos[j] >> i & 1) + (-1,) * (neg[j] >> i & 1))
+    return product(*options)
+
+
 def rows_signed_cycles(
     n: int, pos: tuple[int, ...], neg: tuple[int, ...]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(vertex indices, signs) per cycle, sorted by length, vertices, signs;
     both-sign arcs expand to two cycles.  Nothing is cached across calls."""
-    adj = tuple(map(or_, pos, neg))
-    out = []
-    for verts in _unsigned_cycles(n, adj):
-        length = len(verts)
-        options = []
-        for k in range(length):
-            src = verts[k]
-            dst = verts[(k + 1) % length]
-            choices = []
-            if pos[src] >> dst & 1:
-                choices.append(1)
-            if neg[src] >> dst & 1:
-                choices.append(-1)
-            options.append(choices)
-        for signs in product(*options):
-            out.append((verts, signs))
+    out = [
+        (verts, signs)
+        for verts in _unsigned_cycles(n, tuple(map(or_, pos, neg)))
+        for signs in rows_cycle_signings(verts, pos, neg)
+    ]
     out.sort(key=lambda c: (len(c[0]), c[0], c[1]))
     return out
 
@@ -531,10 +578,22 @@ def and_net(g: SignedDigraph) -> BooleanNetwork:
 
 @memo
 def is_and_net(f: BooleanNetwork) -> bool:
+    """Each O_i is the AND of X_j over the positive arcs j -> i of G(f) and of
+    ~X_j over the negative ones, the cube when i has none.  An arc of both
+    signs makes that AND empty, but O_i is not: f_i varies along the arc."""
     pos, neg = global_rows(f)
-    if any(p & m for p, m in zip(pos, neg)):
-        return False
-    return and_net_table(f.width, pos, neg) == f.table
+    full = (1 << len(f.table)) - 1
+    xs = coordinate_sets(f.width)
+    for i, o in enumerate(output_bitsets(f)):
+        want = full
+        for p, m, x in zip(pos, neg, xs):
+            if p >> i & 1:
+                want &= x
+            if m >> i & 1:
+                want &= full ^ x
+        if o != want:
+            return False
+    return True
 
 
 def cyclic_components(n: int, adj: tuple[int, ...]) -> Iterator[int]:
@@ -645,12 +704,17 @@ class CycleFilter(Enum):
 
 
 def _min_chordless_cycle_len(n: int, rows: Rows, want: int) -> int | None:
-    """Length of a shortest chordless cycle of sign want; the cycles come
-    sorted by length, so the first that qualifies is the answer."""
-    for verts, signs in rows_signed_cycles(n, *rows):
-        if cycle_sign(signs) == want and rows_chordless(verts, *rows):
-            return len(verts)
-    return None
+    """Length of a shortest chordless cycle of sign want, chords judged in
+    these rows."""
+    pos, neg = rows
+    return min(
+        (
+            len(verts)
+            for verts in rows_chordless_cycles(n, tuple(map(or_, pos, neg)))
+            if any(cycle_sign(s) == want for s in rows_cycle_signings(verts, pos, neg))
+        ),
+        default=None,
+    )
 
 
 def counting_condition(f: BooleanNetwork, filt: CycleFilter = CycleFilter.ALL) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache, partial, reduce
 from itertools import groupby, permutations
-from operator import itemgetter, xor
+from operator import and_, itemgetter, or_, xor
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence, Union
 
 from .dynamics import attractor_summary, weak_convergence
@@ -56,14 +56,13 @@ from .siggraph import (
     is_and_net,
     local_arc_sets,
     local_planes,
-    local_rows,
     point_rows,
-    rows_chordless,
+    rows_chordless_cycles,
+    rows_cycle_signings,
     rows_delocalizers,
     rows_has_loop,
     rows_has_negative_cycle,
     rows_has_positive_cycle,
-    rows_signed_cycles,
     shih_dong_condition,
     simple_digraph_count,
     simple_digraph_orbits,
@@ -289,8 +288,9 @@ def _bare_cycle_forms(f: BooleanNetwork) -> frozenset[tuple[int, tuple[tuple[int
     pos, neg = global_rows(f)
     return frozenset(
         _cycle_form(verts, signs)
-        for verts, signs in rows_signed_cycles(f.width, pos, neg)
-        if rows_chordless(verts, pos, neg) and not rows_delocalizers(verts, pos, neg)
+        for verts in rows_chordless_cycles(f.width, tuple(map(or_, pos, neg)))
+        if not rows_delocalizers(verts, pos, neg)
+        for signs in rows_cycle_signings(verts, pos, neg)
     )
 
 
@@ -373,13 +373,23 @@ def _concl_eosd_andnet(f: BooleanNetwork) -> bool:
 
 
 def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
-    n = f.width
-    gpos, gneg = global_rows(f)
+    """Each chordless cycle of G(f) that is a cycle of G(f, x), signed there,
+    is the circular form of the subnetwork freeing its vertices at x.  It is
+    a local cycle at the points in all its arcs' sets A[j][i], and j -> i is
+    negative at x iff f_i(x) != x_j."""
+    n, table = f.width, f.table
+    pos, neg = global_rows(f)
+    arcs = local_arc_sets(f)
     forms = dict(zip(subnetwork_plan(n).items(), item_circular_forms(f)))
-    for x, (pos, neg) in enumerate(local_rows(f)):
-        for verts, signs in rows_signed_cycles(n, pos, neg):
-            if not rows_chordless(verts, gpos, gneg):
-                continue
+    for verts in rows_chordless_cycles(n, tuple(map(or_, pos, neg))):
+        pairs = tuple(zip(verts, verts[1:] + verts[:1]))
+        points = reduce(and_, [arcs[j][i] for j, i in pairs])
+        while points:
+            low = points & -points
+            points ^= low
+            x = low.bit_length() - 1
+            fx = table[x]
+            signs = tuple(-1 if (fx >> i ^ x >> j) & 1 else 1 for j, i in pairs)
             mask, form = _cycle_form(verts, signs)
             if forms[mask, x & ~mask] != form:
                 return False

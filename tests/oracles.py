@@ -6,13 +6,24 @@ Widths stay small in the tests, so quadratic and exponential loops are fine.
 
 from __future__ import annotations
 
-from itertools import combinations, groupby, product
+from itertools import accumulate, combinations, groupby, product
 from operator import itemgetter, or_
 
 from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, hypercube, neighbor_set
 from boolcube.hypercube import check_components
-from boolcube.siggraph import local_rows, point_rows
-from boolcube.subnetwork import spec_items, subnetwork_plan
+from boolcube.siggraph import (
+    Rows,
+    _unsigned_cycles,
+    cycle_sign,
+    global_rows,
+    local_rows,
+    point_rows,
+    rows_chordless,
+    rows_delocalizers,
+    rows_signed_cycles,
+)
+from boolcube.subnetwork import item_circular_forms, spec_items, subnetwork_plan
+from boolcube.theorems import _cycle_form
 
 
 # -- reference networks and bit helpers ----------------------------------------
@@ -414,6 +425,62 @@ def chordless(g: SignedDigraph, vertices: tuple[str, ...]) -> bool:
     )
 
 
+def chordless_cycles(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """siggraph.rows_chordless_cycles as every cycle filtered by rows_chordless."""
+    none = (0,) * n
+    return [verts for verts in _unsigned_cycles(n, adj) if rows_chordless(verts, adj, none)]
+
+
+def min_chordless_cycle_len(n: int, rows: Rows, want: int) -> int | None:
+    """siggraph._min_chordless_cycle_len as first written: the signed cycles
+    come sorted by length, so the first chordless one of sign want is the
+    answer."""
+    for verts, signs in rows_signed_cycles(n, *rows):
+        if cycle_sign(signs) == want and rows_chordless(verts, *rows):
+            return len(verts)
+    return None
+
+
+def chordless_counting_condition(f: BooleanNetwork, want: int) -> bool:
+    """counting_condition with a chordless filter of sign want, from
+    min_chordless_cycle_len at each point."""
+    n = f.width
+    per_k = [0] * n
+    for rows in local_rows(f):
+        shortest = min_chordless_cycle_len(n, rows, want)
+        if shortest is not None:
+            per_k[shortest - 1] += 1
+    return all(count < 1 << k for k, count in enumerate(accumulate(per_k), 1))
+
+
+def bare_cycle_forms(f: BooleanNetwork) -> frozenset:
+    """theorems._bare_cycle_forms as first written: every signed cycle of
+    G(f), kept when chordless and free of delocalizing vertices."""
+    pos, neg = global_rows(f)
+    return frozenset(
+        _cycle_form(verts, signs)
+        for verts, signs in rows_signed_cycles(f.width, pos, neg)
+        if rows_chordless(verts, pos, neg) and not rows_delocalizers(verts, pos, neg)
+    )
+
+
+def chordless_local_circular(f: BooleanNetwork) -> bool:
+    """The CHORDLESS_LOCAL_CYCLE_CIRCULAR conclusion as first written: every
+    signed cycle of each local graph, kept when chordless in G(f), against
+    the circular form of the subnetwork freeing its vertices at that point."""
+    n = f.width
+    gpos, gneg = global_rows(f)
+    forms = dict(zip(subnetwork_plan(n).items(), item_circular_forms(f)))
+    for x, (pos, neg) in enumerate(local_rows(f)):
+        for verts, signs in rows_signed_cycles(n, pos, neg):
+            if not rows_chordless(verts, gpos, gneg):
+                continue
+            mask, form = _cycle_form(verts, signs)
+            if forms[mask, x & ~mask] != form:
+                return False
+    return True
+
+
 # -- circular networks -----------------------------------------------------------
 
 
@@ -460,6 +527,18 @@ def and_net_table(n: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> tuple[i
                 out |= 1 << i
         table.append(out)
     return tuple(table)
+
+
+def is_and_net(f: BooleanNetwork) -> bool:
+    """G(f), from the derivatives, is simple and its and-net table is f's."""
+    n = f.width
+    index = {v: k for k, v in enumerate(f.components)}
+    pos, neg = [0] * n, [0] * n
+    for src, sign, dst in global_arcs(f):
+        (pos if sign == 1 else neg)[index[src]] |= 1 << index[dst]
+    if any(p & m for p, m in zip(pos, neg)):
+        return False
+    return and_net_table(n, tuple(pos), tuple(neg)) == f.table
 
 
 # -- Lemma 1 on point sets of the hypercube --------------------------------------

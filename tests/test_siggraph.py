@@ -46,6 +46,7 @@ from boolcube.siggraph import (
     rows_has_positive_cycle,
     rows_reach,
     simple_digraph_count,
+    simple_digraph_orbits,
     simple_digraph_rows_from_index,
     transpose,
 )
@@ -452,6 +453,78 @@ def test_delocalizing_needs_two_distinct_targets():
             judge(same, stranger)
 
 
+def _kernel_cycles(n, adj):
+    """rows_chordless_cycles as a sorted list, after checking that it yields
+    each cycle once and starts each at its smallest vertex."""
+    found = list(siggraph.rows_chordless_cycles(n, adj))
+    assert len(found) == len(set(found))
+    assert all(verts[0] == min(verts) for verts in found)
+    return sorted(found)
+
+
+def test_chordless_kernel_on_every_graph_up_to_three_vertices():
+    """Every unsigned digraph on 1-3 vertices, loops included, against the
+    filtered enumeration and against the brute-force cycles and chords."""
+    for n in range(1, 4):
+        verts = labels(n)
+        for present in range(1 << n * n):
+            adj = tuple(present >> (j * n) & (1 << n) - 1 for j in range(n))
+            found = _kernel_cycles(n, adj)
+            assert found == sorted(oracles.chordless_cycles(n, adj)), (n, adj)
+            g = graph_from_rows(verts, adj, (0,) * n)
+            brute = sorted(
+                tuple(verts.index(v) for v in vs)
+                for vs, _ in oracles.cycle_set(g)
+                if oracles.chordless(g, vs)
+            )
+            assert found == brute, (n, adj)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chordless_kernel_on_random_graphs_of_every_density(n):
+    """Random digraphs from almost empty to almost complete, loops included;
+    half of them hold a cycle through every vertex in a random order, so the
+    kernel meets chords of every kind and chordless cycles of every length."""
+    rng = random.Random(2700 + n)
+    lengths = set()
+    for density in (0.0, 0.03, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
+        for trial in range(40):
+            adj = [sum(1 << i for i in range(n) if rng.random() < density) for _ in range(n)]
+            if trial & 1:
+                order = rng.sample(range(n), n)
+                for j, i in zip(order, order[1:] + order[:1]):
+                    adj[j] |= 1 << i
+            adj = tuple(adj)
+            found = _kernel_cycles(n, adj)
+            assert found == sorted(oracles.chordless_cycles(n, adj)), (n, adj)
+            lengths.update(map(len, found))
+    assert lengths == set(range(1, n + 1))
+
+
+def test_shortest_chordless_cycle_matches_the_oracle():
+    """_min_chordless_cycle_len against the sorted signed enumeration, on
+    random signed rows with both-sign arcs and loops, for either sign."""
+    rng = random.Random(2701)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        density = rng.choice((0.05, 0.1, 0.3, 0.6))
+        pos, neg = [0] * n, [0] * n
+        for j, i in product(range(n), repeat=2):
+            if rng.random() < density:
+                signs = rng.choice(((1,), (-1,), (1, -1)))
+                if 1 in signs:
+                    pos[j] |= 1 << i
+                if -1 in signs:
+                    neg[j] |= 1 << i
+        rows = (tuple(pos), tuple(neg))
+        for want in (1, -1):
+            got = siggraph._min_chordless_cycle_len(n, rows, want)
+            assert got == oracles.min_chordless_cycle_len(n, rows, want), (rows, want)
+            seen.add(got)
+    assert {None, 1, 2, 3, 4} <= seen
+
+
 def test_cycle_str_and_validation():
     c = Cycle(("1", "2"), (1, -1))
     assert str(c) == "(1 + 2 -)"
@@ -563,6 +636,35 @@ def test_and_net_table_matches_the_oracle():
                         (pos if rng.random() < 0.5 else neg)[j] |= 1 << i
                 rows = (tuple(pos), tuple(neg))
                 assert siggraph.and_net_table(n, *rows) == oracles.and_net_table(n, *rows)
+
+
+def test_is_and_net_matches_the_table_oracle():
+    """Every AndNets(3) orbit representative, each with one output bit
+    flipped at every point, then 2,000 random tables of widths 1-5, some
+    built as and-nets of random graphs."""
+    members, starts = simple_digraph_orbits(3)
+    gen = AndNets(3)
+    verdicts = set()
+    for a in starts[:-1]:
+        f = candidate_network(gen, members[a])
+        assert is_and_net(f)
+        x = members[a] % 8
+        table = f.table[:x] + (f.table[x] ^ 1 << x % 3,) + f.table[x + 1 :]
+        g = BooleanNetwork(f.components, table)
+        assert is_and_net(g) is oracles.is_and_net(g)
+        verdicts.add(is_and_net(g))
+    rng = random.Random(2702)
+    for k in range(2000):
+        n = rng.randint(1, 5)
+        if k & 1:
+            rows = simple_digraph_rows_from_index(n, rng.randrange(simple_digraph_count(n)))
+            table = siggraph.and_net_table(n, *rows)
+        else:
+            table = tuple(rng.randrange(1 << n) for _ in range(1 << n))
+        f = BooleanNetwork(labels(n), table)
+        assert is_and_net(f) is oracles.is_and_net(f)
+        verdicts.add(is_and_net(f))
+    assert verdicts == {True, False}
 
 
 def test_every_small_circular_form_round_trips_through_the_oracle():

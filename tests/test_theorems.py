@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import random
 from itertools import permutations, product
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from boolcube import BooleanNetwork, SearchReport, WidthCapError, check, sweep_many
+from boolcube import (
+    BooleanNetwork,
+    CycleFilter,
+    SearchReport,
+    WidthCapError,
+    check,
+    counting_condition,
+    sweep_many,
+)
 from boolcube.hypercube import all_points, parse_point
 from boolcube.network import default_components, network_from_index, render_bn
 from boolcube.siggraph import (
@@ -542,7 +551,7 @@ def test_battery_sweep_builds_no_local_rows_memo(monkeypatch):
         return build(f)
 
     monkeypatch.setattr(siggraph, "local_rows", counting)
-    monkeypatch.setattr(theorems, "local_rows", counting)
+    assert not hasattr(theorems, "local_rows")
     keys = (
         "MAIN_EOSD", "COR11_EQUIVALENCE", "ROBERT", "DICHOTOMY_UNIQUE",
         "DICHOTOMY_EXIST", "SHIH_DONG", "REMY_RUET_THIEFFRY", "RICHARD2010",
@@ -664,6 +673,89 @@ def test_bare_cycle_forms_match_the_oracles():
         assert theorems._bare_cycle_forms(f) == expected, (gen, index)
         nonempty += bool(expected)
     assert 0 < nonempty < len(cases)
+
+
+READER_GENERATORS = (
+    Exhaustive(2),
+    AndNets(3),
+    Sample(3, 200, 1),
+    Sample(4, 60, 2),
+    Sample(5, 20, 3),
+    Sample(6, 8, 4),
+    Sample(7, 3, 5),
+)
+
+
+def _reader_networks(gen):
+    """Every candidate of gen, or one per orbit of an and-net family."""
+    if isinstance(gen, AndNets):
+        members, starts = simple_digraph_orbits(gen.n)
+        return [candidate_network(gen, members[a]) for a in starts[:-1]]
+    return [candidate_network(gen, k) for k in range(generator_count(gen))]
+
+
+@pytest.mark.parametrize("gen", READER_GENERATORS, ids=describe_generator)
+def test_chordless_readers_match_the_filtered_enumeration(gen):
+    """The three readers of the chordless-cycle kernel against the loops they
+    replaced, which list every signed cycle and keep the chordless ones:
+    the bare cycle forms, the CHORDLESS_LOCAL_CYCLE_CIRCULAR conclusion and
+    counting_condition's two chordless filters."""
+    filters = ((CycleFilter.POSITIVE_CHORDLESS, 1), (CycleFilter.NEGATIVE_CHORDLESS, -1))
+    for f in _reader_networks(gen):
+        assert theorems._bare_cycle_forms(f) == oracles.bare_cycle_forms(f)
+        concl = theorems._concl_chordless_local_circular(f)
+        assert concl is oracles.chordless_local_circular(f)
+        for filt, want in filters:
+            assert counting_condition(f, filt) == oracles.chordless_counting_condition(f, want)
+
+
+def test_bare_cycle_forms_on_every_three_vertex_and_net():
+    """Every member of AndNets(3), not one per orbit: on three vertices a
+    chord back into the middle of the path is met under one labelling of a
+    graph and not under another, and the representatives lack it."""
+    gen = AndNets(3)
+    for index in range(generator_count(gen)):
+        f = candidate_network(gen, index)
+        assert theorems._bare_cycle_forms(f) == oracles.bare_cycle_forms(f), index
+
+
+@pytest.mark.parametrize("gen", (Exhaustive(2), Sample(3, 200, 1)), ids=describe_generator)
+def test_chordless_local_circular_reads_the_same_items(gen, monkeypatch):
+    """The theorem holds everywhere, so a reader that skipped a local cycle
+    would still answer True.  With one item's circular form spoilt at a time,
+    the kernel and the filtered enumeration must fail on the same items: the
+    ones some chordless local cycle lands on."""
+    spoilt = object()
+    outcomes = set()
+    for f in _reader_networks(gen):
+        forms = subnetwork.item_circular_forms(f)
+        for k in range(len(forms)):
+            bad = forms[:k] + (spoilt,) + forms[k + 1 :]
+            monkeypatch.setattr(theorems, "item_circular_forms", lambda _: bad)
+            monkeypatch.setattr(oracles, "item_circular_forms", lambda _: bad)
+            concl = theorems._concl_chordless_local_circular(f)
+            assert concl is oracles.chordless_local_circular(f), k
+            outcomes.add(concl)
+    assert outcomes == {True, False}
+
+
+# sha256 of each report's canonical text over Sample(7, 20, 3), recorded
+# with the enumerate-then-filter loops
+WIDTH_SEVEN_DIGESTS = {
+    "CHORDLESS_LOCAL_CYCLE_CIRCULAR": "254896755d089176867f3e5f8a209b4fcd352a2513ba082c950f797c217118d0",
+    "COR_COUNTING_SIGNED": "976b27fc8b19d24b5ac79edef9423a0dc80a105b7633c3865a5c143bb5ff4073",
+}
+
+
+@pytest.mark.parametrize("key", sorted(WIDTH_SEVEN_DIGESTS))
+def test_chordless_sweeps_keep_their_width_seven_reports(key):
+    """The chordless kernel on width-7 graphs, which no manifest generator
+    reaches.  No candidate of Sample(7, 20, 3) is non-expansive, so the
+    COR_COUNTING_SIGNED report is all vacuous and pins its hypothesis only;
+    the reader test above checks the counting filters at width 7."""
+    for jobs in (1, 2):
+        text = sweep(key, Sample(7, 20, 3), jobs=jobs).canonical_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == WIDTH_SEVEN_DIGESTS[key]
 
 
 def test_theorems_imports_no_private_kernels():
