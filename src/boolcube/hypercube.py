@@ -20,32 +20,32 @@ class FormatError(ValueError):
     """Raised when a textual point, network or graph cannot be parsed."""
 
 
-# Label tuples that passed check_components, so a repeated tuple is checked
-# once per process; at the cap the set starts over.  A failure is never kept,
-# and labels that cannot be hashed (a list of them, say) are checked per call.
-_VALID_LABELS: set[tuple[str, ...]] = set()
-_VALID_LABELS_CAP = 256
+# The one label tuple per width that default_components hands out, filled
+# only by it.  That tuple is valid by construction; any other is checked.
+_DEFAULT_LABELS: dict[int, tuple[str, ...]] = {}
+
+
+def default_components(n: int) -> tuple[str, ...]:
+    """The labels "1", ..., "n", the same tuple on every call."""
+    labels = _DEFAULT_LABELS.get(n)
+    if labels is None:
+        labels = _DEFAULT_LABELS[n] = tuple(str(i) for i in range(1, n + 1))
+    return labels
 
 
 def check_components(components: tuple[str, ...]) -> None:
-    try:
-        if components in _VALID_LABELS:
-            return
-    except TypeError:
-        pass
     if not components:
         raise ValueError("component list must be nonempty")
+    if components is _DEFAULT_LABELS.get(len(components)):
+        return
     seen = set()
     for label in components:
-        if not label or any(ch.isspace() for ch in label) or label.startswith("#"):
+        # split() cuts at exactly the characters that isspace() accepts
+        if not label or label.startswith("#") or label.split() != [label]:
             raise ValueError(f"bad component label {label!r}")
         if label in seen:
             raise ValueError(f"duplicate component label {label!r}")
         seen.add(label)
-    if type(components) is tuple:
-        if len(_VALID_LABELS) >= _VALID_LABELS_CAP:
-            _VALID_LABELS.clear()
-        _VALID_LABELS.add(components)
 
 
 def parse_header(

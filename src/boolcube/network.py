@@ -34,6 +34,7 @@ from .hypercube import (
     check_components,
     component_mask,
     coordinate_sets,
+    default_components,
     format_code,
     parse_code,
     parse_header,
@@ -101,11 +102,6 @@ class BooleanNetwork:
 
     def point(self, code: int) -> Point:
         return Point(self.components, code)
-
-
-@lru_cache(maxsize=None)
-def default_components(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(1, n + 1))
 
 
 def evaluate(f: BooleanNetwork, x: Point) -> Point:

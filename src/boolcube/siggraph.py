@@ -703,35 +703,36 @@ class CycleFilter(Enum):
     NEGATIVE_CHORDLESS = "NegativeChordless"
 
 
-def _min_chordless_cycle_len(n: int, rows: Rows, want: int) -> int | None:
-    """Length of a shortest chordless cycle of sign want, chords judged in
-    these rows."""
-    pos, neg = rows
-    return min(
-        (
-            len(verts)
-            for verts in rows_chordless_cycles(n, tuple(map(or_, pos, neg)))
-            if any(cycle_sign(s) == want for s in rows_cycle_signings(verts, pos, neg))
-        ),
-        default=None,
-    )
+@memo
+def _chordless_census(f: BooleanNetwork) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(positive, negative): entry k - 1 of each is the number of points whose
+    shortest chordless local cycle of that sign has length k, chords judged
+    in the local graph.  One kernel pass per point lists the chordless cycles
+    of both signs at once: point_rows' positive and negative rows are
+    disjoint, so each arc has one sign and a cycle's sign is the parity of
+    its negative arcs."""
+    n, table = f.width, f.table
+    census = ([0] * n, [0] * n)
+    for x in range(1 << n):
+        pos, neg = point_rows(n, table, x)
+        shortest = [n + 1, n + 1]
+        for verts in rows_chordless_cycles(n, tuple(map(or_, pos, neg))):
+            odd = sum(neg[j] >> i & 1 for j, i in zip(verts, verts[1:] + verts[:1])) & 1
+            shortest[odd] = min(shortest[odd], len(verts))
+        for counts, length in zip(census, shortest):
+            if length <= n:
+                counts[length - 1] += 1
+    return tuple(census[0]), tuple(census[1])
 
 
 def counting_condition(f: BooleanNetwork, filt: CycleFilter = CycleFilter.ALL) -> bool:
     """For each k <= n, at most 2^k - 1 points see a qualifying local cycle of
     length <= k.  Qualifying: any cycle (All, read off local_girth_sets) or a
-    chordless cycle of the given sign, chords judged in the local graph."""
-    n = f.width
+    chordless cycle of the given sign (read off _chordless_census)."""
     if filt is CycleFilter.ALL:
         counts = [found.bit_count() for found in local_girth_sets(f)]
     else:
-        want = 1 if filt is CycleFilter.POSITIVE_CHORDLESS else -1
-        per_k = [0] * n
-        for rows in local_rows(f):
-            shortest = _min_chordless_cycle_len(n, rows, want)
-            if shortest is not None:
-                per_k[shortest - 1] += 1
-        counts = accumulate(per_k)
+        counts = accumulate(_chordless_census(f)[filt is CycleFilter.NEGATIVE_CHORDLESS])
     return all(count < 1 << k for k, count in enumerate(counts, 1))
 
 

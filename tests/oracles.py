@@ -432,9 +432,9 @@ def chordless_cycles(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def min_chordless_cycle_len(n: int, rows: Rows, want: int) -> int | None:
-    """siggraph._min_chordless_cycle_len as first written: the signed cycles
-    come sorted by length, so the first chordless one of sign want is the
-    answer."""
+    """Length of a shortest chordless cycle of sign want, chords judged in
+    these rows: the signed cycles come sorted by length, so the first
+    chordless one of sign want is the answer."""
     for verts, signs in rows_signed_cycles(n, *rows):
         if cycle_sign(signs) == want and rows_chordless(verts, *rows):
             return len(verts)

@@ -26,6 +26,7 @@ from boolcube.hypercube import (
     component_mask,
     coordinate_sets,
     cube_literals,
+    default_components,
     format_code,
     gather_bits,
     mask_labels,
@@ -242,19 +243,29 @@ def test_file_header_errors(parse, keyword, what, text, message):
 )
 def test_component_check_never_keeps_a_failure(labels, error, message):
     """A malformed label raises the same error on every call, whether the
-    labels come as a tuple or a list; only passing tuples are kept."""
+    labels come as a tuple or a list."""
     for _ in range(2):
         with pytest.raises(error) as caught:
             check_components(labels)
         assert str(caught.value) == message
-    assert all(kept != tuple(labels) for kept in hypercube._VALID_LABELS)
 
 
-def test_component_check_keeps_a_passing_tuple():
-    labels = ("p", "q", "r")
-    hypercube._VALID_LABELS.discard(labels)
-    check_components(labels)
-    assert labels in hypercube._VALID_LABELS
-    check_components(labels)
-    check_components(["s", "t"])  # a list passes and is not kept
-    assert ("s", "t") not in hypercube._VALID_LABELS
+def test_default_labels_are_valid_by_construction():
+    """Each width's default tuple is one object that passes at once; an equal
+    copy or a list gets the full check, the empty tuple still raises, and
+    checking other labels adds no width to the default table."""
+    for n in range(1, 17):
+        labels = default_components(n)
+        assert labels is default_components(n)
+        assert labels == tuple(str(i) for i in range(1, n + 1))
+        check_components(labels)
+    check_components(tuple(default_components(3)))
+    check_components(list(default_components(3)))
+    check_components(["s", "t"])
+    default_components(0)
+    with pytest.raises(ValueError) as caught:
+        check_components(())
+    assert str(caught.value) == "component list must be nonempty"
+    widths = set(hypercube._DEFAULT_LABELS)
+    check_components(tuple(f"v{i}" for i in range(100_000)))
+    assert set(hypercube._DEFAULT_LABELS) == widths

@@ -55,6 +55,7 @@ from boolcube.theorems import (
     AndNets,
     Circular,
     Exhaustive,
+    NonExpansive,
     Sample,
     candidate_network,
     describe_generator,
@@ -501,28 +502,39 @@ def test_chordless_kernel_on_random_graphs_of_every_density(n):
     assert lengths == set(range(1, n + 1))
 
 
-def test_shortest_chordless_cycle_matches_the_oracle():
-    """_min_chordless_cycle_len against the sorted signed enumeration, on
-    random signed rows with both-sign arcs and loops, for either sign."""
-    rng = random.Random(2701)
-    seen = set()
-    for _ in range(600):
-        n = rng.randint(1, 7)
-        density = rng.choice((0.05, 0.1, 0.3, 0.6))
-        pos, neg = [0] * n, [0] * n
-        for j, i in product(range(n), repeat=2):
-            if rng.random() < density:
-                signs = rng.choice(((1,), (-1,), (1, -1)))
-                if 1 in signs:
-                    pos[j] |= 1 << i
-                if -1 in signs:
-                    neg[j] |= 1 << i
-        rows = (tuple(pos), tuple(neg))
-        for want in (1, -1):
-            got = siggraph._min_chordless_cycle_len(n, rows, want)
-            assert got == oracles.min_chordless_cycle_len(n, rows, want), (rows, want)
-            seen.add(got)
-    assert {None, 1, 2, 3, 4} <= seen
+CENSUS_GENERATORS = (
+    Exhaustive(1),
+    Exhaustive(2),
+    Circular(4),
+    Circular(5),
+    NonExpansive(3),
+    AndNets(3),
+    Sample(3, 200, 1),
+    Sample(4, 60, 2),
+    Sample(5, 20, 3),
+    Sample(6, 8, 4),
+    Sample(7, 3, 5),
+    Sample(8, 2, 6),
+)
+
+
+@pytest.mark.parametrize("gen", CENSUS_GENERATORS, ids=describe_generator)
+def test_chordless_census_matches_the_oracle(gen):
+    """_chordless_census against each point's shortest chordless cycle of
+    each sign from the sorted signed enumeration, on one network per orbit
+    of gen."""
+    count = generator_count(gen)
+    for index, _ in gen.orbits(0, count, count):
+        f = candidate_network(gen, index)
+        n = f.width
+        expected = ([0] * n, [0] * n)
+        for x in range(1 << n):
+            rows = point_rows(n, f.table, x)
+            for counts, want in zip(expected, (1, -1)):
+                shortest = oracles.min_chordless_cycle_len(n, rows, want)
+                if shortest is not None:
+                    counts[shortest - 1] += 1
+        assert siggraph._chordless_census(f) == tuple(map(tuple, expected)), f.table
 
 
 def test_cycle_str_and_validation():

@@ -563,6 +563,23 @@ def test_battery_sweep_builds_no_local_rows_memo(monkeypatch):
     assert calls == []
 
 
+def test_signed_counting_sweep_builds_no_local_rows_memo(monkeypatch):
+    """COR_COUNTING_SIGNED reads both chordless filters from one census that
+    walks the points itself.  Every NonExpansive(3) candidate meets the
+    hypothesis, so each one reaches the census."""
+    calls = []
+    build = siggraph.local_rows
+
+    def counting(f):
+        calls.append(f.width)
+        return build(f)
+
+    monkeypatch.setattr(siggraph, "local_rows", counting)
+    report = sweep("COR_COUNTING_SIGNED", NonExpansive(3))
+    assert report.candidates > 0 and report.vacuous == 0
+    assert calls == []
+
+
 def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
     """Circular detection and the subnetwork items' circular forms come from
     bitsets: no subnetwork table and no subnetwork's global rows are built."""
