@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .dotfmt import digraph_dot, state_graph_dot
 from .dynamics import (
@@ -17,7 +17,7 @@ from .dynamics import (
     strong_convergence,
     weak_convergence,
 )
-from .hypercube import FormatError, format_code, parse_point
+from .hypercube import FormatError, code_names, parse_point
 from .network import (
     RANDOM_WIDTH_CAP,
     ParityClass,
@@ -91,8 +91,8 @@ def _bool_text(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _point_set_text(codes, width: int) -> str:
-    return "{" + ",".join(format_code(c, width) for c in sorted(codes)) + "}"
+def _point_set_text(codes, names: tuple[str, ...]) -> str:
+    return "{" + ",".join(map(names.__getitem__, sorted(codes))) + "}"
 
 
 def _eosd_text(cls: ParityClass | None) -> str:
@@ -103,9 +103,8 @@ def _eosd_text(cls: ParityClass | None) -> str:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     f = load_bn(args.network, ("analyze", ANALYZE_WIDTH_CAP))
-    n = f.width
-    atts = attractors(f)
-    att_text = " ".join(_point_set_text(a.states, n) for a in atts)
+    names = code_names(f.width)
+    att_text = " ".join(_point_set_text(a.states, names) for a in attractors(f))
     form = detect_circular(f)
     witness = find_eosd_subnetwork(f)
     # the two walks stop at the first deciding subnetwork; no census is needed
@@ -123,7 +122,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "criticality": crit_text,
         "eosd_class": _eosd_text(eosd_class(f)),
         "eosd_subnetwork": "none" if witness is None else str(witness[0]),
-        "fixed_points": _point_set_text(fixed_point_codes(f), n),
+        "fixed_points": _point_set_text(fixed_point_codes(f), names),
         "non_expansive": _bool_text(is_non_expansive(f)),
         "parity_class": parity_class(f).value,
         "self_dual": _bool_text(is_self_dual(f)),
@@ -179,13 +178,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
     f = load_bn(args.network, ("dynamics", RANDOM_WIDTH_CAP))
-    n = f.width
-    names = [format_code(code, n) for code in range(1 << n)]
+    names = code_names(f.width)
     for src, dst in asynchronous_state_graph(f).arc_list():
         print(f"{names[src]} -> {names[dst]}")
     for a in attractors(f):
         kind = "cyclic" if a.cyclic else "punctual"
-        print(f"attractor {_point_set_text(a.states, n)} {kind}")
+        print(f"attractor {_point_set_text(a.states, names)} {kind}")
     print(f"weak_convergence: {_bool_text(weak_convergence(f))}")
     print(f"strong_convergence: {_bool_text(strong_convergence(f))}")
     return EXIT_OK
@@ -295,68 +293,91 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# built on the first main() call, not at import, and reused: parse_args leaves
-# the parser unchanged and returns a fresh Namespace
+def _network_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument("network")
+
+
+def _subnets_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("network")
+    p.add_argument("--include-self", action="store_true")
+    p.add_argument("--eosd-only", action="store_true")
+
+
+def _graph_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("network")
+    p.add_argument("--at", help="point for the local graph, e.g. 010")
+
+
+def _stream_arguments(p: argparse.ArgumentParser, key: str) -> None:
+    p.add_argument(key, required=True)
+    p.add_argument("--mode", required=True, choices=["exhaustive", "sample", "family"])
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--family", choices=["andnets", "circular", "nonexpansive"])
+    if key == "--question":
+        p.add_argument("--budget", type=int)
+    p.add_argument("--jobs", type=int, default=1)
+
+
+_theorem_arguments = partial(_stream_arguments, key="--theorem")
+_question_arguments = partial(_stream_arguments, key="--question")
+
+
+def _export_dot_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="a .bn network or .sg graph file")
+    p.add_argument("--what", required=True, nargs="+", help="gf | gfx <point> | gamma")
+    p.add_argument("--out", required=True)
+
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--circular", nargs=2, metavar=("N", "SIGNS"))
+    p.add_argument("--andnet", metavar="GRAPH.sg")
+    p.add_argument("--random", nargs=2, metavar=("N", "SEED"))
+
+
+# each subcommand, in help order: its help text, its run function and what adds
+# its arguments to its subparser
+_COMMANDS = {
+    "analyze": ("classify a network from a .bn file", _cmd_analyze, _network_argument),
+    "subnets": ("list subnetworks with fixed-point counts", _cmd_subnets, _subnets_arguments),
+    "graph": ("print the interaction graph and its cycles", _cmd_graph, _graph_arguments),
+    "dynamics": ("print the state graph and attractors", _cmd_dynamics, _network_argument),
+    "verify": ("sweep a theorem over a candidate stream", _cmd_verify, _theorem_arguments),
+    "search": ("search an open question for discoveries", _cmd_search, _question_arguments),
+    "export-dot": ("write a graph in DOT format", _cmd_export_dot, _export_dot_arguments),
+    "gen": ("emit a canonical .bn table", _cmd_gen, _gen_arguments),
+}
+
+
+# built on first use, not at import, and reused: parse_args leaves the parser
+# unchanged and returns a fresh Namespace
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The top-level parser with command's subparser alone, or with all of them
+    for None.  A one-command tree still names every command in its usage line,
+    which errors such as "unrecognized arguments" print; the full tree needs no
+    metavar, and its "required" error names the dest, command."""
     parser = argparse.ArgumentParser(
         prog="boolcube",
         description="Boolean networks: fixed points, subnetworks, dynamics, theorem sweeps.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("analyze", help="classify a network from a .bn file")
-    p.add_argument("network")
-    p.set_defaults(run=_cmd_analyze)
-
-    p = commands.add_parser("subnets", help="list subnetworks with fixed-point counts")
-    p.add_argument("network")
-    p.add_argument("--include-self", action="store_true")
-    p.add_argument("--eosd-only", action="store_true")
-    p.set_defaults(run=_cmd_subnets)
-
-    p = commands.add_parser("graph", help="print the interaction graph and its cycles")
-    p.add_argument("network")
-    p.add_argument("--at", help="point for the local graph, e.g. 010")
-    p.set_defaults(run=_cmd_graph)
-
-    p = commands.add_parser("dynamics", help="print the state graph and attractors")
-    p.add_argument("network")
-    p.set_defaults(run=_cmd_dynamics)
-
-    for name, key, run, help_text in (
-        ("verify", "--theorem", _cmd_verify, "sweep a theorem over a candidate stream"),
-        ("search", "--question", _cmd_search, "search an open question for discoveries"),
-    ):
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, run, add_arguments = _COMMANDS[name]
         p = commands.add_parser(name, help=help_text)
-        p.add_argument(key, required=True)
-        p.add_argument("--mode", required=True, choices=["exhaustive", "sample", "family"])
-        p.add_argument("--n", required=True, type=int)
-        p.add_argument("--count", type=int, default=10000)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--family", choices=["andnets", "circular", "nonexpansive"])
-        if run is _cmd_search:
-            p.add_argument("--budget", type=int)
-        p.add_argument("--jobs", type=int, default=1)
+        add_arguments(p)
         p.set_defaults(run=run)
-
-    p = commands.add_parser("export-dot", help="write a graph in DOT format")
-    p.add_argument("--input", required=True, help="a .bn network or .sg graph file")
-    p.add_argument("--what", required=True, nargs="+", help="gf | gfx <point> | gamma")
-    p.add_argument("--out", required=True)
-    p.set_defaults(run=_cmd_export_dot)
-
-    p = commands.add_parser("gen", help="emit a canonical .bn table")
-    p.add_argument("--circular", nargs=2, metavar=("N", "SIGNS"))
-    p.add_argument("--andnet", metavar="GRAPH.sg")
-    p.add_argument("--random", nargs=2, metavar=("N", "SEED"))
-    p.set_defaults(run=_cmd_gen)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command, building only its parser.  Words that do not start with
+    a command (none, help, an unknown command) go to the full tree."""
+    words = sys.argv[1:] if argv is None else argv
+    command = words[0] if words and words[0] in _COMMANDS else None
+    args = _parser(command).parse_args(words)
     try:
         return args.run(args)
     except WidthCapError as exc:

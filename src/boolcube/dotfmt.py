@@ -8,7 +8,7 @@ escaped, so any vertex label renders as one DOT name.
 
 from __future__ import annotations
 
-from .hypercube import format_code
+from .hypercube import code_names
 from .dynamics import StateGraph
 from .siggraph import SignedDigraph
 
@@ -31,8 +31,7 @@ def digraph_dot(g: SignedDigraph) -> str:
 
 
 def state_graph_dot(sg: StateGraph) -> str:
-    width = len(sg.components)
-    names = [_quote(format_code(code, width)) for code in range(1 << width)]
+    names = list(map(_quote, code_names(len(sg.components))))
     lines = ["digraph dynamics {"]
     for name, diff in zip(names, sg.unstable):
         lines.append(f"  {name} [shape={'circle' if diff else 'doublecircle'}];")

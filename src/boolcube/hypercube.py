@@ -133,6 +133,17 @@ def format_code(code: int, width: int) -> str:
     return bin(code | 1 << width)[:2:-1]
 
 
+@lru_cache(maxsize=None)
+def _kept_code_names(n: int) -> tuple[str, ...]:
+    return tuple(map(format_code, range(1 << n), repeat(n)))
+
+
+def code_names(n: int) -> tuple[str, ...]:
+    """format_code(x, n) at index x, for every point x of the n-cube.  Kept once
+    made up to width 12 (4,096 names); wider, made again on each call."""
+    return _kept_code_names(n) if n <= 12 else _kept_code_names.__wrapped__(n)
+
+
 def parse_code(text: str, width: int) -> int:
     # validate first: int() alone accepts "_", a sign, whitespace and non-ASCII digits
     if len(text) != width or text.strip("01"):

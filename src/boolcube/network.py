@@ -32,10 +32,10 @@ from .hypercube import (
     FormatError,
     Point,
     check_components,
+    code_names,
     component_mask,
     coordinate_sets,
     default_components,
-    format_code,
     parse_code,
     parse_header,
     parity_sets,
@@ -327,16 +327,14 @@ def parse_bn(
 def _code_texts(n: int) -> dict[str, int]:
     """Each of the 2^n texts parse_code accepts at width n, mapped to its code, up
     to width 12 (0.5 MB); wider, none, since at width 16 the map alone is 9 MB."""
-    return {format_code(x, n): x for x in range(1 << n)} if n <= 12 else {}
+    return dict(zip(code_names(n), range(1 << n))) if n <= 12 else {}
 
 
 def render_bn(f: BooleanNetwork) -> str:
     """Canonical .bn text: rows in ascending input-code order."""
-    n = f.width
+    names = code_names(f.width)
     lines = ["components " + " ".join(f.components)]
-    lines.extend(
-        f"{format_code(x, n)} -> {format_code(v, n)}" for x, v in enumerate(f.table)
-    )
+    lines.extend(f"{names[x]} -> {names[v]}" for x, v in enumerate(f.table))
     return "\n".join(lines) + "\n"
 
 

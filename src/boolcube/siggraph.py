@@ -710,15 +710,20 @@ def _chordless_census(f: BooleanNetwork) -> tuple[tuple[int, ...], tuple[int, ..
     in the local graph.  One kernel pass per point lists the chordless cycles
     of both signs at once: point_rows' positive and negative rows are
     disjoint, so each arc has one sign and a cycle's sign is the parity of
-    its negative arcs."""
+    its negative arcs.  Points that share a local graph share its pass: on a
+    circular network every local graph is G(f)."""
     n, table = f.width, f.table
     census = ([0] * n, [0] * n)
+    passes = {}
     for x in range(1 << n):
-        pos, neg = point_rows(n, table, x)
-        shortest = [n + 1, n + 1]
-        for verts in rows_chordless_cycles(n, tuple(map(or_, pos, neg))):
-            odd = sum(neg[j] >> i & 1 for j, i in zip(verts, verts[1:] + verts[:1])) & 1
-            shortest[odd] = min(shortest[odd], len(verts))
+        rows = point_rows(n, table, x)
+        shortest = passes.get(rows)
+        if shortest is None:
+            pos, neg = rows
+            shortest = passes[rows] = [n + 1, n + 1]
+            for verts in rows_chordless_cycles(n, tuple(map(or_, pos, neg))):
+                odd = sum(neg[j] >> i & 1 for j, i in zip(verts, verts[1:] + verts[:1])) & 1
+                shortest[odd] = min(shortest[odd], len(verts))
         for counts, length in zip(census, shortest):
             if length <= n:
                 counts[length - 1] += 1

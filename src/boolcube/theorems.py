@@ -15,7 +15,6 @@ import math
 import os
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache, partial, reduce
@@ -905,6 +904,9 @@ def _drive(
     if workers < 2:
         chunks = list(map(evaluate, ranges))
     else:
+        # imported here: multiprocessing costs about 2 MB, and one worker needs none of it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(evaluate, ranges))
     merged = {key: _Tally() for key in keys}

@@ -1,3 +1,4 @@
+import argparse
 import os
 import shutil
 import subprocess
@@ -524,7 +525,8 @@ def test_malformed_code_exits_2(tmp_path, capsys):
 
 
 def test_parser_is_built_once_and_reused(capsys):
-    assert cli._parser() is cli._parser()
+    assert cli._parser("analyze") is cli._parser("analyze")
+    assert cli._parser(None) is cli._parser(None)
     first = run(capsys, "analyze", EX1)
     assert first[0] == 0
     assert run(capsys, "analyze", EX1) == first
@@ -539,6 +541,79 @@ def test_parser_is_built_once_and_reused(capsys):
     assert capsys.readouterr() == usage
     cli._parser.cache_clear()
     assert run(capsys, "analyze", EX1) == first
+
+
+LAZY_PARSER_ARGVS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("bogus",),
+    *((command, "-h") for command in cli._COMMANDS),
+    # required arguments missing; gen has none, so it parses and runs
+    *((command,) for command in cli._COMMANDS),
+    ("verify", "--theorem", "ROBERT"),
+    # the top-level usage line, which a one-command tree must print as the full one
+    ("analyze", EX1, "extra"),
+    ("verify", "--theorem", "ROBERT", "--mode", "nope", "--n", "2"),
+    ("analyze", EX1),
+    ("search", "--question", "Q1_NEG_LOCAL_CYCLES", "--mode", "sample", "--n", "2",
+     "--seed", "1", "--budget", "3"),
+]
+
+
+def _parse_outcome(capsys, call):
+    """(exit code, or None when call returns; stdout; stderr)."""
+    try:
+        call()
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", LAZY_PARSER_ARGVS, ids=lambda argv: " ".join(argv).replace(EX1, "example1.bn") or "-"
+)
+def test_lazy_parser_matches_the_full_tree(capsys, monkeypatch, argv):
+    """main parses with the named command's parser alone, yet exits with the
+    full tree's code, stdout and stderr, or runs on the Namespace it gives."""
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsed.append(parse_args(self, *args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    lazy = _parse_outcome(capsys, lambda: main(list(argv)))
+    full = _parse_outcome(capsys, lambda: cli._parser(None).parse_args(list(argv)))
+    if full[0] is None:
+        assert lazy[0] is None
+        assert len(parsed) == 2 and parsed[0] == parsed[1]
+    else:
+        assert lazy == full
+
+
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording_add_parser)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "analyze", EX1) == (0, ANALYZE_EX1, "")
+        assert built == ["analyze"]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built == ["analyze", *cli._COMMANDS]
+        assert len(cli._COMMANDS) == 8
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_gfx_builds_no_local_rows_memo(tmp_path, capsys, monkeypatch):

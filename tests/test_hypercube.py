@@ -23,6 +23,7 @@ from boolcube import (
 from boolcube import hypercube
 from boolcube.hypercube import (
     check_components,
+    code_names,
     component_mask,
     coordinate_sets,
     cube_literals,
@@ -91,6 +92,13 @@ def test_format_code_matches_oracle_at_every_code():
     for width in range(11):
         for code in range(1 << width):
             assert format_code(code, width) == oracles.format_code(code, width)
+
+
+def test_code_names_are_kept_up_to_width_twelve():
+    for n in (0, 1, 3, 8, 12, 13):
+        names = code_names(n)
+        assert names == tuple(format_code(x, n) for x in range(1 << n))
+        assert (code_names(n) is names) == (n <= 12)
 
 
 def test_point_basics():

@@ -1,6 +1,9 @@
 """Checks over the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import boolcube
@@ -49,3 +52,24 @@ def test_every_public_definition_is_exported_or_used():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert sorted(f"{defined[name]}: {name}" for name in defined.keys() - referenced) == []
+
+
+def test_one_worker_loads_no_process_pool():
+    """multiprocessing loads only when a sweep starts two or more workers, not
+    on import, in a CLI command or in a one-worker sweep."""
+    script = (
+        "import contextlib, io, sys, boolcube, boolcube.cli\n"
+        "from boolcube.theorems import Exhaustive, sweep\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    boolcube.cli.main(['analyze', sys.argv[1]])\n"
+        "sweep('ROBERT', Exhaustive(1), jobs=1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    example = Path(__file__).parent / "data" / "example1.bn"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(example)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout == "[]\n"

@@ -537,6 +537,29 @@ def test_chordless_census_matches_the_oracle(gen):
         assert siggraph._chordless_census(f) == tuple(map(tuple, expected)), f.table
 
 
+def test_chordless_census_walks_each_local_graph_once(monkeypatch):
+    """Every local graph of a circular network is G(f), so the census makes
+    one kernel pass per network; a random width-7 network repeats none."""
+    passes = []
+    kernel = siggraph.rows_chordless_cycles
+
+    def counting_kernel(n, adj):
+        passes.append(adj)
+        return kernel(n, adj)
+
+    monkeypatch.setattr(siggraph, "rows_chordless_cycles", counting_kernel)
+    gen = Circular(5)
+    for index in range(0, generator_count(gen), 97):
+        f = candidate_network(gen, index)
+        passes.clear()
+        siggraph._chordless_census(BooleanNetwork(f.components, f.table))
+        assert len(passes) == 1, f.table
+    for seed in range(3):
+        passes.clear()
+        siggraph._chordless_census(random_network(7, seed))
+        assert len(passes) == 1 << 7, seed
+
+
 def test_cycle_str_and_validation():
     c = Cycle(("1", "2"), (1, -1))
     assert str(c) == "(1 + 2 -)"
