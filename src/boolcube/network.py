@@ -10,11 +10,17 @@ Facts derived from a network are memoized with @memo, per instance: only
 one-argument functions of the instance are memoized, each in the instance's
 __dict__ under a key derived from the function's module and qualified name, so
 the cached data lives and dies with the network.  An exception is never cached.
-Only sub-table facts outlive their network: subnetwork.item_local_planes
-caches a sub-table's local planes per process, keyed by (width, free mask,
-table), in an LRU cache of 800 entries.  An entry is an integer of at most
-2n^2 2^n bits, 27 KB at the walk's width cap of 10, and its key holds a table
-of at most 512 entries (4 KB), so the cache holds at most 26 MB.
+Only sub-table facts outlive their network, in two per-process caches.
+subnetwork.item_local_planes caches a sub-table's local planes, keyed by
+(width, free mask, table), in an LRU cache of 800 entries.  An entry is an
+integer of at most 2n^2 2^n bits, 27 KB at the walk's width cap of 10, and its
+key holds a table of at most 512 entries (4 KB), so the cache holds at most
+26 MB.  subnetwork.item_circular_forms keeps, per free mask of one or two
+components, a table from each key of the mask's packed output planes to its
+circular form: 4 or 256 keys at most, so n*4 + C(n,2)*256 entries at width n,
+780 at width 3 and 11,560 at 10, each key an integer of at most 2^(n+1) bits.
+A mask of three or more components has no table: it has 2^(m 2^m) keys, and
+the keys random networks meet there almost never repeat.
 """
 
 from __future__ import annotations

@@ -190,19 +190,50 @@ def _fixed_sets(f: BooleanNetwork) -> tuple[int, ...]:
     return tuple(zero)
 
 
+class _FormTable(dict):
+    """The circular form per key of one free mask of m <= 2 components: a key
+    packs the item's m free output planes on the mask's points, plane a in
+    bits a * 2^n on, so the table holds at most 2^(m * 2^m) keys, 4 or 256.
+    A missing key is unpacked and solved once per process."""
+
+    def __init__(self, n: int, on: int, literals: dict[int, tuple[int, int]], m: int) -> None:
+        super().__init__()
+        self.on, self.literals, self.fields = on, literals, tuple(a << n for a in range(m))
+
+    def __missing__(self, key: int) -> tuple[tuple[int, ...], int] | None:
+        on = self.on
+        form = self[key] = literal_cycle(self.literals, [key >> s & on for s in self.fields])
+        return form
+
+
 @lru_cache(maxsize=None)
-def _free_literals(n: int) -> dict[int, tuple[tuple[int, ...], dict[int, tuple[int, int]]]]:
-    """Per free mask: its free components, and the literals x_j and not x_j of
-    those components restricted to the mask's points, as a map from each
-    bitset to (local index of j, 1 if negated else 0)."""
-    plan, cube, out = subnetwork_plan(n), coordinate_sets(n), {}
-    for mask in plan.masks:
-        on = plan.records[mask][2]
+def _free_literals(n: int) -> tuple[tuple, tuple, tuple]:
+    """The strict masks of width n as item_circular_forms reads them, in plan
+    order, where every mask of one or two components precedes the wider ones:
+    (pairs, small, wide).  Per mask of one or two free components, pairs
+    holds the components (i, j) whose planes it packs, j = n (a zero plane)
+    for one, and small holds (forms, spread, codes): the mask's _FormTable,
+    its points repeated in field a of a packed key (bits a * 2^n on) per free
+    component a, and its frozen codes.  Per wider mask, whose keys almost
+    never repeat, wide holds (codes, on, free, literals): its frozen codes and
+    points, its free components, and their literals x_j and not x_j restricted
+    to its points, as a map from each bitset to (local index of j, 1 if
+    negated else 0)."""
+    plan, cube = subnetwork_plan(n), coordinate_sets(n)
+    pairs, small, wide = [], [], []
+    for mask in plan.masks[:-1]:
+        codes, _, on, _ = plan.records[mask]
         free = tuple(k for k in range(n) if mask >> k & 1)
         xs = [cube[j] & on for j in free]
         literals = {v: (b, neg) for b, x in enumerate(xs) for neg, v in enumerate((x, on ^ x))}
-        out[mask] = free, literals
-    return out
+        if len(free) > 2:
+            wide.append((codes, on, free, literals))
+            continue
+        forms = _FormTable(n, on, literals, len(free))
+        spread = sum(on << (a << n) for a in range(len(free)))
+        small.append((forms, spread, codes))
+        pairs.append(free if len(free) == 2 else (free[0], n))
+    return tuple(pairs), tuple(small), tuple(wide)
 
 
 @lru_cache(maxsize=64)
@@ -246,13 +277,20 @@ def item_local_planes(n: int, mask: int, table: tuple[int, ...]) -> int:
 def item_circular_forms(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
     """Per item in plan order, f's own last, (predecessor map, constant) in
     the item's local indices when the subnetwork is a circular network, else
-    None.  Reads f's output bitsets, builds no table; f's own is detect_circular's."""
-    plan, free_literals = subnetwork_plan(f.width), _free_literals(f.width)
-    ones = output_bitsets(f)
-    forms = []
-    for mask in plan.masks[:-1]:
-        codes, _, on, _ = plan.records[mask]
-        free, literals = free_literals[mask]
+    None.  Reads f's output bitsets, builds no table; f's own is detect_circular's.
+    A mask of one or two components packs its free planes once, plane a shifted
+    by a * 2^n, so its item at a frozen code has the key packed >> code & spread
+    in the mask's form table; a wider mask solves each item's planes directly."""
+    n, ones = f.width, output_bitsets(f)
+    pairs, small, wide = _free_literals(n)
+    planes, field = (*ones, 0), 1 << n
+    packed = [planes[i] | planes[j] << field for i, j in pairs]
+    forms = [
+        table[key >> code & spread]
+        for (table, spread, codes), key in zip(small, packed)
+        for code in codes
+    ]
+    for codes, on, free, literals in wide:
         for code in codes:
             forms.append(literal_cycle(literals, [ones[i] >> code & on for i in free]))
     own = detect_circular(f)
@@ -342,7 +380,7 @@ class CriticalityReport:
 
 
 def criticality(f: BooleanNetwork) -> CriticalityReport:
-    counts = tuple(item_fixed_point_counts(f).values())[:-1]
+    counts = list(_item_counts(f, include_self=False))
     return CriticalityReport(
         fixed_point_count=len(fixed_point_codes(f)),
         two_critical=is_two_critical(f),
@@ -362,7 +400,10 @@ def is_zero_critical(f: BooleanNetwork) -> bool:
 
 def all_subnetworks_fixed_point_census(f: BooleanNetwork) -> tuple[int, int]:
     """(min, max) fixed-point count over every subnetwork, f included."""
-    counts = item_fixed_point_counts(f).values()
+    # A list, not a tuple: a tuple built from a generator is resized to its
+    # length, and once freed it joins the interpreter's free list of tuples of
+    # that length, which no later resize draws from, up to 2,000 of them.
+    counts = list(_item_counts(f))
     return min(counts), max(counts)
 
 

@@ -8,14 +8,18 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, groupby, product
 from operator import itemgetter, or_
+from typing import Iterator
 
 from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, hypercube, neighbor_set
 from boolcube.hypercube import check_components
+from boolcube.network import output_bitsets
 from boolcube.siggraph import (
     Rows,
     _unsigned_cycles,
     cycle_sign,
+    detect_circular,
     global_rows,
+    literal_cycle,
     local_rows,
     point_rows,
     rows_chordless,
@@ -509,6 +513,48 @@ def circular_form(f: BooleanNetwork) -> tuple[tuple[int, ...], int] | None:
     while pred[orbit[-1]] not in orbit:
         orbit.append(pred[orbit[-1]])
     return (tuple(pred), constant) if len(orbit) == n else None
+
+
+def _restricted_planes(f: BooleanNetwork) -> Iterator[tuple[int, int, list[int], dict]]:
+    """(mask, code, planes, literals) per strict item in plan order: the free
+    outputs restricted to the item's points and shifted to frozen code 0, and
+    the literals x_j and not x_j of the free inputs on those points, as a map
+    from each bitset to (local index of j, 1 if negated else 0)."""
+    n, plan = f.width, subnetwork_plan(f.width)
+    ones, cube = output_bitsets(f), hypercube.coordinate_sets(n)
+    for mask in plan.masks[:-1]:
+        codes, _, on, _ = plan.records[mask]
+        free = [k for k in range(n) if mask >> k & 1]
+        literals = {}
+        for b, j in enumerate(free):
+            literals[cube[j] & on] = (b, 0)
+            literals[~cube[j] & on] = (b, 1)
+        for code in codes:
+            yield mask, code, [ones[i] >> code & on for i in free], literals
+
+
+def item_circular_forms_per_item(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
+    """subnetwork.item_circular_forms as first written: each strict item's
+    restricted planes solved against its literals, one solve per item, and
+    f's own form last, from detect_circular."""
+    forms = [literal_cycle(literals, planes) for _, _, planes, literals in _restricted_planes(f)]
+    own = detect_circular(f)
+    forms.append(None if own is None else (own.predecessor, own.constant))
+    return tuple(forms)
+
+
+def circular_form_solves(f: BooleanNetwork) -> int:
+    """The solves item_circular_forms makes on a fresh network with empty
+    form tables: one per distinct (mask, planes) among the strict items of
+    one or two free components, one per strict item of a wider mask, and
+    one for f's own form."""
+    small, wide = set(), 0
+    for mask, _, planes, _ in _restricted_planes(f):
+        if mask.bit_count() <= 2:
+            small.add((mask, tuple(planes)))
+        else:
+            wide += 1
+    return len(small) + wide + 1
 
 
 # -- and-nets --------------------------------------------------------------------

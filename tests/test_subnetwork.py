@@ -53,6 +53,7 @@ from boolcube.theorems import (
     AndNets,
     Circular,
     Exhaustive,
+    NonExpansive,
     Sample,
     candidate_network,
     describe_generator,
@@ -173,6 +174,25 @@ def test_census_of_fixtures():
     assert all_subnetworks_fixed_point_census(load_bn(DATA / "crit2.bn")) == (0, 2)
     assert all_subnetworks_fixed_point_census(load_bn(DATA / "crit0.bn")) == (0, 2)
     assert all_subnetworks_fixed_point_census(load_bn(DATA / "esd4.bn")) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [Exhaustive(1), Exhaustive(2), AndNets(3), Sample(3, 2000, 1), Sample(4, 200, 2), Sample(5, 40, 3)],
+    ids=describe_generator,
+)
+def test_census_and_strict_profile_match_the_item_counts(gen):
+    """The census and criticality's strict min and max read the counts with no
+    item dict; they equal the extremes of item_fixed_point_counts(f) over all
+    items, and over all but f's own, which comes last."""
+    for index in range(generator_count(gen)):
+        f = candidate_network(gen, index)
+        census, report = all_subnetworks_fixed_point_census(f), criticality(f)
+        counts = list(item_fixed_point_counts(f).values())
+        assert census == (min(counts), max(counts)), index
+        strict = counts[:-1]
+        expected = (min(strict), max(strict)) if strict else (None, None)
+        assert (report.strict_min, report.strict_max) == expected, index
 
 
 def test_eosd_search_on_the_worked_example():
@@ -389,8 +409,12 @@ def test_eosd_search_stops_at_the_witness(monkeypatch):
 
 
 def test_own_circular_item_is_solved_once(monkeypatch):
-    """item_circular_forms takes f's own entry from detect_circular's solve:
-    asking both costs one literal_cycle call per plan item."""
+    """item_circular_forms takes f's own entry from detect_circular's solve
+    and solves each strict key once per process: with empty form tables,
+    asking both costs one literal_cycle call for f's own form and one per
+    distinct (mask, key) among f's strict items, as the oracle counts them.
+    A fresh copy of f then costs f's own solve alone, plus one per item of a
+    mask of three or more components, which has no table."""
     calls = []
     solve = siggraph.literal_cycle
 
@@ -401,13 +425,72 @@ def test_own_circular_item_is_solved_once(monkeypatch):
     monkeypatch.setattr(siggraph, "literal_cycle", counting)
     monkeypatch.setattr(subnetwork, "literal_cycle", counting)
     circular = circular_network(CircularForm(labels(3), (2, 0, 1), 0b101))
-    for f, own in ((circular, ((2, 0, 1), 0b101)), (EX1, None)):
-        f = BooleanNetwork(f.components, f.table)  # no memo yet
-        calls.clear()
-        detect_circular(f)
-        forms = item_circular_forms(f)
-        assert len(calls) == len(forms) == 19
-        assert forms[-1] == own
+    # (network, its own form, strict items of masks of three or more components):
+    # width 4 has four such masks with two frozen codes each
+    cases = ((circular, ((2, 0, 1), 0b101), 0), (EX1, None, 0), (random_network(4, 1), None, 8))
+    for f, own, wide in cases:
+        subnetwork._free_literals.cache_clear()
+        first = oracles.circular_form_solves(f)
+        for cost in (first, 1 + wide):
+            g = BooleanNetwork(f.components, f.table)  # no memo yet
+            calls.clear()
+            detect_circular(g)
+            forms = item_circular_forms(g)
+            assert len(calls) == cost
+            assert len(forms) == len(list(subnetwork_plan(f.width).items()))
+            assert forms[-1] == own
+    # the tables make a difference: EX1's 18 strict items have fewer keys
+    assert oracles.circular_form_solves(EX1) < 19
+
+
+def _form_tables(n: int) -> list[tuple[int, dict]]:
+    """(free component count, form table) per mask of one or two components."""
+    pairs, small, _ = subnetwork._free_literals(n)
+    return [(1 if j == n else 2, table) for (_, j), (table, _, _) in zip(pairs, small)]
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        Exhaustive(1),
+        Exhaustive(2),
+        AndNets(3),
+        Circular(3),
+        Circular(4),
+        Circular(5),
+        NonExpansive(3),
+        Sample(3, 3000, 1),
+        Sample(4, 300, 2),
+        Sample(5, 60, 3),
+        Sample(6, 12, 4),
+    ],
+    ids=describe_generator,
+)
+def test_item_circular_forms_match_the_per_item_solve(gen):
+    """The packed keys and per-mask form tables give every item the form that
+    solving its restricted planes gives (oracles.item_circular_forms_per_item).
+    Each network is checked twice on fresh objects from empty tables, so the
+    second pass reads table hits only, and no table outgrows its 2^(m * 2^m)
+    keys for m free components: 4 or 256."""
+    subnetwork._free_literals.cache_clear()
+    for _ in range(2):
+        for index in range(generator_count(gen)):
+            f = candidate_network(gen, index)
+            assert item_circular_forms(f) == oracles.item_circular_forms_per_item(f), index
+    for m, table in _form_tables(gen.n):
+        assert len(table) <= 1 << (m << m)
+
+
+def test_circular_form_tables_fill_to_their_bound():
+    """Over every AndNets(3) representative and Sample(3, 3000, 1), the 3
+    one-component and 3 two-component masks of width 3 meet 780 keys, 4 and
+    256 each, and no more."""
+    subnetwork._free_literals.cache_clear()
+    for gen in (AndNets(3), Sample(3, 3000, 1)):
+        for index in range(generator_count(gen)):
+            item_circular_forms(candidate_network(gen, index))
+    sizes = sorted(len(table) for _, table in _form_tables(3))
+    assert sizes == [4, 4, 4, 256, 256, 256]
 
 
 @pytest.mark.parametrize(
