@@ -137,14 +137,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_subnets(args: argparse.Namespace) -> int:
     f = load_bn(args.network, ("subnets", ANALYZE_WIDTH_CAP))
-    counts = item_fixed_point_counts(f)
     shown = 0
-    for mask, code, table in item_tables(f, include_self=args.include_self):
+    items = item_tables(f, include_self=args.include_self)
+    counts = item_fixed_point_counts(f, include_self=args.include_self)
+    for (mask, code, table), count in zip(items, counts):
         cls = table_eosd_class(table)
         if args.eosd_only and cls is None:
             continue
         spec = SubnetworkSpec(f.components, mask, code)
-        print(f"{spec} fixed_points={counts[mask, code]} eosd={_eosd_text(cls)}")
+        print(f"{spec} fixed_points={count} eosd={_eosd_text(cls)}")
         shown += 1
     lo, hi = all_subnetworks_fixed_point_census(f)
     print(f"census: min={lo} max={hi}")

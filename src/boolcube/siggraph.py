@@ -564,7 +564,8 @@ def and_net_table(
     for p, m in zip(pos, neg):
         disabled = [d | p for d in disabled] + [d | m for d in disabled]
     full = (1 << n) - 1
-    return tuple(full & ~d for d in disabled)
+    # from a list: a freed table's block is drawn again, as in the census
+    return tuple([full & ~d for d in disabled])
 
 
 def and_net(g: SignedDigraph) -> BooleanNetwork:

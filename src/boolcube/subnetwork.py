@@ -298,8 +298,8 @@ def item_circular_forms(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] 
     return tuple(forms)
 
 
-def _item_counts(f: BooleanNetwork, include_self: bool = True) -> Iterator[int]:
-    """Fixed-point count per item in enumeration order, with no table."""
+def item_fixed_point_counts(f: BooleanNetwork, include_self: bool = True) -> Iterator[int]:
+    """Fixed-point count per item in enumeration order, f's own last, with no table."""
     plan, fixed = subnetwork_plan(f.width), _fixed_sets(f)
     for mask in plan.masks if include_self else plan.masks[:-1]:
         codes, _, on, _ = plan.records[mask]
@@ -320,26 +320,6 @@ def subnetworks(
 def spec_items(f: BooleanNetwork) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(free_mask, fixed_code, table) for every subnetwork, f itself last."""
     return tuple(item_tables(f))
-
-
-@memo
-def item_fixed_point_counts(f: BooleanNetwork) -> dict[tuple[int, int], int]:
-    """Fixed-point count per subnetwork item (free mask, frozen code), f last."""
-    return dict(zip(subnetwork_plan(f.width).items(), _item_counts(f)))
-
-
-def strict_subitems(mask: int, code: int) -> Iterator[tuple[int, int]]:
-    """(mask', code') of every strict subnetwork item below (mask, code)."""
-    sub = (mask - 1) & mask
-    while sub:
-        diff = mask ^ sub
-        w = diff
-        while True:
-            yield sub, code | w
-            if w == 0:
-                break
-            w = (w - 1) & diff
-        sub = (sub - 1) & mask
 
 
 @memo
@@ -380,7 +360,7 @@ class CriticalityReport:
 
 
 def criticality(f: BooleanNetwork) -> CriticalityReport:
-    counts = list(_item_counts(f, include_self=False))
+    counts = list(item_fixed_point_counts(f, include_self=False))
     return CriticalityReport(
         fixed_point_count=len(fixed_point_codes(f)),
         two_critical=is_two_critical(f),
@@ -403,7 +383,7 @@ def all_subnetworks_fixed_point_census(f: BooleanNetwork) -> tuple[int, int]:
     # A list, not a tuple: a tuple built from a generator is resized to its
     # length, and once freed it joins the interpreter's free list of tuples of
     # that length, which no later resize draws from, up to 2,000 of them.
-    counts = list(_item_counts(f))
+    counts = list(item_fixed_point_counts(f))
     return min(counts), max(counts)
 
 
@@ -420,23 +400,40 @@ class BaseProperty(Enum):
         return fp_count == 1
 
 
-def item_is_minimal_violation(
-    prop: BaseProperty, fps: dict[tuple[int, int], int], item: tuple[int, int]
-) -> bool:
-    """The item fails the base while every strict sub-item passes it; fps is
-    item_fixed_point_counts of the network the item belongs to."""
-    return not prop.holds(fps[item]) and all(
-        prop.holds(fps[sub]) for sub in strict_subitems(*item)
-    )
+def minimal_violations(f: BooleanNetwork, prop: BaseProperty) -> Iterator[tuple[int, int]]:
+    """(free mask, frozen code) of every item that fails the base while each
+    of its strict sub-items passes it, in enumeration order, f's own last.
+
+    The strict sub-items of (mask, code) are the items of strict submasks
+    whose points lie among its own, so the walk keeps failing[mask], the
+    points of every failing item of the mask or of a submask, and an item
+    is minimal when none of its points is in the union below it.  The
+    first failing item is always minimal: its sub-items come earlier."""
+    plan, fixed = subnetwork_plan(f.width), _fixed_sets(f)
+    failing = [0] * len(f.table)
+    for mask in plan.masks:
+        codes, _, on, _ = plan.records[mask]
+        below, rest = 0, mask
+        while rest:
+            b = rest & -rest
+            below |= failing[mask ^ b]
+            rest ^= b
+        found, stable = below, fixed[mask]
+        for code in codes:
+            if not prop.holds((stable >> code & on).bit_count()):
+                found |= on << code
+                if not below >> code & on:
+                    yield mask, code
+        failing[mask] = found
 
 
 def is_minimal_violation(prop: BaseProperty, f: BooleanNetwork) -> bool:
-    """f fails the base while every strict subnetwork passes it; the walk
-    stops at the first strict subnetwork that fails."""
+    """f fails the base while every strict subnetwork passes it: f's own item
+    is the first failing item.  The walk stops at the first that fails."""
     # f's own count decides most networks before any subnetwork is counted.
     if prop.holds(len(fixed_point_codes(f))):
         return False
-    return all(prop.holds(c) for c in _item_counts(f, include_self=False))
+    return next(minimal_violations(f, prop)) == (len(f.table) - 1, 0)
 
 
 def minimal_forbidden_set(prop: BaseProperty, n: int) -> Iterator[BooleanNetwork]:

@@ -75,8 +75,8 @@ from .subnetwork import (
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
-    item_is_minimal_violation,
     item_local_planes,
+    minimal_violations,
     pair_fields,
     spec_items,
     subnetwork_plan,
@@ -203,8 +203,7 @@ def _circular_sign(f: BooleanNetwork) -> int | None:
 
 def _has_minimal_violation(f: BooleanNetwork, prop: BaseProperty) -> bool:
     """Some subnetwork of f, f included, is a minimal violation of prop."""
-    fps = item_fixed_point_counts(f)
-    return any(item_is_minimal_violation(prop, fps, item) for item in fps)
+    return next(minimal_violations(f, prop), None) is not None
 
 
 def _has_circular_sub(f: BooleanNetwork) -> tuple[bool, bool]:
@@ -253,8 +252,8 @@ def _concl_circular_eosd(f: BooleanNetwork) -> bool:
 def _concl_critical_nonexp(f: BooleanNetwork) -> bool:
     sign = _circular_sign(f)
     ne = is_non_expansive(f)
-    pos_ok = (sign == 1) == (is_two_critical(f) and ne)
-    neg_ok = (sign == -1) == (is_zero_critical(f) and ne)
+    pos_ok = (sign == 1) == (ne and is_two_critical(f))
+    neg_ok = (sign == -1) == (ne and is_zero_critical(f))
     return pos_ok and neg_ok
 
 
@@ -319,9 +318,8 @@ def _concl_critical_dynamics(f: BooleanNetwork) -> bool:
 
 
 def _concl_minimal_forbidden(f: BooleanNetwork) -> bool:
-    fps = item_fixed_point_counts(f)
     return all(
-        all(prop.holds(c) for c in fps.values()) != _has_minimal_violation(f, prop)
+        all(map(prop.holds, item_fixed_point_counts(f))) != _has_minimal_violation(f, prop)
         for prop in BaseProperty
     )
 

@@ -26,7 +26,13 @@ from boolcube.siggraph import (
     rows_delocalizers,
     rows_signed_cycles,
 )
-from boolcube.subnetwork import item_circular_forms, spec_items, subnetwork_plan
+from boolcube.subnetwork import (
+    BaseProperty,
+    item_circular_forms,
+    item_fixed_point_counts,
+    spec_items,
+    subnetwork_plan,
+)
 from boolcube.theorems import _cycle_form
 
 
@@ -260,6 +266,32 @@ def zero_critical(f: BooleanNetwork) -> bool:
     return all(
         any(v == y for y, v in enumerate(t)) for t in all_strict_sub_tables(f)
     )
+
+
+def strict_subitems(mask: int, code: int) -> Iterator[tuple[int, int]]:
+    """(mask', code') of every strict subnetwork item below (mask, code)."""
+    sub = (mask - 1) & mask
+    while sub:
+        diff = mask ^ sub
+        w = diff
+        while True:
+            yield sub, code | w
+            if w == 0:
+                break
+            w = (w - 1) & diff
+        sub = (sub - 1) & mask
+
+
+def minimal_violations(f: BooleanNetwork, prop: BaseProperty) -> list[tuple[int, int]]:
+    """subnetwork.minimal_violations as first written: the items, in plan
+    order, whose count fails prop while every strict sub-item's passes it,
+    read from a dict of every item's fixed-point count."""
+    fps = dict(zip(subnetwork_plan(f.width).items(), item_fixed_point_counts(f)))
+    return [
+        item
+        for item in fps
+        if not prop.holds(fps[item]) and all(prop.holds(fps[sub]) for sub in strict_subitems(*item))
+    ]
 
 
 # -- signed digraphs -------------------------------------------------------------

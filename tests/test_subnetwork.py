@@ -43,6 +43,7 @@ from boolcube.subnetwork import (
     item_fixed_point_counts,
     item_local_planes,
     item_tables,
+    minimal_violations,
     pair_fields,
     spec_items,
     sub_table,
@@ -182,13 +183,13 @@ def test_census_of_fixtures():
     ids=describe_generator,
 )
 def test_census_and_strict_profile_match_the_item_counts(gen):
-    """The census and criticality's strict min and max read the counts with no
-    item dict; they equal the extremes of item_fixed_point_counts(f) over all
-    items, and over all but f's own, which comes last."""
+    """The census and criticality's strict min and max equal the extremes of
+    item_fixed_point_counts(f) over all items, and over all but f's own,
+    which comes last."""
     for index in range(generator_count(gen)):
         f = candidate_network(gen, index)
         census, report = all_subnetworks_fixed_point_census(f), criticality(f)
-        counts = list(item_fixed_point_counts(f).values())
+        counts = list(item_fixed_point_counts(f))
         assert census == (min(counts), max(counts)), index
         strict = counts[:-1]
         expected = (min(strict), max(strict)) if strict else (None, None)
@@ -271,9 +272,43 @@ def test_satisfies_everywhere_consistency(f):
             sum(1 for y, v in enumerate(t) if v == y)
             for t in oracles.all_strict_sub_tables(f)
         ]
-        assert all(map(prop.holds, item_fixed_point_counts(f).values())) == all(
+        assert all(map(prop.holds, item_fixed_point_counts(f))) == all(
             ok(c) for c in counts
         )
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        Exhaustive(1),
+        Exhaustive(2),
+        AndNets(3),
+        Sample(3, 3000, 1),
+        Sample(4, 300, 2),
+        Sample(5, 40, 3),
+        Sample(6, 20, 1),
+        Circular(4),
+        Circular(5),
+        NonExpansive(3),
+    ],
+    ids=describe_generator,
+)
+def test_minimal_violations_match_the_sub_item_rule(gen):
+    """For every base property, the kernel lists exactly the items that the
+    per-item rule over a count dict and every strict sub-item lists
+    (oracles.minimal_violations), in order; f is a minimal violation exactly
+    when its own item is listed, and the criticality tests agree with the
+    definitions on the sub-tables."""
+    count = generator_count(gen)
+    for index, _ in gen.orbits(0, count, count):
+        f = candidate_network(gen, index)
+        own = (len(f.table) - 1, 0)
+        for prop in BaseProperty:
+            expected = oracles.minimal_violations(f, prop)
+            assert list(minimal_violations(f, prop)) == expected, (index, prop)
+            assert is_minimal_violation(prop, f) == (own in expected), (index, prop)
+        assert is_two_critical(f) == oracles.two_critical(f), index
+        assert is_zero_critical(f) == oracles.zero_critical(f), index
 
 
 def test_sub_table_is_usable_directly():
@@ -356,10 +391,12 @@ def test_plan_tables_match_sub_table_and_the_oracle():
 
 def test_item_counts_match_the_sub_tables():
     for f in plan_networks():
-        counts = item_fixed_point_counts(f)
-        assert list(counts) == list(subnetwork_plan(f.width).items())
-        for (mask, code), count in counts.items():
+        items = list(subnetwork_plan(f.width).items())
+        counts = list(item_fixed_point_counts(f))
+        assert len(counts) == len(items)
+        for (mask, code), count in zip(items, counts):
             assert count == len(table_fixed_point_codes(sub_table(f.table, mask, code)))
+        assert list(item_fixed_point_counts(f, include_self=False)) == counts[:-1]
 
 
 def test_lazy_walks_agree_with_the_eager_definitions():
