@@ -10,12 +10,8 @@ Facts derived from a network are memoized with @memo, per instance: only
 one-argument functions of the instance are memoized, each in the instance's
 __dict__ under a key derived from the function's module and qualified name, so
 the cached data lives and dies with the network.  An exception is never cached.
-Only sub-table facts outlive their network, in two per-process caches.
-subnetwork.item_local_planes caches a sub-table's local planes, keyed by
-(width, free mask, table), in an LRU cache of 800 entries.  An entry is an
-integer of at most 2n^2 2^n bits, 27 KB at the walk's width cap of 10, and its
-key holds a table of at most 512 entries (4 KB), so the cache holds at most
-26 MB.  subnetwork.item_circular_forms keeps, per free mask of one or two
+Only sub-table facts outlive their network, in one per-process cache:
+subnetwork.item_circular_forms keeps, per free mask of one or two
 components, a table from each key of the mask's packed output planes to its
 circular form: 4 or 256 keys at most, so n*4 + C(n,2)*256 entries at width n,
 780 at width 3 and 11,560 at 10, each key an integer of at most 2^(n+1) bits.
@@ -32,7 +28,7 @@ from enum import Enum
 from functools import lru_cache, wraps
 from itertools import chain
 from operator import xor
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .hypercube import (
     FormatError,
@@ -129,23 +125,28 @@ def conjugate_codes(f: BooleanNetwork) -> tuple[int, ...]:
 _DIGITS = tuple(bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8))
 
 
+def table_planes(table: Sequence[int], n: int) -> tuple[int, ...]:
+    """The n bit planes of a table of n-bit entries, plane i the bitset of the
+    indices whose entry has bit i set: the entries, last first, as
+    little-endian 4-byte words on any host; plane i reads byte i // 8 of each
+    word as the ASCII digit of its bit i % 8 (_DIGITS), base 2."""
+    if not table:
+        return (0,) * n
+    words = struct.pack(f"<{len(table)}I", *reversed(table))
+    return tuple(int(words[i >> 3 :: 4].translate(_DIGITS[i & 7]), 2) for i in range(n))
+
+
 @memo
 def output_bitsets(f: BooleanNetwork) -> tuple[int, ...]:
-    """The bit planes O_i, the bitsets of the points where f_i is 1: the entries,
-    last first, as little-endian 4-byte words on any host; O_i reads byte i // 8
-    of each word as the ASCII digit of its bit i % 8 (_DIGITS), base 2."""
-    table = f.table
-    words = struct.pack(f"<{len(table)}I", *reversed(table))
-    return tuple(
-        int(words[i >> 3 :: 4].translate(_DIGITS[i & 7]), 2) for i in range(f.width)
-    )
+    """The bit planes O_i, the bitsets of the points where f_i is 1."""
+    return table_planes(f.table, f.width)
 
 
 _LANE_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << k))) for k in range(8))
 
 
 def plane_codes(planes, size: int) -> tuple[int, ...]:
-    """The inverse of output_bitsets: entry x has bit i set when plane i holds
+    """The inverse of table_planes: entry x has bit i set when plane i holds
     x.  Plane i's base-2 digits become byte i // 8 of each word, as bit i % 8."""
     words = bytearray(size << 2)
     for lane in range(0, len(planes), 8):
@@ -239,13 +240,9 @@ def is_non_expansive(f: BooleanNetwork) -> bool:
     return True
 
 
-def table_is_conjugate_bijective(table: tuple[int, ...]) -> bool:
-    return len({v ^ x for x, v in enumerate(table)}) == len(table)
-
-
 @memo
 def is_conjugate_bijective(f: BooleanNetwork) -> bool:
-    return table_is_conjugate_bijective(f.table)
+    return len(set(conjugate_codes(f))) == len(f.table)
 
 
 def xor_output(f: BooleanNetwork, members: Iterable[str]) -> BooleanNetwork:

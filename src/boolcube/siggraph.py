@@ -158,37 +158,6 @@ def local_rows(f: BooleanNetwork) -> tuple[Rows, ...]:
     return tuple(point_rows(n, table, x) for x in range(1 << n))
 
 
-@lru_cache(maxsize=None)
-def _slot_coordinates(n: int) -> tuple[int, ...]:
-    """X_j copied into each even slot 2i of 2^n bits, i < n, for each j < n."""
-    rep = sum(1 << (2 * i << n) for i in range(n))
-    return tuple(x * rep for x in coordinate_sets(n))
-
-
-def local_planes(n: int, ones: Sequence[int], sources: int = -1) -> int:
-    """The local interaction graphs at every point of the n-cube as one integer
-    from the output bitsets O_i: field (j*n + i)*2 + t, 2^n bits wide, holds the
-    points where j -> i has sign t (0 positive, 1 negative), for j in sources.
-    hi = O_i & X_j spread down along e_j is where f_i(x | e_j) = 1, lo = O_i & ~X_j
-    spread up is where f_i(x & ~e_j) = 1; j -> i is positive on hi & ~lo and
-    negative on lo & ~hi.  With O_i in slot 2i, every i is done at once and
-    each negative plane moves up one slot into its field."""
-    size = 1 << n
-    slots = 0
-    for i, o in enumerate(ones):
-        slots |= o << (2 * i << n)
-    planes = 0
-    for j, x in enumerate(_slot_coordinates(n)):
-        if sources >> j & 1:
-            step = 1 << j
-            hi = slots & x
-            lo = slots ^ hi
-            hi |= hi >> step
-            lo |= lo << step
-            planes |= ((lo & ~hi) << size | hi & ~lo) << (j * n * 2 << n)
-    return planes
-
-
 @memo
 def local_arc_sets(f: BooleanNetwork) -> tuple[tuple[int, ...], ...]:
     """A[j][i], the points x where j -> i is an arc of G(f, x) of either sign:

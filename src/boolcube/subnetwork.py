@@ -29,18 +29,14 @@ from .network import (
     memo,
     output_bitsets,
     table_eosd_class,
+    table_planes,
     unstable_sets,
 )
-from .siggraph import detect_circular, literal_cycle, local_planes
+from .siggraph import detect_circular, literal_cycle
 
 # Widest network whose subnetworks are walked: a mask's gather table holds 2^n
 # entries, so a walk over every mask keeps 4^n of them, about 12 MB at width 10.
 SUBNETWORK_WIDTH_CAP = 10
-
-# Distinct sub-tables whose local planes are kept per process.  A width-3 sweep
-# meets at most 780 of them: 4 tables on each of the 3 one-component masks and
-# 256 on each of the 3 two-component masks.
-LOCAL_PLANES_CACHE = 800
 
 
 @dataclass(frozen=True)
@@ -177,6 +173,37 @@ def item_tables(
             yield mask, code, _lookup(at, g, scatter, code)
 
 
+@lru_cache(maxsize=None)
+def strict_blocks(n: int) -> tuple[int, tuple[int, ...]]:
+    """(tile, free) for strict_sub_planes at width n: a set of the n-cube
+    times tile is its copy in every block, and free[k], the union of the
+    blocks whose mask frees component k, is plane k of the stacked table whose
+    entries are their block's mask."""
+    size, masks = 1 << n, subnetwork_plan(n).masks[:-1]
+    tile = ((1 << (len(masks) << n)) - 1) // ((1 << size) - 1)
+    return tile, table_planes([mask for mask in masks for _ in range(size)], n)
+
+
+@memo
+def strict_sub_planes(f: BooleanNetwork) -> tuple[int, ...]:
+    """The n output planes of every strict subnetwork's table, stacked in
+    2^n - 2 blocks of 2^n bits, one copy of the parent cube per strict mask in
+    plan order: point y of item (mask, code) is point code | scatter[y] of its
+    mask's block and holds the item's value scattered back onto the mask.  The
+    items of one mask tile its block, so each point is written once."""
+    n, size = f.width, len(f.table)
+    records = subnetwork_plan(n).records
+    stacked = [0] * ((size - 2) * size)
+    base, last = -size, 0
+    for mask, code, table in item_tables(f, include_self=False):
+        if mask != last:
+            base, last, scatter = base + size, mask, records[mask][1]
+        at = base + code
+        for s, v in zip(scatter, table):
+            stacked[at + s] = scatter[v]
+    return table_planes(stacked, n)
+
+
 @memo
 def _fixed_sets(f: BooleanNetwork) -> tuple[int, ...]:
     """Per free mask, the bitset of the points x whose conjugate vanishes on
@@ -236,43 +263,6 @@ def _free_literals(n: int) -> tuple[tuple, tuple, tuple]:
     return tuple(pairs), tuple(small), tuple(wide)
 
 
-@lru_cache(maxsize=64)
-def pair_fields(n: int, mask: int) -> int:
-    """The fields of local_planes(n, ...) whose arc j -> i has both j and i in
-    the free mask; kept for the 64 masks used last, 1.7 MB at width 10."""
-    pair = (1 << (2 << n)) - 1  # the two sign fields of one arc
-    free = [k for k in range(n) if mask >> k & 1]
-    return sum(pair << ((j * n + i) * 2 << n) for j in free for i in free)
-
-
-@lru_cache(maxsize=None)
-def _spread(n: int, m: int) -> tuple[int, ...]:
-    """Per m-bit value v: bit a of v moved to bit a * 2^n, so one entry of an
-    m-component table lands in m bit planes of the n-cube at once."""
-    return tuple(
-        sum(1 << (a << n) for a in range(m) if v >> a & 1) for v in range(1 << m)
-    )
-
-
-@lru_cache(maxsize=LOCAL_PLANES_CACHE)
-def item_local_planes(n: int, mask: int, table: tuple[int, ...]) -> int:
-    """local_planes of the subnetwork with this table on the free mask, laid
-    out in the parent n-cube at frozen code 0: point y is the parent point
-    scatter[y] of the mask's record, and local component a is the mask's a-th
-    free component.  Shifted left by a frozen code, it is the item at that code."""
-    scatter = subnetwork_plan(n).records[mask][1]
-    spread = _spread(n, len(table).bit_length() - 1)
-    lifted = 0
-    for s, v in zip(scatter, table):
-        lifted |= spread[v] << s
-    full = (1 << (1 << n)) - 1
-    ones = [0] * n
-    free = (k for k in range(n) if mask >> k & 1)
-    for a, k in enumerate(free):
-        ones[k] = lifted >> (a << n) & full
-    return local_planes(n, ones, mask)
-
-
 @memo
 def item_circular_forms(f: BooleanNetwork) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
     """Per item in plan order, f's own last, (predecessor map, constant) in
@@ -314,12 +304,6 @@ def subnetworks(
     for mask, code, table in item_tables(f, include_self):
         spec = SubnetworkSpec(f.components, mask, code)
         yield spec, BooleanNetwork(spec.free, table)
-
-
-@memo
-def spec_items(f: BooleanNetwork) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(free_mask, fixed_code, table) for every subnetwork, f itself last."""
-    return tuple(item_tables(f))
 
 
 @memo

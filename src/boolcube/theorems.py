@@ -18,18 +18,17 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache, partial, reduce
-from itertools import groupby, permutations
-from operator import and_, itemgetter, or_, xor
+from itertools import permutations
+from operator import and_, or_, xor
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence, Union
 
 from .dynamics import attractor_summary, weak_convergence
-from .hypercube import Point, format_code, neighborhood, parity_sets
+from .hypercube import Point, coordinate_sets, format_code, neighborhood, parity_sets
 from .network import (
     RANDOM_WIDTH_CAP,
     BooleanNetwork,
     ParityClass,
     check_width,
-    conjugate_codes,
     default_components,
     eosd_class,
     fixed_point_codes,
@@ -40,7 +39,7 @@ from .network import (
     output_bitsets,
     parity_class,
     render_bn,
-    table_is_conjugate_bijective,
+    unstable_sets,
 )
 from .siggraph import (
     CircularForm,
@@ -54,7 +53,6 @@ from .siggraph import (
     has_local_loop,
     is_and_net,
     local_arc_sets,
-    local_planes,
     point_rows,
     rows_chordless_cycles,
     rows_cycle_signings,
@@ -75,10 +73,9 @@ from .subnetwork import (
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
-    item_local_planes,
     minimal_violations,
-    pair_fields,
-    spec_items,
+    strict_blocks,
+    strict_sub_planes,
     subnetwork_plan,
 )
 
@@ -232,9 +229,15 @@ def _cycle_form(
     return sum(1 << v for v in verts), (tuple(pred), constant)
 
 
-@memo
 def _all_subs_conjugate_bijective(f: BooleanNetwork) -> bool:
-    return all(table_is_conjugate_bijective(table) for _, _, table in spec_items(f))
+    """Every subnetwork on I, at every frozen code, has a bijective conjugate
+    exactly when x -> x xor (f(x) and I) permutes the cube: the map keeps the
+    frozen bits and is the conjugate on I."""
+    size, table = len(f.table), f.table
+    return all(
+        len(set(map(xor, range(size), map(mask.__and__, table)))) == size
+        for mask in subnetwork_plan(f.width).masks
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +336,33 @@ def _concl_cor11(f: BooleanNetwork) -> bool:
 
 def _concl_dynamics_iso(f: BooleanNetwork) -> bool:
     """Each subnetwork's conjugate is f's conjugate at the matching parent
-    points, projected onto the free components."""
-    conj, records = conjugate_codes(f), subnetwork_plan(f.width).records
-    for mask, items in groupby(spec_items(f)[:-1], itemgetter(0)):
-        _, scatter, _, g = records[mask]
-        for _, code, sub in items:
-            for y, (s, v) in enumerate(zip(scatter, sub)):
-                if g[conj[code | s]] != v ^ y:
-                    return False
-    return True
+    points, projected onto the free components: in strict_sub_planes, plane k
+    xor X_k is U_k on the blocks that free k, and plane k is empty elsewhere."""
+    tile, free = strict_blocks(f.width)
+    return all(
+        plane ^ x * tile & on == u * tile & on
+        for plane, x, u, on in zip(
+            strict_sub_planes(f), coordinate_sets(f.width), unstable_sets(f), free
+        )
+    )
 
 
 def _concl_local_subgraph(f: BooleanNetwork) -> bool:
     """Each subnetwork's local graph at y is f's local graph at the matching
-    parent point, restricted to the free components.  The subcubes of one free
-    mask tile the cube, so their planes, each shifted to its frozen code, must
-    equal f's planes on the mask's free pairs."""
+    parent point, restricted to the free components.  In strict_sub_planes,
+    an item's arcs j -> i are where plane i changes along e_j, negative where
+    plane i differs from x_j; on the blocks that free both j and i they must
+    be f's arc sets, tiled, and plane i must be f's O_i on them."""
     n = f.width
-    planes = local_planes(n, output_bitsets(f))
-    for mask, items in groupby(spec_items(f)[:-1], itemgetter(0)):
-        tiled = 0
-        for _, code, sub in items:
-            tiled |= item_local_planes(n, mask, sub) << code
-        if tiled != planes & pair_fields(n, mask):
-            return False
+    planes, (tile, free) = strict_sub_planes(f), strict_blocks(n)
+    ones = [o * tile for o in output_bitsets(f)]
+    for j, (x, row) in enumerate(zip(coordinate_sets(n), local_arc_sets(f))):
+        x, step = x * tile, 1 << j
+        for i, arcs in enumerate(row):
+            plane, on = planes[i], free[j] & free[i]
+            sub = (plane ^ ((plane & x) >> step | (plane & ~x) << step)) & on
+            if sub != arcs * tile & on or (plane ^ ones[i]) & sub:
+                return False
     return True
 
 

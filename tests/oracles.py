@@ -6,8 +6,8 @@ Widths stay small in the tests, so quadratic and exponential loops are fine.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, groupby, product
-from operator import itemgetter, or_
+from itertools import accumulate, combinations, product
+from operator import or_
 from typing import Iterator
 
 from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, hypercube, neighbor_set
@@ -30,7 +30,7 @@ from boolcube.subnetwork import (
     BaseProperty,
     item_circular_forms,
     item_fixed_point_counts,
-    spec_items,
+    item_tables,
     subnetwork_plan,
 )
 from boolcube.theorems import _cycle_form
@@ -182,17 +182,49 @@ def sub_table(f: BooleanNetwork, free: list[str], frozen: dict[str, int]) -> tup
     return tuple(table)
 
 
-def all_strict_sub_tables(f: BooleanNetwork) -> list[tuple[int, ...]]:
-    tables = []
+def strict_sub_items(f: BooleanNetwork) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(free mask, frozen code, table) of every strict subnetwork."""
     labels = list(f.components)
     for keep in product([0, 1], repeat=len(labels)):
         free = [c for c, k in zip(labels, keep) if k]
         if not free or len(free) == len(labels):
             continue
         rest = [c for c in labels if c not in free]
+        mask = sum(k << pos for pos, k in enumerate(keep))
         for bits in product([0, 1], repeat=len(rest)):
-            tables.append(sub_table(f, free, dict(zip(rest, bits))))
-    return tables
+            code = sum(b << labels.index(c) for c, b in zip(rest, bits))
+            yield mask, code, sub_table(f, free, dict(zip(rest, bits)))
+
+
+def all_strict_sub_tables(f: BooleanNetwork) -> list[tuple[int, ...]]:
+    return [table for _, _, table in strict_sub_items(f)]
+
+
+def all_subs_conjugate_bijective(f: BooleanNetwork) -> bool:
+    """Every subnetwork, f included, has a bijective conjugate y -> g(y) xor y,
+    read table by table."""
+    tables = all_strict_sub_tables(f) + [f.table]
+    return all(len({v ^ y for y, v in enumerate(t)}) == len(t) for t in tables)
+
+
+def strict_sub_planes(f: BooleanNetwork) -> tuple[int, ...]:
+    """subnetwork.strict_sub_planes built one point at a time: one block of
+    2^n points per strict mask, ordered by size and then by the mask's
+    components in lexicographic order; entry y of the table frozen at z puts
+    its value, scattered onto the mask, on point z | scatter(y) of the block."""
+    n, size = f.width, len(f.table)
+    masks = sorted(
+        range(1, size - 1), key=lambda m: (m.bit_count(), [k for k in range(n) if m >> k & 1])
+    )
+    bits = [["0"] * (len(masks) * size) for _ in range(n)]
+    for mask, code, table in strict_sub_items(f):
+        base = masks.index(mask) * size
+        for y, v in enumerate(table):
+            point, value = base + (code | scatter_bits(y, mask)), scatter_bits(v, mask)
+            for k in range(n):
+                if value >> k & 1:
+                    bits[k][point] = "1"
+    return tuple(int("".join(reversed(plane)) or "0", 2) for plane in bits)
 
 
 def eager_plan(n: int) -> tuple[tuple[int, ...], list, list, list, list]:
@@ -225,16 +257,15 @@ def local_subgraph_containment(f: BooleanNetwork) -> bool:
     per point, the sub-table's local rows against f's, gathered onto the free
     components."""
     lrows, records = local_rows(f), subnetwork_plan(f.width).records
-    for mask, items in groupby(spec_items(f)[:-1], itemgetter(0)):
+    for mask, code, sub in item_tables(f, include_self=False):
         _, scatter, _, g = records[mask]
         free = [k for k in range(f.width) if mask >> k & 1]
-        for _, code, sub in items:
-            for y, s in enumerate(scatter):
-                pos, neg = lrows[code | s]
-                sub_pos, sub_neg = point_rows(len(free), sub, y)
-                for b, j in enumerate(free):
-                    if sub_pos[b] != g[pos[j]] or sub_neg[b] != g[neg[j]]:
-                        return False
+        for y, s in enumerate(scatter):
+            pos, neg = lrows[code | s]
+            sub_pos, sub_neg = point_rows(len(free), sub, y)
+            for b, j in enumerate(free):
+                if sub_pos[b] != g[pos[j]] or sub_neg[b] != g[neg[j]]:
+                    return False
     return True
 
 

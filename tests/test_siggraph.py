@@ -31,7 +31,7 @@ from boolcube import (
     render_sg,
     shih_dong_condition,
 )
-from boolcube.hypercube import parse_point
+from boolcube.hypercube import coordinate_sets, parse_point
 from boolcube.network import fixed_point_codes, output_bitsets, random_network
 from boolcube.siggraph import (
     cycle_sign,
@@ -40,7 +40,6 @@ from boolcube.siggraph import (
     graph_rows,
     has_local_loop,
     load_sg,
-    local_planes,
     point_rows,
     rows_has_negative_cycle,
     rows_has_positive_cycle,
@@ -910,31 +909,27 @@ def test_parse_sg_rejects(text):
         parse_sg(text)
 
 
-def _row_planes(n, rows_at, sources=-1):
-    """local_planes' layout built one point at a time from (pos, neg) rows."""
-    fields = [0] * (2 * n * n)
-    for x, rows in enumerate(rows_at):
-        for t, row in enumerate(rows):
-            for j in range(n):
-                for i in range(n):
-                    if sources >> j & 1 and row[j] >> i & 1:
-                        fields[(j * n + i) * 2 + t] |= 1 << x
-    return sum(field << (k << n) for k, field in enumerate(fields))
-
-
 @pytest.mark.parametrize("n", range(1, 9))
-def test_local_planes_match_point_rows_at_every_width(n):
-    """Field (j*n + i)*2 + t holds the points where j -> i has sign t, on
-    random tables, the identity, a constant, and at width 4 every circular
-    network; sources keeps only the arcs out of its members."""
+def test_local_arc_signs_match_point_rows_at_every_width(n):
+    """An arc j -> i of A[j][i] is negative exactly where f_i differs from x_j,
+    the sign rule LOCAL_SUBGRAPH_CONTAINMENT applies to the stacked sub-table
+    planes: on random tables, the identity, a constant, and at width 4 every
+    circular network."""
     rng = random.Random(n)
     nets = [random_network(n, rng.randrange(1 << 30)) for _ in range(3)]
     nets += [oracles.identity_network(n), oracles.constant_network(n, 1)]
     if n == 4:
         nets += [candidate_network(Circular(4), k) for k in range(generator_count(Circular(4)))]
+    xs = coordinate_sets(n)
     for f in nets:
-        expected = _row_planes(n, siggraph.local_rows(f))
-        assert local_planes(n, output_bitsets(f)) == expected
-        sources = rng.randrange(1 << n)
-        by_point = (point_rows(n, f.table, x) for x in range(1 << n))
-        assert local_planes(n, output_bitsets(f), sources) == _row_planes(n, by_point, sources)
+        signed = [[[0, 0] for _ in range(n)] for _ in range(n)]
+        for x in range(1 << n):
+            for t, row in enumerate(point_rows(n, f.table, x)):
+                for j in range(n):
+                    for i in range(n):
+                        if row[j] >> i & 1:
+                            signed[j][i][t] |= 1 << x
+        for j, row in enumerate(siggraph.local_arc_sets(f)):
+            for i, arcs in enumerate(row):
+                neg = arcs & (output_bitsets(f)[i] ^ xs[j])
+                assert [arcs ^ neg, neg] == signed[j][i], (j, i)

@@ -34,18 +34,15 @@ from boolcube.network import (
     table_fixed_point_codes,
 )
 from boolcube.subnetwork import (
-    LOCAL_PLANES_CACHE,
     has_eosd_subnetwork,
     is_minimal_violation,
     is_two_critical,
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
-    item_local_planes,
     item_tables,
     minimal_violations,
-    pair_fields,
-    spec_items,
+    strict_sub_planes,
     sub_table,
     subnetwork_plan,
 )
@@ -59,7 +56,6 @@ from boolcube.theorems import (
     candidate_network,
     describe_generator,
     generator_count,
-    sweep,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -378,9 +374,8 @@ def test_plan_width_cap():
 
 def test_plan_tables_match_sub_table_and_the_oracle():
     for f in plan_networks():
-        items = spec_items(f)
+        items = tuple(item_tables(f))
         assert [item[:2] for item in items] == list(subnetwork_plan(f.width).items())
-        assert tuple(item_tables(f)) == items
         for mask, code, table in items:
             assert table == sub_table(f.table, mask, code)
             spec = SubnetworkSpec(f.components, mask, code)
@@ -401,7 +396,7 @@ def test_item_counts_match_the_sub_tables():
 
 def test_lazy_walks_agree_with_the_eager_definitions():
     for f in plan_networks():
-        items = spec_items(f)
+        items = tuple(item_tables(f))
         eosd = [item for item in items if table_eosd_class(item[2]) is not None]
         found = find_eosd_subnetwork(f)
         if eosd:
@@ -553,8 +548,9 @@ def test_item_circular_forms_match_the_table_solver(gen):
     for index in range(generator_count(gen)):
         f = candidate_network(gen, index)
         forms = item_circular_forms(f)
-        assert len(forms) == len(spec_items(f))
-        for (mask, _, table), form in zip(spec_items(f), forms):
+        items = tuple(item_tables(f))
+        assert len(forms) == len(items)
+        for (mask, _, table), form in zip(items, forms):
             if table not in reference:
                 item = BooleanNetwork(default_components(mask.bit_count()), table)
                 reference[table] = oracles.circular_form(item)
@@ -606,45 +602,31 @@ def test_detect_circular_above_the_plan_cap_matches_the_definition(n):
     assert [_detected(f) for f in cases] == expected
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_item_local_planes_lay_the_sub_table_out_in_the_parent_cube(n):
-    """Shifted by its frozen code, an item's planes hold, in field (J*n + I)*2 + t
-    of the parent components J and I, the parent points code | scatter(y) where
-    the sub-table's arc b -> a has sign t; pair_fields covers exactly the free
-    pairs of each mask."""
-    f = random_network(n, 40 + n)
-    for mask, code, table in spec_items(f):
-        free = [k for k in range(n) if mask >> k & 1]
-        expected = 0
-        for y in range(len(table)):
-            x = code | oracles.scatter_bits(y, mask)
-            for t, row in enumerate(siggraph.point_rows(len(free), table, y)):
-                for b, j in enumerate(free):
-                    for a, i in enumerate(free):
-                        if row[b] >> a & 1:
-                            expected |= 1 << (((j * n + i) * 2 + t << n) + x)
-        assert item_local_planes(n, mask, table) << code == expected
-        pairs = sum(((1 << (2 << n)) - 1) << ((j * n + i) * 2 << n) for j in free for i in free)
-        assert pair_fields(n, mask) == pairs
-
-
-def test_local_planes_cache_holds_each_distinct_sub_table_once():
-    """A width-3 sweep meets at most 4 tables on each one-component mask and 256
-    on each two-component mask; a corrupted table is a key of its own; a wider
-    sweep fills the cache to its bound and no further."""
-    item_local_planes.cache_clear()
-    sweep("LOCAL_SUBGRAPH_CONTAINMENT", Sample(3, 2000, 1))
-    info = item_local_planes.cache_info()
-    assert info.maxsize == LOCAL_PLANES_CACHE
-    assert info.currsize == info.misses <= 3 * 4 + 3 * 256 < info.hits
-
-    mask, code, table = spec_items(random_network(3, 5))[-2]
-    bad = (table[0] ^ 1,) + table[1:]
-    item_local_planes.cache_clear()
-    assert item_local_planes(3, mask, bad) != item_local_planes(3, mask, table)
-    assert item_local_planes.cache_info().currsize == 2
-
-    item_local_planes.cache_clear()
-    sweep("LOCAL_SUBGRAPH_CONTAINMENT", Sample(4, 100, 1))
-    info = item_local_planes.cache_info()
-    assert info.misses > info.currsize == LOCAL_PLANES_CACHE
+@pytest.mark.parametrize(
+    "gen",
+    [
+        Exhaustive(1),
+        Exhaustive(2),
+        AndNets(3),
+        Sample(3, 200, 1),
+        Sample(4, 40, 2),
+        Sample(5, 10, 3),
+        Sample(6, 3, 4),
+        Sample(9, 2, 1),
+    ],
+    ids=describe_generator,
+)
+def test_strict_sub_planes_match_the_per_item_build(gen):
+    """Block b of the stacked planes holds the b-th strict mask's sub-tables,
+    each value scattered back onto the mask at its parent point, as the
+    oracle builds them point by point from its own sub-tables, with no plan
+    record.  Width 1 has no strict mask, so its planes are empty; width 9
+    reads a second byte lane of the stacked entries."""
+    count = generator_count(gen)
+    for index, _ in gen.orbits(0, count, count):
+        f = candidate_network(gen, index)
+        planes = strict_sub_planes(f)
+        assert planes == oracles.strict_sub_planes(f)
+        assert len(planes) == f.width
+        if f.width == 1:
+            assert planes == (0,)

@@ -472,18 +472,33 @@ def test_stream_chunks_and_orbits_cover_every_candidate_once(gen):
         assert gen.chunks(10, 1) == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
 
+ITEM_TABLES = subnetwork.item_tables
+
+
+def _corrupt_item(monkeypatch, k, bad):
+    """item_tables, as every reader sees it, gives table bad for strict item k.
+    Facts are memoized per network, so the caller checks a fresh copy."""
+
+    def tables(f, include_self=True):
+        for index, item in enumerate(ITEM_TABLES(f, include_self)):
+            yield (*item[:2], bad) if index == k else item
+
+    monkeypatch.setattr(subnetwork, "item_tables", tables)
+    monkeypatch.setattr(oracles, "item_tables", tables)
+
+
 @pytest.mark.parametrize("key", ["LOCAL_SUBGRAPH_CONTAINMENT", "DYNAMICS_ISOMORPHISM"])
 def test_subnetwork_checks_catch_a_corrupted_sub_table(monkeypatch, key):
     """Both conclusions compare each strict subnetwork's table with f, so one
     wrong output bit in any entry of any sub-table is a counterexample."""
     assert check(key, EX1).kind is VerdictKind.CONFIRMED
-    items = subnetwork.spec_items(EX1)
-    for k, (mask, code, table) in enumerate(items[:-1]):
+    items = list(ITEM_TABLES(EX1, include_self=False))
+    for k, (mask, code, table) in enumerate(items):
         for y in range(len(table)):
             bad = table[:y] + (table[y] ^ 1,) + table[y + 1 :]
-            corrupted = items[:k] + ((mask, code, bad),) + items[k + 1 :]
-            monkeypatch.setattr(theorems, "spec_items", lambda f: corrupted)
-            assert check(key, EX1).kind is VerdictKind.COUNTEREXAMPLE, (k, y)
+            _corrupt_item(monkeypatch, k, bad)
+            fresh = BooleanNetwork(EX1.components, EX1.table)
+            assert check(key, fresh).kind is VerdictKind.COUNTEREXAMPLE, (k, y)
 
 
 @pytest.mark.parametrize(
@@ -514,16 +529,67 @@ def test_local_subgraph_planes_catch_every_single_bit_corruption(monkeypatch, n)
     the per-point loop catches it."""
     for index in range(3):
         f = candidate_network(Sample(n, 3, 5), index)
-        items = subnetwork.spec_items(f)
-        for k, (mask, code, table) in enumerate(items[:-1]):
+        items = list(ITEM_TABLES(f, include_self=False))
+        for k, (mask, code, table) in enumerate(items):
             for y in range(len(table)):
                 for bit in range(mask.bit_count()):
                     bad = table[:y] + (table[y] ^ 1 << bit,) + table[y + 1 :]
-                    corrupted = items[:k] + ((mask, code, bad),) + items[k + 1 :]
-                    monkeypatch.setattr(theorems, "spec_items", lambda f: corrupted)
-                    monkeypatch.setattr(oracles, "spec_items", lambda f: corrupted)
-                    new = theorems._concl_local_subgraph(f)
-                    assert new is oracles.local_subgraph_containment(f) is False, (k, y, bit)
+                    _corrupt_item(monkeypatch, k, bad)
+                    fresh = BooleanNetwork(f.components, f.table)
+                    new = theorems._concl_local_subgraph(fresh)
+                    assert new is oracles.local_subgraph_containment(fresh) is False, (k, y, bit)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_local_subgraph_planes_catch_a_sign_only_corruption(monkeypatch, n):
+    """One free output plane of one item complemented keeps the item's arcs and
+    flips their signs: a counterexample exactly when that plane has an arc,
+    that is, when it is not constant on the item."""
+    flips = 0
+    for index in range(3):
+        f = candidate_network(Sample(n, 3, 5), index)
+        items = list(ITEM_TABLES(f, include_self=False))
+        for k, (mask, code, table) in enumerate(items):
+            for a in range(mask.bit_count()):
+                bad = tuple(v ^ 1 << a for v in table)
+                _corrupt_item(monkeypatch, k, bad)
+                fresh = BooleanNetwork(f.components, f.table)
+                signed = len({v >> a & 1 for v in table}) == 2
+                new = theorems._concl_local_subgraph(fresh)
+                assert new is oracles.local_subgraph_containment(fresh) is not signed, (k, a)
+                assert check("LOCAL_SUBGRAPH_CONTAINMENT", fresh).kind is (
+                    VerdictKind.COUNTEREXAMPLE if signed else VerdictKind.CONFIRMED
+                )
+                flips += signed
+    assert flips
+
+
+# the networks of each stream on which every subnetwork's conjugate is bijective
+BIJECTIVE_COUNTS = [
+    (Exhaustive(2), 12),
+    (AndNets(3), 27),
+    (NonExpansive(3), 224),
+    (Sample(3, 200, 1), 0),
+    (Sample(4, 20, 2), 0),
+    (Sample(5, 5, 3), 0),
+    (Sample(6, 3, 4), 0),
+    (Sample(7, 2, 5), 0),
+    (Sample(8, 1, 6), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "gen, bijective", BIJECTIVE_COUNTS, ids=[describe_generator(g) for g, _ in BIJECTIVE_COUNTS]
+)
+def test_bijectivity_leg_matches_the_per_table_walk(gen, bijective):
+    """COR11's leg, read as one permutation x -> x xor (f(x) and I) per free
+    set I, gives the verdict of a walk over every subnetwork's own table,
+    f's included, where the leg holds and where it fails."""
+    verdicts = []
+    for f in _reader_networks(gen):
+        verdicts.append(theorems._all_subs_conjugate_bijective(f))
+        assert verdicts[-1] is oracles.all_subs_conjugate_bijective(f)
+    assert verdicts.count(True) == bijective
 
 
 @pytest.mark.parametrize(
@@ -777,6 +843,29 @@ def test_chordless_sweeps_keep_their_width_seven_reports(key):
     for jobs in (1, 2):
         text = sweep(key, Sample(7, 20, 3), jobs=jobs).canonical_text()
         assert hashlib.sha256(text.encode()).hexdigest() == WIDTH_SEVEN_DIGESTS[key]
+
+
+# sha256 of each report's canonical text over Sample(8, 20, 1) and
+# Sample(10, 2, 1), recorded with the per-table walks over a memo of every
+# sub-table
+WIDE_SUBNETWORK_DIGESTS = {
+    ("DYNAMICS_ISOMORPHISM", 8): "a038b75ee8b0df0c25e3635e51b0fff9851e4fd244f8f52c135d5afac11a09d2",
+    ("LOCAL_SUBGRAPH_CONTAINMENT", 8): "d0c7a5e91e224ba5ba627f2404baccd4ce94752a1b05bb7be91b555e237dd76f",
+    ("COR11_EQUIVALENCE", 8): "da8c4a15f17847117edccb09d6b5aed7a8c827f88763c59e234faec838abdca6",
+    ("DYNAMICS_ISOMORPHISM", 10): "491a00d10eb15e47737bce82afb51349e93c793abf498f0f14a25409d7b80b21",
+    ("LOCAL_SUBGRAPH_CONTAINMENT", 10): "20e1ebd48230a5d464890d2a002e1c2fe034efc942e3181bf154baec4cea667e",
+    ("COR11_EQUIVALENCE", 10): "f0bb88ce4d2542628da339cb298586befe4469d5cc2c5568c6654884e92f4a58",
+}
+
+
+@pytest.mark.parametrize("key, n", sorted(WIDE_SUBNETWORK_DIGESTS))
+def test_subnetwork_identities_keep_their_wide_reports(key, n):
+    """The stacked sub-table planes and the bijectivity permutations at widths
+    8 and 10, which the report manifest, stopping at width 5, does not reach."""
+    gen = Sample(8, 20, 1) if n == 8 else Sample(10, 2, 1)
+    for jobs in (1, 2):
+        text = sweep(key, gen, jobs=jobs).canonical_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == WIDE_SUBNETWORK_DIGESTS[key, n]
 
 
 def test_theorems_imports_no_private_kernels():
