@@ -220,13 +220,12 @@ def _closure(f: BooleanNetwork, free: bytearray, seeds, direction) -> tuple[list
     return walked, stepped, last
 
 
-def _mark(flags: bytearray, states, points: int, digit: int) -> None:
-    """Sets the flags of the listed states and of a point set to digit."""
+def _mark(flags: bytearray, states, points: int) -> None:
+    """Sets the flags of the listed states and of a point set."""
     for x in states:
-        flags[x] = digit
+        flags[x] = _ONE
     if points:
-        marked = int(flags[::-1], 2)
-        flags[:] = _flags(marked | points if digit == _ONE else marked & ~points, len(flags))
+        flags[:] = _flags(int(flags[::-1], 2) | points, len(flags))
 
 
 @memo
@@ -267,8 +266,8 @@ def _terminal_components(f: BooleanNetwork) -> tuple[tuple[int, ...], ...]:
                 y = (left & -left).bit_length() - 1 if left else None
             if y is None:
                 break
-            _mark(unseen, (x, *walked), stepped, _ONE)
-            _mark(rest, (x, *back), back_stepped, _ONE)
+            _mark(unseen, (x, *walked), stepped)
+            _mark(rest, (x, *back), back_stepped)
             x = y
         if stepped:
             comps.append(_members(stepped | _point_set((x, *walked), size)))

@@ -384,40 +384,13 @@ class BaseProperty(Enum):
         return fp_count == 1
 
 
-def minimal_violations(f: BooleanNetwork, prop: BaseProperty) -> Iterator[tuple[int, int]]:
-    """(free mask, frozen code) of every item that fails the base while each
-    of its strict sub-items passes it, in enumeration order, f's own last.
-
-    The strict sub-items of (mask, code) are the items of strict submasks
-    whose points lie among its own, so the walk keeps failing[mask], the
-    points of every failing item of the mask or of a submask, and an item
-    is minimal when none of its points is in the union below it.  The
-    first failing item is always minimal: its sub-items come earlier."""
-    plan, fixed = subnetwork_plan(f.width), _fixed_sets(f)
-    failing = [0] * len(f.table)
-    for mask in plan.masks:
-        codes, _, on, _ = plan.records[mask]
-        below, rest = 0, mask
-        while rest:
-            b = rest & -rest
-            below |= failing[mask ^ b]
-            rest ^= b
-        found, stable = below, fixed[mask]
-        for code in codes:
-            if not prop.holds((stable >> code & on).bit_count()):
-                found |= on << code
-                if not below >> code & on:
-                    yield mask, code
-        failing[mask] = found
-
-
 def is_minimal_violation(prop: BaseProperty, f: BooleanNetwork) -> bool:
-    """f fails the base while every strict subnetwork passes it: f's own item
-    is the first failing item.  The walk stops at the first that fails."""
+    """f fails the base while every strict subnetwork passes it.  The walk
+    stops at the first strict subnetwork that fails."""
     # f's own count decides most networks before any subnetwork is counted.
     if prop.holds(len(fixed_point_codes(f))):
         return False
-    return next(minimal_violations(f, prop)) == (len(f.table) - 1, 0)
+    return all(map(prop.holds, item_fixed_point_counts(f, include_self=False)))
 
 
 def minimal_forbidden_set(prop: BaseProperty, n: int) -> Iterator[BooleanNetwork]:

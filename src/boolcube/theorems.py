@@ -73,7 +73,6 @@ from .subnetwork import (
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
-    minimal_violations,
     strict_blocks,
     strict_sub_planes,
     subnetwork_plan,
@@ -199,8 +198,10 @@ def _circular_sign(f: BooleanNetwork) -> int | None:
 
 
 def _has_minimal_violation(f: BooleanNetwork, prop: BaseProperty) -> bool:
-    """Some subnetwork of f, f included, is a minimal violation of prop."""
-    return next(minimal_violations(f, prop), None) is not None
+    """Some subnetwork of f, f included, is a minimal violation of prop: the
+    first item that fails prop is one, since its strict sub-items have fewer
+    free components, so they come earlier in plan order and have passed."""
+    return not all(map(prop.holds, item_fixed_point_counts(f)))
 
 
 def _has_circular_sub(f: BooleanNetwork) -> tuple[bool, bool]:
@@ -321,6 +322,7 @@ def _concl_critical_dynamics(f: BooleanNetwork) -> bool:
 
 
 def _concl_minimal_forbidden(f: BooleanNetwork) -> bool:
+    """Holds on every network by construction (see _has_minimal_violation)."""
     return all(
         all(map(prop.holds, item_fixed_point_counts(f))) != _has_minimal_violation(f, prop)
         for prop in BaseProperty
@@ -663,6 +665,8 @@ class Circular(Generator):
 
     def candidate(self, index: int) -> BooleanNetwork:
         n = self.n
+        if not 0 <= index < self.size():
+            raise ValueError(f"circular index {index} out of range for width {n}")
         pred = self._predecessor_maps(n)[index >> n]
         return circular_network(CircularForm(default_components(n), pred, index & ((1 << n) - 1)))
 
@@ -690,6 +694,8 @@ class NonExpansive(Generator):
         return tuple(tables)
 
     def candidate(self, index: int) -> BooleanNetwork:
+        if not 0 <= index < self.size():
+            raise ValueError(f"non-expansive index {index} out of range for width {self.n}")
         return BooleanNetwork(default_components(self.n), self._tables(self.n)[index])
 
 

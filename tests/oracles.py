@@ -314,9 +314,9 @@ def strict_subitems(mask: int, code: int) -> Iterator[tuple[int, int]]:
 
 
 def minimal_violations(f: BooleanNetwork, prop: BaseProperty) -> list[tuple[int, int]]:
-    """subnetwork.minimal_violations as first written: the items, in plan
-    order, whose count fails prop while every strict sub-item's passes it,
-    read from a dict of every item's fixed-point count."""
+    """The reference for minimal violations: the items, in plan order, whose
+    count fails prop while every strict sub-item's passes it, read from a
+    dict of every item's fixed-point count."""
     fps = dict(zip(subnetwork_plan(f.width).items(), item_fixed_point_counts(f)))
     return [
         item

@@ -20,7 +20,7 @@ from boolcube import (
     minimal_forbidden_set,
     subnetworks,
 )
-from boolcube import siggraph, subnetwork
+from boolcube import siggraph, subnetwork, theorems
 from boolcube.hypercube import gather_bits
 from boolcube.network import (
     WidthCapError,
@@ -41,7 +41,6 @@ from boolcube.subnetwork import (
     item_circular_forms,
     item_fixed_point_counts,
     item_tables,
-    minimal_violations,
     strict_sub_planes,
     sub_table,
     subnetwork_plan,
@@ -251,9 +250,25 @@ def test_minimal_violations_width_one():
 
 
 def test_minimal_violations_of_uniqueness_are_the_critical_eosd_networks():
-    for f in enumerate_networks(2):
-        expected = oracles.is_critical_eosd(f)
-        assert is_minimal_violation(BaseProperty.EXACTLY_ONE, f) == expected
+    """The paper's F: the minimal violations of "exactly one fixed point" are
+    the even- or odd-self-dual networks with no such strict subnetwork; every
+    width-2 network, then one network per orbit of each family stream."""
+    streams = (
+        Exhaustive(2),
+        AndNets(3),
+        Circular(4),
+        Circular(5),
+        NonExpansive(3),
+        Sample(3, 2000, 1),
+        Sample(4, 300, 2),
+    )
+    for gen in streams:
+        count = generator_count(gen)
+        for index, _ in gen.orbits(0, count, count):
+            f = candidate_network(gen, index)
+            expected = oracles.is_critical_eosd(f)
+            label = describe_generator(gen)
+            assert is_minimal_violation(BaseProperty.EXACTLY_ONE, f) == expected, (label, index)
 
 
 @given(networks(2))
@@ -290,18 +305,23 @@ def test_satisfies_everywhere_consistency(f):
     ids=describe_generator,
 )
 def test_minimal_violations_match_the_sub_item_rule(gen):
-    """For every base property, the kernel lists exactly the items that the
-    per-item rule over a count dict and every strict sub-item lists
-    (oracles.minimal_violations), in order; f is a minimal violation exactly
-    when its own item is listed, and the criticality tests agree with the
-    definitions on the sub-tables."""
+    """For every base property, against the per-item rule over a count dict
+    and every strict sub-item (oracles.minimal_violations): the first minimal
+    violation is the first failing item in plan order, some subnetwork is one
+    exactly when the rule lists any, f is one exactly when its own item is
+    listed, and the criticality tests agree with the definitions on the
+    sub-tables."""
     count = generator_count(gen)
     for index, _ in gen.orbits(0, count, count):
         f = candidate_network(gen, index)
         own = (len(f.table) - 1, 0)
+        items = list(subnetwork_plan(f.width).items())
+        counts = list(item_fixed_point_counts(f))
         for prop in BaseProperty:
             expected = oracles.minimal_violations(f, prop)
-            assert list(minimal_violations(f, prop)) == expected, (index, prop)
+            failing = [item for item, c in zip(items, counts) if not prop.holds(c)]
+            assert expected[:1] == failing[:1], (index, prop)
+            assert theorems._has_minimal_violation(f, prop) == bool(expected), (index, prop)
             assert is_minimal_violation(prop, f) == (own in expected), (index, prop)
         assert is_two_critical(f) == oracles.two_critical(f), index
         assert is_zero_critical(f) == oracles.zero_critical(f), index

@@ -251,6 +251,10 @@ def test_candidate_network():
     assert candidate_network(Exhaustive(2), 57) == network_from_index(2, 57)
     with pytest.raises(ValueError):
         candidate_network(Subsets(2), 0)
+    for gen in (Circular(3), NonExpansive(2)):
+        for index in (-1, generator_count(gen)):
+            with pytest.raises(ValueError, match="out of range"):
+                candidate_network(gen, index)
 
 
 def test_circular_generator_yields_circular_networks():
