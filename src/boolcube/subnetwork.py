@@ -7,13 +7,14 @@ lexicographic order, then z in lexicographic (bitstring) order, so witnesses
 are deterministic.
 
 Every walk over the subnetworks reads the masks of one SubnetworkPlan per
-width, and each mask's record, built the first time a walk reaches it.
-Searches build one subnetwork's table at a time and stop at the first one that
-decides the answer.
+width, and each mask's record, built the first time a walk reaches it.  Walks
+over whole masks build a mask's tables in one pass along its item order; the
+EOSD search builds one table at a time and stops at its witness.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -34,9 +35,19 @@ from .network import (
 )
 from .siggraph import detect_circular, literal_cycle
 
-# Widest network whose subnetworks are walked: a mask's gather table holds 2^n
-# entries, so a walk over every mask keeps 4^n of them, about 12 MB at width 10.
+# Widest network whose subnetworks are walked: a mask's gather table and item
+# order hold 2^n entries each, so a walk over every mask keeps 4^n of each,
+# about 12 MB of gather tables and 4 MB of orders at width 10.
 SUBNETWORK_WIDTH_CAP = 10
+
+
+def _check_item(n: int, free_mask: int, fixed_code: int = 0) -> None:
+    """Refuse a free mask outside 1..2^n - 1, or a frozen code on a free bit."""
+    full = (1 << n) - 1
+    if not 0 < free_mask <= full:
+        raise ValueError("free component set must be nonempty")
+    if fixed_code & ~(full ^ free_mask):
+        raise ValueError("fixed values must lie on the frozen components")
 
 
 @dataclass(frozen=True)
@@ -48,11 +59,7 @@ class SubnetworkSpec:
     fixed_code: int
 
     def __post_init__(self) -> None:
-        full = (1 << len(self.components)) - 1
-        if not 0 < self.free_mask <= full:
-            raise ValueError("free component set must be nonempty")
-        if self.fixed_code & ~(full ^ self.free_mask):
-            raise ValueError("fixed values must lie on the frozen components")
+        _check_item(len(self.components), self.free_mask, self.fixed_code)
 
     @property
     def free(self) -> tuple[str, ...]:
@@ -92,6 +99,7 @@ class MaskRecords(dict):
         self.n = n
 
     def __missing__(self, mask: int) -> tuple:
+        _check_item(self.n, mask)
         n, top = self.n, 1 << (mask.bit_length() - 1)
         _, scatter, points, gather = self[mask ^ top] if mask != top else ((), (0,), 1, (0,) * top)
         low = gather[:top]
@@ -128,17 +136,30 @@ def subnetwork_plan(n: int) -> SubnetworkPlan:
     return SubnetworkPlan(tuple(masks), MaskRecords(n))
 
 
-def _lookup(at: Callable[[int], int], g: Callable[[int], int], scatter: tuple, code: int) -> tuple:
-    """A subnetwork's table: f at code | s packed by g, per s in scatter."""
-    return tuple(map(g, map(at, map(code.__or__, scatter))))
+@lru_cache(maxsize=None)
+def item_order(n: int, mask: int) -> tuple[array, array]:
+    """(order, inverse) of one free mask of width n, as 2-byte arrays built on
+    first use: order lists the parent points code | scatter[y] of the mask's
+    items, for code in codes, then y, so item k holds positions k * 2^|mask|
+    on, and inverse is its inverse permutation, each parent point's position."""
+    codes, scatter, _, _ = subnetwork_plan(n).records[mask]
+    order = array("H", [code | s for code in codes for s in scatter])
+    return order, array("H", sorted(range(len(order)), key=order.__getitem__))
+
+
+def _lookup(at: Callable[[int], int], gather: tuple, scatter: tuple, code: int) -> tuple:
+    """A subnetwork's table: f (at) at code | s packed by gather, per s in scatter."""
+    return tuple(map(gather.__getitem__, map(at, map(code.__or__, scatter))))
 
 
 def sub_table(
     table: tuple[int, ...], free_mask: int, fixed_code: int
 ) -> tuple[int, ...]:
     """Truth table of the subnetwork: evaluate with frozen bits, keep free bits."""
-    _, scatter, _, gather = subnetwork_plan(len(table).bit_length() - 1).records[free_mask]
-    return _lookup(table.__getitem__, gather.__getitem__, scatter, fixed_code)
+    n = len(table).bit_length() - 1
+    _, scatter, _, gather = subnetwork_plan(n).records[free_mask]
+    _check_item(n, free_mask, fixed_code)
+    return _lookup(table.__getitem__, gather, scatter, fixed_code)
 
 
 def induced_subnetwork(f: BooleanNetwork, spec: SubnetworkSpec) -> BooleanNetwork:
@@ -160,17 +181,23 @@ def immediate_subnetwork(f: BooleanNetwork, label: str, value: int) -> BooleanNe
     )
 
 
+def mask_tables(at: Callable[[int], int], gather: tuple, order: array) -> tuple[int, ...]:
+    """The tables of every item of one free mask, concatenated in item order:
+    f (at) at each point of the mask's item order, packed onto the mask."""
+    return tuple(map(gather.__getitem__, map(at, order)))
+
+
 def item_tables(
     f: BooleanNetwork, include_self: bool = True
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """(free_mask, fixed_code, table) per subnetwork in enumeration order, f's
-    own last; a table is built only when the walk reaches it."""
+    own last; a mask's tables are built when the walk reaches the mask."""
     plan, at = subnetwork_plan(f.width), f.table.__getitem__
     for mask in plan.masks if include_self else plan.masks[:-1]:
         codes, scatter, _, gather = plan.records[mask]
-        g = gather.__getitem__
-        for code in codes:
-            yield mask, code, _lookup(at, g, scatter, code)
+        tables, width = mask_tables(at, gather, item_order(f.width, mask)[0]), len(scatter)
+        for start, code in zip(range(0, len(tables), width), codes):
+            yield mask, code, tables[start : start + width]
 
 
 @lru_cache(maxsize=None)
@@ -190,17 +217,15 @@ def strict_sub_planes(f: BooleanNetwork) -> tuple[int, ...]:
     2^n - 2 blocks of 2^n bits, one copy of the parent cube per strict mask in
     plan order: point y of item (mask, code) is point code | scatter[y] of its
     mask's block and holds the item's value scattered back onto the mask.  The
-    items of one mask tile its block, so each point is written once."""
-    n, size = f.width, len(f.table)
-    records = subnetwork_plan(n).records
-    stacked = [0] * ((size - 2) * size)
-    base, last = -size, 0
-    for mask, code, table in item_tables(f, include_self=False):
-        if mask != last:
-            base, last, scatter = base + size, mask, records[mask][1]
-        at = base + code
-        for s, v in zip(scatter, table):
-            stacked[at + s] = scatter[v]
+    items of one mask tile its block, so a block is its mask's tables read
+    through the inverse of the item order, in one pass."""
+    n, at, stacked = f.width, f.table.__getitem__, []
+    plan = subnetwork_plan(n)
+    for mask in plan.masks[:-1]:
+        _, scatter, _, gather = plan.records[mask]
+        order, inverse = item_order(n, mask)
+        tables = mask_tables(at, gather, order)
+        stacked += map(scatter.__getitem__, map(tables.__getitem__, inverse))
     return table_planes(stacked, n)
 
 
@@ -309,10 +334,15 @@ def subnetworks(
 @memo
 def _first_eosd_item(f: BooleanNetwork) -> tuple[int, int, tuple[int, ...]] | None:
     """(free_mask, fixed_code, table) of the first even- or odd-self-dual
-    subnetwork in enumeration order, if any; the walk stops there."""
-    for item in item_tables(f):
-        if table_eosd_class(item[2]) is not None:
-            return item
+    subnetwork in enumeration order, if any; the walk builds one table at a
+    time and stops there."""
+    plan, at = subnetwork_plan(f.width), f.table.__getitem__
+    for mask in plan.masks:
+        codes, scatter, _, gather = plan.records[mask]
+        for code in codes:
+            table = _lookup(at, gather, scatter, code)
+            if table_eosd_class(table) is not None:
+                return mask, code, table
     return None
 
 

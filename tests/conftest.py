@@ -2,6 +2,10 @@
 
 import re
 
+import pytest
+
+from boolcube import subnetwork
+
 LABELS = {
     1: "worked example reproduced exactly",
     2: "exhaustive width <= 2, criterion-2 theorem set",
@@ -44,3 +48,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if number in _NOTES:
             line += f"  [{_NOTES[number]}]"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Every subnetwork table built while the test runs, in order, recorded by
+    each builder: ("item", mask, code) per single-item lookup, ("mask", mask)
+    per per-mask pass and ("walk", width) per item_tables walk, whose masks
+    then record their own passes."""
+    builds = []
+    lookup, per_mask, walk = subnetwork._lookup, subnetwork.mask_tables, subnetwork.item_tables
+
+    def one(at, gather, scatter, code):
+        builds.append(("item", scatter[-1], code))  # the last offset is the free mask
+        return lookup(at, gather, scatter, code)
+
+    def whole(at, gather, order):
+        builds.append(("mask", order[gather[-1]]))  # the first item's last point
+        return per_mask(at, gather, order)
+
+    def walking(f, include_self=True):
+        builds.append(("walk", f.width))
+        return walk(f, include_self)
+
+    monkeypatch.setattr(subnetwork, "_lookup", one)
+    monkeypatch.setattr(subnetwork, "mask_tables", whole)
+    monkeypatch.setattr(subnetwork, "item_tables", walking)
+    return builds

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import shutil
 import subprocess
@@ -151,6 +152,39 @@ def test_subnets_lists_what_the_subnetwork_api_builds(tmp_path, capsys):
         lo, hi = all_subnetworks_fixed_point_census(f)
         expected += [f"census: min={lo} max={hi}", f"listed: {len(expected)}"]
         assert out.splitlines() == expected
+
+
+# sha256 of subnets' output per (network, flags), recorded before the sub-tables
+# were built one mask at a time; the random network is `gen --random 6 1`
+SUBNETS_DIGESTS = {
+    ("esd4", ()): "bee965ad1cbf60f9696bb4231bbece8d0ac95fa44b5321bc4d65f4629623c875",
+    ("esd4", ("--include-self",)): (
+        "8018e43e015848599f8270f76968a5ab3f255d07f3440a892aa589e5313c9203"
+    ),
+    ("esd4", ("--eosd-only", "--include-self")): (
+        "221ea96f0179c543eb2a0f073b48ece93689cd6e6d152275d3e12a9fcfb0d87d"
+    ),
+    ("w6", ()): "65b3c9109b1f4df82f4b65420b7ccef64fc988cf5d7981283196c94cee402d9a",
+    ("w6", ("--include-self",)): (
+        "e727a1c5a1f4e2343638477205a0d7b0d0d367f1869ffbad02d6710a6977a596"
+    ),
+    ("w6", ("--eosd-only", "--include-self")): (
+        "2e790bdc3ee4f6240ed9c249ce93f65c5f90a7800e377e54a3fa515bbd8bf3a2"
+    ),
+}
+
+
+def test_subnets_output_is_pinned(tmp_path, capsys):
+    """subnets prints the same bytes, per flag set, as when each sub-table was
+    built item by item."""
+    code, out, _ = run(capsys, "gen", "--random", "6", "1")
+    assert code == 0
+    paths = {"esd4": DATA / "esd4.bn", "w6": tmp_path / "w6.bn"}
+    paths["w6"].write_text(out, encoding="utf-8")
+    for (name, flags), digest in SUBNETS_DIGESTS.items():
+        code, out, _ = run(capsys, "subnets", str(paths[name]), *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, flags)
 
 
 def test_graph_worked_example(capsys):

@@ -40,6 +40,7 @@ from boolcube.subnetwork import (
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
+    item_order,
     item_tables,
     strict_sub_planes,
     sub_table,
@@ -332,6 +333,27 @@ def test_sub_table_is_usable_directly():
     assert sub_table(EX1.table, 0b111, 0) == EX1.table
 
 
+def test_bad_masks_and_codes_are_refused():
+    """A mask outside 1..2^n - 1 gets no record, no item order and no table,
+    and a frozen code must lie on the frozen components: each raises with
+    SubnetworkSpec's message, and no record is kept for a refused mask."""
+    plan = subnetwork_plan(3)
+    builders = (
+        lambda mask: plan.records[mask],
+        lambda mask: item_order(3, mask),
+        lambda mask: sub_table(EX1.table, mask, 0),
+    )
+    for mask in (0, 8, 9, -1):
+        for build in builders:
+            with pytest.raises(ValueError, match="^free component set must be nonempty$"):
+                build(mask)
+        assert mask not in plan.records
+    for mask, code in ((1, 1), (0b110, 0b010), (1, 8), (1, -2)):
+        with pytest.raises(ValueError, match="^fixed values must lie on the frozen components$"):
+            sub_table(EX1.table, mask, code)
+    assert sub_table(EX1.table, 1, 0b110) == oracles.sub_table(EX1, ["1"], {"2": 1, "3": 1})
+
+
 def test_induced_rejects_foreign_spec():
     with pytest.raises(ValueError):
         induced_subnetwork(EX1, SubnetworkSpec(("a", "b", "c"), 0b1, 0))
@@ -367,7 +389,8 @@ def documented_order(n):
 def test_plan_order_and_tuples(n):
     """The items follow the documented order, and each mask's record, built
     on demand, holds the entries of the plan first built for the whole width
-    at once (oracles.eager_plan)."""
+    at once (oracles.eager_plan).  Each mask's item order lists its items'
+    parent points, code by code, and its inverse gives each point's place."""
     plan = subnetwork_plan(n)
     items = list(plan.items())
     assert items == documented_order(n)
@@ -382,6 +405,11 @@ def test_plan_order_and_tuples(n):
         assert points[mask] == sum(1 << s for s in scatter[mask])
         assert gather[mask] == tuple(gather_bits(v, mask) for v in range(1 << n))
         assert plan.records[mask] is record
+        order, inverse = item_order(n, mask)
+        assert list(order) == [c | s for c in codes[mask] for s in scatter[mask]]
+        assert sorted(inverse) == list(range(1 << n))
+        assert [inverse[x] for x in order] == list(range(1 << n))
+        assert item_order(n, mask)[0] is order
     assert subnetwork_plan(n) is plan
 
 
@@ -438,26 +466,18 @@ def test_lazy_walks_agree_with_the_eager_definitions():
             assert is_zero_critical(f) == oracles.zero_critical(f)
 
 
-def test_eosd_search_stops_at_the_witness(monkeypatch):
+def test_eosd_search_stops_at_the_witness(table_builds):
     """The search builds the tables of the items before the witness and of
-    the witness, and no other."""
-    walked = []
-    walk = subnetwork.item_tables
-
-    def counting(f, include_self=True):
-        for item in walk(f, include_self):
-            walked.append(item[:2])
-            yield item
-
-    monkeypatch.setattr(subnetwork, "item_tables", counting)
+    the witness, one at a time, and no other table and no whole mask."""
     f = random_network(10, 0)
     spec, _ = find_eosd_subnetwork(f)
     # the second item, I={1} z[10]=1, is the first even- or odd-self-dual one
-    assert walked == list(subnetwork_plan(10).items())[:2]
-    assert walked[-1] == (spec.free_mask, spec.fixed_code)
-    walked.clear()
+    items = list(subnetwork_plan(10).items())
+    assert table_builds == [("item", *item) for item in items[:2]]
+    assert items[1] == (spec.free_mask, spec.fixed_code)
+    table_builds.clear()
     assert find_eosd_subnetwork(BooleanNetwork(EX1.components, EX1.table)) is None
-    assert walked == list(subnetwork_plan(3).items())
+    assert table_builds == [("item", *item) for item in subnetwork_plan(3).items()]
 
 
 def test_own_circular_item_is_solved_once(monkeypatch):

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import os
 import random
+from contextlib import contextmanager
 from itertools import permutations, product
 from pathlib import Path
 
@@ -477,22 +478,34 @@ def test_stream_chunks_and_orbits_cover_every_candidate_once(gen):
 
 
 ITEM_TABLES = subnetwork.item_tables
+MASK_TABLES = subnetwork.mask_tables
 
 
-def _corrupt_item(monkeypatch, k, bad):
-    """item_tables, as every reader sees it, gives table bad for strict item k.
-    Facts are memoized per network, so the caller checks a fresh copy."""
+@contextmanager
+def _corrupt_item(f, k, bad):
+    """A fresh copy of f (facts are memoized per network) on which the per-mask
+    kernel, where every reader gets its sub-tables, builds table bad for strict
+    item k: item_tables yields it, and strict_sub_planes places it.  The kernel
+    is restored on exit, so the caller lists the next network's items intact."""
+    plan = subnetwork.subnetwork_plan(f.width)
+    mask, code = list(plan.items())[k]
+    order = subnetwork.item_order(f.width, mask)[0]
+    start = plan.records[mask][0].index(code) * len(bad)
 
-    def tables(f, include_self=True):
-        for index, item in enumerate(ITEM_TABLES(f, include_self)):
-            yield (*item[:2], bad) if index == k else item
+    def tables(at, gather, points):
+        # two masks can share an order's entries (1 and 5 at width 3), not its array
+        built = MASK_TABLES(at, gather, points)
+        return built[:start] + bad + built[start + len(bad) :] if points is order else built
 
-    monkeypatch.setattr(subnetwork, "item_tables", tables)
-    monkeypatch.setattr(oracles, "item_tables", tables)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subnetwork, "mask_tables", tables)
+        fresh = BooleanNetwork(f.components, f.table)
+        assert list(ITEM_TABLES(fresh, include_self=False))[k] == (mask, code, bad)
+        yield fresh
 
 
 @pytest.mark.parametrize("key", ["LOCAL_SUBGRAPH_CONTAINMENT", "DYNAMICS_ISOMORPHISM"])
-def test_subnetwork_checks_catch_a_corrupted_sub_table(monkeypatch, key):
+def test_subnetwork_checks_catch_a_corrupted_sub_table(key):
     """Both conclusions compare each strict subnetwork's table with f, so one
     wrong output bit in any entry of any sub-table is a counterexample."""
     assert check(key, EX1).kind is VerdictKind.CONFIRMED
@@ -500,9 +513,8 @@ def test_subnetwork_checks_catch_a_corrupted_sub_table(monkeypatch, key):
     for k, (mask, code, table) in enumerate(items):
         for y in range(len(table)):
             bad = table[:y] + (table[y] ^ 1,) + table[y + 1 :]
-            _corrupt_item(monkeypatch, k, bad)
-            fresh = BooleanNetwork(EX1.components, EX1.table)
-            assert check(key, fresh).kind is VerdictKind.COUNTEREXAMPLE, (k, y)
+            with _corrupt_item(EX1, k, bad) as fresh:
+                assert check(key, fresh).kind is VerdictKind.COUNTEREXAMPLE, (k, y)
 
 
 @pytest.mark.parametrize(
@@ -528,7 +540,7 @@ def test_local_subgraph_planes_match_the_per_point_loop(gen):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_local_subgraph_planes_catch_every_single_bit_corruption(monkeypatch, n):
+def test_local_subgraph_planes_catch_every_single_bit_corruption(n):
     """Any one output bit flipped in any entry of any sub-table is caught, as
     the per-point loop catches it."""
     for index in range(3):
@@ -538,14 +550,15 @@ def test_local_subgraph_planes_catch_every_single_bit_corruption(monkeypatch, n)
             for y in range(len(table)):
                 for bit in range(mask.bit_count()):
                     bad = table[:y] + (table[y] ^ 1 << bit,) + table[y + 1 :]
-                    _corrupt_item(monkeypatch, k, bad)
-                    fresh = BooleanNetwork(f.components, f.table)
-                    new = theorems._concl_local_subgraph(fresh)
-                    assert new is oracles.local_subgraph_containment(fresh) is False, (k, y, bit)
+                    with _corrupt_item(f, k, bad) as fresh:
+                        new = theorems._concl_local_subgraph(fresh)
+                        assert new is oracles.local_subgraph_containment(fresh) is False, (
+                            k, y, bit
+                        )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_local_subgraph_planes_catch_a_sign_only_corruption(monkeypatch, n):
+def test_local_subgraph_planes_catch_a_sign_only_corruption(n):
     """One free output plane of one item complemented keeps the item's arcs and
     flips their signs: a counterexample exactly when that plane has an arc,
     that is, when it is not constant on the item."""
@@ -556,14 +569,13 @@ def test_local_subgraph_planes_catch_a_sign_only_corruption(monkeypatch, n):
         for k, (mask, code, table) in enumerate(items):
             for a in range(mask.bit_count()):
                 bad = tuple(v ^ 1 << a for v in table)
-                _corrupt_item(monkeypatch, k, bad)
-                fresh = BooleanNetwork(f.components, f.table)
                 signed = len({v >> a & 1 for v in table}) == 2
-                new = theorems._concl_local_subgraph(fresh)
-                assert new is oracles.local_subgraph_containment(fresh) is not signed, (k, a)
-                assert check("LOCAL_SUBGRAPH_CONTAINMENT", fresh).kind is (
-                    VerdictKind.COUNTEREXAMPLE if signed else VerdictKind.CONFIRMED
-                )
+                with _corrupt_item(f, k, bad) as fresh:
+                    new = theorems._concl_local_subgraph(fresh)
+                    assert new is oracles.local_subgraph_containment(fresh) is not signed, (k, a)
+                    assert check("LOCAL_SUBGRAPH_CONTAINMENT", fresh).kind is (
+                        VerdictKind.COUNTEREXAMPLE if signed else VerdictKind.CONFIRMED
+                    )
                 flips += signed
     assert flips
 
@@ -650,7 +662,7 @@ def test_signed_counting_sweep_builds_no_local_rows_memo(monkeypatch):
     assert calls == []
 
 
-def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
+def test_and_net_sweep_builds_each_global_rows_once(monkeypatch, table_builds):
     """Circular detection and the subnetwork items' circular forms come from
     bitsets: no subnetwork table and no subnetwork's global rows are built."""
     calls = {}
@@ -660,15 +672,7 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
         calls[n] = calls.get(n, 0) + 1
         return build(n, ones)
 
-    tables = []
-    walk = subnetwork.item_tables
-
-    def walking(f, include_self=True):
-        tables.append(f)
-        return walk(f, include_self)
-
     monkeypatch.setattr(siggraph, "bitset_global_rows", counting)
-    monkeypatch.setattr(subnetwork, "item_tables", walking)
     keys = (
         "ANDNET_2CRITICAL",
         "EOSD_ANDNET_CIRCULAR",
@@ -680,10 +684,10 @@ def test_and_net_sweep_builds_each_global_rows_once(monkeypatch):
     # own global rows only
     assert calls == {2: 45}
     open_question_search("Q2_0CRITICAL_ANDNET", AndNets(2))
-    assert tables == []
+    assert table_builds == []
 
 
-def test_chordless_local_circular_builds_each_item_once(monkeypatch):
+def test_chordless_local_circular_builds_each_item_once(monkeypatch, table_builds):
     """The chordless-cycle check reads each network's circular forms from the
     bitset kernel, however many keys ask, and no subnetwork table is built.
     From empty form tables, a network costs f's own solve (by detect_circular)
@@ -696,12 +700,8 @@ def test_chordless_local_circular_builds_each_item_once(monkeypatch):
         solved.append(values)
         return solve(literals, values)
 
-    def no_tables(*args):
-        raise AssertionError("a subnetwork table was built")
-
     monkeypatch.setattr(siggraph, "literal_cycle", recording)
     monkeypatch.setattr(subnetwork, "literal_cycle", recording)
-    monkeypatch.setattr(subnetwork, "item_tables", no_tables)
     gen = Sample(3, 300, 1)
     keys = (
         "CHORDLESS_LOCAL_CYCLE_CIRCULAR",
@@ -717,6 +717,7 @@ def test_chordless_local_circular_builds_each_item_once(monkeypatch):
             for key in keys:
                 check(key, f)
             assert len(solved) == cost, index
+    assert table_builds == []
 
 
 def _delocalized(g, vertices):
