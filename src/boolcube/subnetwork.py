@@ -7,14 +7,14 @@ lexicographic order, then z in lexicographic (bitstring) order, so witnesses
 are deterministic.
 
 Every walk over the subnetworks reads the masks of one SubnetworkPlan per
-width, and each mask's record, built the first time a walk reaches it.  Walks
-over whole masks build a mask's tables in one pass along its item order; the
-EOSD search builds one table at a time and stops at its witness.
+width, and each mask's record, built the first time a walk reaches it.  A walk
+builds one item's table at a time from its record; the EOSD search stops at its
+witness.  Whether the records restrict every network correctly is a fact about
+the width, checked once per width by records_are_restrictions.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -30,21 +30,21 @@ from .network import (
     memo,
     output_bitsets,
     table_eosd_class,
-    table_planes,
     unstable_sets,
 )
 from .siggraph import detect_circular, literal_cycle
 
-# Widest network whose subnetworks are walked: a mask's gather table and item
-# order hold 2^n entries each, so a walk over every mask keeps 4^n of each,
-# about 12 MB of gather tables and 4 MB of orders at width 10.
+# Widest network whose subnetworks are walked: a mask's gather table holds 2^n
+# entries, so a walk over every mask keeps 4^n of them, about 12 MB at width 10.
 SUBNETWORK_WIDTH_CAP = 10
 
 
 def _check_item(n: int, free_mask: int, fixed_code: int = 0) -> None:
     """Refuse a free mask outside 1..2^n - 1, or a frozen code on a free bit."""
     full = (1 << n) - 1
-    if not 0 < free_mask <= full:
+    if free_mask & ~full:
+        raise ValueError("free components must lie among the network's components")
+    if not free_mask:
         raise ValueError("free component set must be nonempty")
     if fixed_code & ~(full ^ free_mask):
         raise ValueError("fixed values must lie on the frozen components")
@@ -136,17 +136,6 @@ def subnetwork_plan(n: int) -> SubnetworkPlan:
     return SubnetworkPlan(tuple(masks), MaskRecords(n))
 
 
-@lru_cache(maxsize=None)
-def item_order(n: int, mask: int) -> tuple[array, array]:
-    """(order, inverse) of one free mask of width n, as 2-byte arrays built on
-    first use: order lists the parent points code | scatter[y] of the mask's
-    items, for code in codes, then y, so item k holds positions k * 2^|mask|
-    on, and inverse is its inverse permutation, each parent point's position."""
-    codes, scatter, _, _ = subnetwork_plan(n).records[mask]
-    order = array("H", [code | s for code in codes for s in scatter])
-    return order, array("H", sorted(range(len(order)), key=order.__getitem__))
-
-
 def _lookup(at: Callable[[int], int], gather: tuple, scatter: tuple, code: int) -> tuple:
     """A subnetwork's table: f (at) at code | s packed by gather, per s in scatter."""
     return tuple(map(gather.__getitem__, map(at, map(code.__or__, scatter))))
@@ -181,52 +170,39 @@ def immediate_subnetwork(f: BooleanNetwork, label: str, value: int) -> BooleanNe
     )
 
 
-def mask_tables(at: Callable[[int], int], gather: tuple, order: array) -> tuple[int, ...]:
-    """The tables of every item of one free mask, concatenated in item order:
-    f (at) at each point of the mask's item order, packed onto the mask."""
-    return tuple(map(gather.__getitem__, map(at, order)))
-
-
 def item_tables(
     f: BooleanNetwork, include_self: bool = True
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """(free_mask, fixed_code, table) per subnetwork in enumeration order, f's
-    own last; a mask's tables are built when the walk reaches the mask."""
+    own last; each table is built when the walk reaches it."""
     plan, at = subnetwork_plan(f.width), f.table.__getitem__
     for mask in plan.masks if include_self else plan.masks[:-1]:
         codes, scatter, _, gather = plan.records[mask]
-        tables, width = mask_tables(at, gather, item_order(f.width, mask)[0]), len(scatter)
-        for start, code in zip(range(0, len(tables), width), codes):
-            yield mask, code, tables[start : start + width]
+        for code in codes:
+            yield mask, code, _lookup(at, gather, scatter, code)
 
 
 @lru_cache(maxsize=None)
-def strict_blocks(n: int) -> tuple[int, tuple[int, ...]]:
-    """(tile, free) for strict_sub_planes at width n: a set of the n-cube
-    times tile is its copy in every block, and free[k], the union of the
-    blocks whose mask frees component k, is plane k of the stacked table whose
-    entries are their block's mask."""
-    size, masks = 1 << n, subnetwork_plan(n).masks[:-1]
-    tile = ((1 << (len(masks) << n)) - 1) // ((1 << size) - 1)
-    return tile, table_planes([mask for mask in masks for _ in range(size)], n)
-
-
-@memo
-def strict_sub_planes(f: BooleanNetwork) -> tuple[int, ...]:
-    """The n output planes of every strict subnetwork's table, stacked in
-    2^n - 2 blocks of 2^n bits, one copy of the parent cube per strict mask in
-    plan order: point y of item (mask, code) is point code | scatter[y] of its
-    mask's block and holds the item's value scattered back onto the mask.  The
-    items of one mask tile its block, so a block is its mask's tables read
-    through the inverse of the item order, in one pass."""
-    n, at, stacked = f.width, f.table.__getitem__, []
-    plan = subnetwork_plan(n)
+def records_are_restrictions(n: int) -> bool:
+    """Every strict item of width n holds f restricted to its subcube, for any
+    f: per strict mask, scatter holds 2^|mask| offsets, the points
+    code | scatter[y] of its items cover the n-cube once, and
+    scatter[gather[v]] == v & mask for every point v.  Then
+    item (mask, code) reads f at the parent point code | scatter[y] and holds
+    its value's free bits at y, so the strict sub-tables, stacked one cube per
+    mask, are f's own planes tiled and masked by the blocks that free each
+    component, and their conjugates and local graphs are f's, restricted."""
+    plan, cube = subnetwork_plan(n), range(1 << n)
     for mask in plan.masks[:-1]:
-        _, scatter, _, gather = plan.records[mask]
-        order, inverse = item_order(n, mask)
-        tables = mask_tables(at, gather, order)
-        stacked += map(scatter.__getitem__, map(tables.__getitem__, inverse))
-    return table_planes(stacked, n)
+        codes, scatter, _, gather = plan.records[mask]
+        if len(scatter) != 1 << mask.bit_count():
+            return False
+        if sorted([code | s for code in codes for s in scatter]) != list(cube):
+            return False
+        # .get: a gather entry off the mask's points is a mismatch, not an error
+        if list(map(dict(enumerate(scatter)).get, gather)) != [v & mask for v in cube]:
+            return False
+    return True
 
 
 @memo

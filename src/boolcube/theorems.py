@@ -23,7 +23,7 @@ from operator import and_, or_, xor
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence, Union
 
 from .dynamics import attractor_summary, weak_convergence
-from .hypercube import Point, coordinate_sets, format_code, neighborhood, parity_sets
+from .hypercube import Point, format_code, neighborhood, parity_sets
 from .network import (
     RANDOM_WIDTH_CAP,
     BooleanNetwork,
@@ -36,10 +36,8 @@ from .network import (
     is_non_expansive,
     memo,
     network_from_index,
-    output_bitsets,
     parity_class,
     render_bn,
-    unstable_sets,
 )
 from .siggraph import (
     CircularForm,
@@ -68,13 +66,14 @@ from .siggraph import (
 from .subnetwork import (
     BaseProperty,
     all_subnetworks_fixed_point_census,
+    find_eosd_subnetwork,
     has_eosd_subnetwork,
+    is_minimal_violation,
     is_two_critical,
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
-    strict_blocks,
-    strict_sub_planes,
+    records_are_restrictions,
     subnetwork_plan,
 )
 
@@ -322,11 +321,11 @@ def _concl_critical_dynamics(f: BooleanNetwork) -> bool:
 
 
 def _concl_minimal_forbidden(f: BooleanNetwork) -> bool:
-    """Holds on every network by construction (see _has_minimal_violation)."""
-    return all(
-        all(map(prop.holds, item_fixed_point_counts(f))) != _has_minimal_violation(f, prop)
-        for prop in BaseProperty
-    )
+    """f is a minimal violation of ExactlyOne exactly when f is critical EOSD:
+    f is even- or odd-self-dual and the first such subnetwork in plan order is
+    f's own.  Fixed-point counts decide one side, self-duality the other."""
+    critical = eosd_class(f) is not None and find_eosd_subnetwork(f)[0].is_full
+    return is_minimal_violation(BaseProperty.EXACTLY_ONE, f) == critical
 
 
 def _concl_cor11(f: BooleanNetwork) -> bool:
@@ -336,36 +335,14 @@ def _concl_cor11(f: BooleanNetwork) -> bool:
     return census_unique == no_eosd == all_bij
 
 
-def _concl_dynamics_iso(f: BooleanNetwork) -> bool:
-    """Each subnetwork's conjugate is f's conjugate at the matching parent
-    points, projected onto the free components: in strict_sub_planes, plane k
-    xor X_k is U_k on the blocks that free k, and plane k is empty elsewhere."""
-    tile, free = strict_blocks(f.width)
-    return all(
-        plane ^ x * tile & on == u * tile & on
-        for plane, x, u, on in zip(
-            strict_sub_planes(f), coordinate_sets(f.width), unstable_sets(f), free
-        )
-    )
-
-
-def _concl_local_subgraph(f: BooleanNetwork) -> bool:
-    """Each subnetwork's local graph at y is f's local graph at the matching
-    parent point, restricted to the free components.  In strict_sub_planes,
-    an item's arcs j -> i are where plane i changes along e_j, negative where
-    plane i differs from x_j; on the blocks that free both j and i they must
-    be f's arc sets, tiled, and plane i must be f's O_i on them."""
-    n = f.width
-    planes, (tile, free) = strict_sub_planes(f), strict_blocks(n)
-    ones = [o * tile for o in output_bitsets(f)]
-    for j, (x, row) in enumerate(zip(coordinate_sets(n), local_arc_sets(f))):
-        x, step = x * tile, 1 << j
-        for i, arcs in enumerate(row):
-            plane, on = planes[i], free[j] & free[i]
-            sub = (plane ^ ((plane & x) >> step | (plane & ~x) << step)) & on
-            if sub != arcs * tile & on or (plane ^ ones[i]) & sub:
-                return False
-    return True
+def _records_restrict(f: BooleanNetwork) -> bool:
+    """DYNAMICS_ISOMORPHISM and LOCAL_SUBGRAPH_CONTAINMENT: every strict
+    subnetwork is f restricted to its subcube, so its conjugate and local
+    graph at y are f's at the matching parent point, projected onto the free
+    components.  Whether the items are those restrictions is a fact about the
+    width's records, not about f (records_are_restrictions); the rest is the
+    definition of unstable_sets and local_arc_sets on f's own planes."""
+    return records_are_restrictions(f.width)
 
 
 def _concl_eosd_andnet(f: BooleanNetwork) -> bool:
@@ -472,8 +449,8 @@ NETWORK_CATALOG: dict[
     "PROP_CRITICAL_DYNAMICS": (_TRUE, _concl_critical_dynamics),
     "PROP_MINIMAL_FORBIDDEN": (_TRUE, _concl_minimal_forbidden),
     "COR11_EQUIVALENCE": (_TRUE, _concl_cor11),
-    "DYNAMICS_ISOMORPHISM": (_TRUE, _concl_dynamics_iso),
-    "LOCAL_SUBGRAPH_CONTAINMENT": (_TRUE, _concl_local_subgraph),
+    "DYNAMICS_ISOMORPHISM": (_TRUE, _records_restrict),
+    "LOCAL_SUBGRAPH_CONTAINMENT": (_TRUE, _records_restrict),
     "EOSD_ANDNET_CIRCULAR": (_TRUE, _concl_eosd_andnet),
     "CHORDLESS_LOCAL_CYCLE_CIRCULAR": (_TRUE, _concl_chordless_local_circular),
     "CIRCULAR_SUBNETWORK_CRITERION": (is_and_net, _concl_circular_subnetworks),

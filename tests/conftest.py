@@ -52,26 +52,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Every subnetwork table built while the test runs, in order, recorded by
-    each builder: ("item", mask, code) per single-item lookup, ("mask", mask)
-    per per-mask pass and ("walk", width) per item_tables walk, whose masks
-    then record their own passes."""
+    """Every subnetwork table built while the test runs, in order, as
+    ("item", mask, code): every builder, item_tables' walk included, builds
+    one item's table at a time through _lookup."""
     builds = []
-    lookup, per_mask, walk = subnetwork._lookup, subnetwork.mask_tables, subnetwork.item_tables
+    lookup = subnetwork._lookup
 
     def one(at, gather, scatter, code):
         builds.append(("item", scatter[-1], code))  # the last offset is the free mask
         return lookup(at, gather, scatter, code)
 
-    def whole(at, gather, order):
-        builds.append(("mask", order[gather[-1]]))  # the first item's last point
-        return per_mask(at, gather, order)
-
-    def walking(f, include_self=True):
-        builds.append(("walk", f.width))
-        return walk(f, include_self)
-
     monkeypatch.setattr(subnetwork, "_lookup", one)
-    monkeypatch.setattr(subnetwork, "mask_tables", whole)
-    monkeypatch.setattr(subnetwork, "item_tables", walking)
     return builds

@@ -208,7 +208,7 @@ def all_subs_conjugate_bijective(f: BooleanNetwork) -> bool:
 
 
 def strict_sub_planes(f: BooleanNetwork) -> tuple[int, ...]:
-    """subnetwork.strict_sub_planes built one point at a time: one block of
+    """The output planes of every strict sub-table, stacked: one block of
     2^n points per strict mask, ordered by size and then by the mask's
     components in lexicographic order; entry y of the table frozen at z puts
     its value, scattered onto the mask, on point z | scatter(y) of the block."""

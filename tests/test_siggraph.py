@@ -911,10 +911,9 @@ def test_parse_sg_rejects(text):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_local_arc_signs_match_point_rows_at_every_width(n):
-    """An arc j -> i of A[j][i] is negative exactly where f_i differs from x_j,
-    the sign rule LOCAL_SUBGRAPH_CONTAINMENT applies to the stacked sub-table
-    planes: on random tables, the identity, a constant, and at width 4 every
-    circular network."""
+    """An arc j -> i of A[j][i] is negative exactly where f_i differs from x_j:
+    on random tables, the identity, a constant, and at width 4 every circular
+    network."""
     rng = random.Random(n)
     nets = [random_network(n, rng.randrange(1 << 30)) for _ in range(3)]
     nets += [oracles.identity_network(n), oracles.constant_network(n, 1)]

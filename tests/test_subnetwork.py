@@ -40,9 +40,8 @@ from boolcube.subnetwork import (
     is_zero_critical,
     item_circular_forms,
     item_fixed_point_counts,
-    item_order,
     item_tables,
-    strict_sub_planes,
+    records_are_restrictions,
     sub_table,
     subnetwork_plan,
 )
@@ -253,7 +252,9 @@ def test_minimal_violations_width_one():
 def test_minimal_violations_of_uniqueness_are_the_critical_eosd_networks():
     """The paper's F: the minimal violations of "exactly one fixed point" are
     the even- or odd-self-dual networks with no such strict subnetwork; every
-    width-2 network, then one network per orbit of each family stream."""
+    width-2 network, then one network per orbit of each family stream.
+    PROP_MINIMAL_FORBIDDEN's conclusion, which compares the fixed-point
+    kernel with the EOSD search, holds on each."""
     streams = (
         Exhaustive(2),
         AndNets(3),
@@ -270,6 +271,23 @@ def test_minimal_violations_of_uniqueness_are_the_critical_eosd_networks():
             expected = oracles.is_critical_eosd(f)
             label = describe_generator(gen)
             assert is_minimal_violation(BaseProperty.EXACTLY_ONE, f) == expected, (label, index)
+            assert theorems._concl_minimal_forbidden(f), (label, index)
+
+
+def test_minimal_forbidden_compares_two_kernels(monkeypatch):
+    """PROP_MINIMAL_FORBIDDEN can fail.  It confirms the critical esd4, and
+    ESD_NONCRIT, which is EOSD but has an EOSD strict subnetwork, so reading
+    "some subnetwork is EOSD" in place of "the first is f's own" would fail
+    there.  A fixed-point side that misses esd4's violation is a
+    counterexample on esd4 alone."""
+    esd4 = load_bn(DATA / "esd4.bn")
+    cases = ((esd4, True), (ESD_NONCRIT, False), (EX1, False))
+    for f, critical in cases:
+        assert oracles.is_critical_eosd(f) is critical
+        assert theorems.check("PROP_MINIMAL_FORBIDDEN", f).kind.value == "Confirmed"
+    monkeypatch.setattr(theorems, "is_minimal_violation", lambda prop, f: False)
+    kinds = [theorems.check("PROP_MINIMAL_FORBIDDEN", f).kind.value for f, _ in cases]
+    assert kinds == ["Counterexample", "Confirmed", "Confirmed"]
 
 
 @given(networks(2))
@@ -334,18 +352,20 @@ def test_sub_table_is_usable_directly():
 
 
 def test_bad_masks_and_codes_are_refused():
-    """A mask outside 1..2^n - 1 gets no record, no item order and no table,
-    and a frozen code must lie on the frozen components: each raises with
-    SubnetworkSpec's message, and no record is kept for a refused mask."""
+    """A mask outside 1..2^n - 1 gets no record, no table and no spec, and a
+    frozen code must lie on the frozen components: each raises with
+    SubnetworkSpec's message, one for an empty mask and one for a mask off the
+    components, and no record is kept for a refused mask."""
     plan = subnetwork_plan(3)
     builders = (
         lambda mask: plan.records[mask],
-        lambda mask: item_order(3, mask),
         lambda mask: sub_table(EX1.table, mask, 0),
+        lambda mask: SubnetworkSpec(EX1.components, mask, 0),
     )
-    for mask in (0, 8, 9, -1):
+    off = "^free components must lie among the network's components$"
+    for mask, message in ((0, "^free component set must be nonempty$"), (8, off), (9, off), (-1, off)):
         for build in builders:
-            with pytest.raises(ValueError, match="^free component set must be nonempty$"):
+            with pytest.raises(ValueError, match=message):
                 build(mask)
         assert mask not in plan.records
     for mask, code in ((1, 1), (0b110, 0b010), (1, 8), (1, -2)):
@@ -385,12 +405,12 @@ def documented_order(n):
     return items
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_plan_order_and_tuples(n):
     """The items follow the documented order, and each mask's record, built
     on demand, holds the entries of the plan first built for the whole width
-    at once (oracles.eager_plan).  Each mask's item order lists its items'
-    parent points, code by code, and its inverse gives each point's place."""
+    at once (oracles.eager_plan).  On those records the per-width check
+    passes: every strict item is f restricted to its subcube."""
     plan = subnetwork_plan(n)
     items = list(plan.items())
     assert items == documented_order(n)
@@ -405,12 +425,8 @@ def test_plan_order_and_tuples(n):
         assert points[mask] == sum(1 << s for s in scatter[mask])
         assert gather[mask] == tuple(gather_bits(v, mask) for v in range(1 << n))
         assert plan.records[mask] is record
-        order, inverse = item_order(n, mask)
-        assert list(order) == [c | s for c in codes[mask] for s in scatter[mask]]
-        assert sorted(inverse) == list(range(1 << n))
-        assert [inverse[x] for x in order] == list(range(1 << n))
-        assert item_order(n, mask)[0] is order
     assert subnetwork_plan(n) is plan
+    assert records_are_restrictions(n)
 
 
 def test_plan_width_cap():
@@ -468,7 +484,7 @@ def test_lazy_walks_agree_with_the_eager_definitions():
 
 def test_eosd_search_stops_at_the_witness(table_builds):
     """The search builds the tables of the items before the witness and of
-    the witness, one at a time, and no other table and no whole mask."""
+    the witness, one at a time, and no other table."""
     f = random_network(10, 0)
     spec, _ = find_eosd_subnetwork(f)
     # the second item, I={1} z[10]=1, is the first even- or odd-self-dual one
@@ -657,16 +673,20 @@ def test_detect_circular_above_the_plan_cap_matches_the_definition(n):
     ids=describe_generator,
 )
 def test_strict_sub_planes_match_the_per_item_build(gen):
-    """Block b of the stacked planes holds the b-th strict mask's sub-tables,
-    each value scattered back onto the mask at its parent point, as the
-    oracle builds them point by point from its own sub-tables, with no plan
-    record.  Width 1 has no strict mask, so its planes are empty; width 9
-    reads a second byte lane of the stacked entries."""
+    """Every strict sub-table, stacked one parent cube per strict mask in plan
+    order and scattered back onto its mask at its parent points, as the
+    oracle builds them point by point with no plan record, is f's own output
+    planes tiled and masked: plane k holds O_k in the blocks whose mask frees
+    k and nothing elsewhere.  This is the identity the per-width check stands
+    for.  Width 1 has no strict mask, so its planes are empty."""
     count = generator_count(gen)
     for index, _ in gen.orbits(0, count, count):
         f = candidate_network(gen, index)
-        planes = strict_sub_planes(f)
-        assert planes == oracles.strict_sub_planes(f)
-        assert len(planes) == f.width
+        size, masks = len(f.table), subnetwork_plan(f.width).masks[:-1]
+        tiled = tuple(
+            sum(oracles.output_bitset(f, k) << b * size for b, m in enumerate(masks) if m >> k & 1)
+            for k in range(f.width)
+        )
+        assert oracles.strict_sub_planes(f) == tiled
         if f.width == 1:
-            assert planes == (0,)
+            assert tiled == (0,)

@@ -477,44 +477,82 @@ def test_stream_chunks_and_orbits_cover_every_candidate_once(gen):
         assert gen.chunks(10, 1) == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
 
-ITEM_TABLES = subnetwork.item_tables
-MASK_TABLES = subnetwork.mask_tables
+RECORD_KEYS = ("LOCAL_SUBGRAPH_CONTAINMENT", "DYNAMICS_ISOMORPHISM")
+
+
+def _record_defects(n):
+    """(kind, mask, bad record) per defect of width n's strict records that
+    would make some sub-table wrong: each free bit of each gather entry
+    flipped, each bit of each scatter entry flipped, each frozen code dropped
+    or duplicated, and ("complement") one free bit complemented across a
+    mask's gather, which complements that output plane on every item."""
+    plan = subnetwork.subnetwork_plan(n)
+    for mask in plan.masks[:-1]:
+        codes, scatter, points, gather = plan.records[mask]
+        free = range(mask.bit_count())
+        for v, b in product(range(len(gather)), free):
+            bad = gather[:v] + (gather[v] ^ 1 << b,) + gather[v + 1 :]
+            yield "gather", mask, (codes, scatter, points, bad)
+        for y, k in product(range(len(scatter)), range(n)):
+            bad = scatter[:y] + (scatter[y] ^ 1 << k,) + scatter[y + 1 :]
+            yield "scatter", mask, (codes, bad, points, gather)
+        for c in range(len(codes)):
+            yield "drop", mask, (codes[:c] + codes[c + 1 :], scatter, points, gather)
+            yield "duplicate", mask, (codes[: c + 1] + codes[c:], scatter, points, gather)
+        for b in free:
+            bad = tuple(g ^ 1 << b for g in gather)
+            yield "complement", mask, (codes, scatter, points, bad)
 
 
 @contextmanager
-def _corrupt_item(f, k, bad):
-    """A fresh copy of f (facts are memoized per network) on which the per-mask
-    kernel, where every reader gets its sub-tables, builds table bad for strict
-    item k: item_tables yields it, and strict_sub_planes places it.  The kernel
-    is restored on exit, so the caller lists the next network's items intact."""
-    plan = subnetwork.subnetwork_plan(f.width)
-    mask, code = list(plan.items())[k]
-    order = subnetwork.item_order(f.width, mask)[0]
-    start = plan.records[mask][0].index(code) * len(bad)
-
-    def tables(at, gather, points):
-        # two masks can share an order's entries (1 and 5 at width 3), not its array
-        built = MASK_TABLES(at, gather, points)
-        return built[:start] + bad + built[start + len(bad) :] if points is order else built
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(subnetwork, "mask_tables", tables)
-        fresh = BooleanNetwork(f.components, f.table)
-        assert list(ITEM_TABLES(fresh, include_self=False))[k] == (mask, code, bad)
-        yield fresh
+def _bad_record(n, mask, bad):
+    """Width n's records with mask's replaced by bad, and the per-width check's
+    memo cleared, so the check reads the bad record.  On exit the records are
+    what they were before, every mask's built first so that none is derived
+    from bad, and the memo is cleared again."""
+    records = subnetwork.subnetwork_plan(n).records
+    for m in subnetwork.subnetwork_plan(n).masks:
+        records[m]
+    saved = dict(records)
+    records[mask] = bad
+    subnetwork.records_are_restrictions.cache_clear()
+    try:
+        yield
+    finally:
+        records.clear()
+        records.update(saved)
+        subnetwork.records_are_restrictions.cache_clear()
 
 
-@pytest.mark.parametrize("key", ["LOCAL_SUBGRAPH_CONTAINMENT", "DYNAMICS_ISOMORPHISM"])
+def _assert_defects_caught(networks, kinds):
+    """Every record defect of the given kinds makes both keys report a
+    counterexample on every network, which both confirm on intact records."""
+    n = networks[0].width
+    checked = 0
+    for key, f in product(RECORD_KEYS, networks):
+        assert check(key, f).kind is VerdictKind.CONFIRMED, key
+    for kind, mask, bad in _record_defects(n):
+        if kind in kinds:
+            with _bad_record(n, mask, bad):
+                for key, f in product(RECORD_KEYS, networks):
+                    assert check(key, f).kind is VerdictKind.COUNTEREXAMPLE, (key, kind, mask)
+            checked += 1
+    assert checked
+    assert subnetwork.records_are_restrictions(n)
+
+
+DEFECT_KINDS = ("gather", "scatter", "drop", "duplicate", "complement")
+
+
+@pytest.mark.parametrize("key", RECORD_KEYS)
 def test_subnetwork_checks_catch_a_corrupted_sub_table(key):
-    """Both conclusions compare each strict subnetwork's table with f, so one
-    wrong output bit in any entry of any sub-table is a counterexample."""
+    """The sub-tables both keys check are the width's records read at f's
+    points, so every record defect of width 3 is a counterexample on EX1."""
     assert check(key, EX1).kind is VerdictKind.CONFIRMED
-    items = list(ITEM_TABLES(EX1, include_self=False))
-    for k, (mask, code, table) in enumerate(items):
-        for y in range(len(table)):
-            bad = table[:y] + (table[y] ^ 1,) + table[y + 1 :]
-            with _corrupt_item(EX1, k, bad) as fresh:
-                assert check(key, fresh).kind is VerdictKind.COUNTEREXAMPLE, (k, y)
+    for kind, mask, bad in _record_defects(3):
+        with _bad_record(3, mask, bad):
+            assert check(key, EX1).kind is VerdictKind.COUNTEREXAMPLE, (kind, mask)
+    assert check(key, EX1).kind is VerdictKind.CONFIRMED
 
 
 @pytest.mark.parametrize(
@@ -533,51 +571,29 @@ def test_subnetwork_checks_catch_a_corrupted_sub_table(key):
     ids=describe_generator,
 )
 def test_local_subgraph_planes_match_the_per_point_loop(gen):
-    """The packed-plane conclusion gives the per-point loop's verdict."""
+    """The per-width check gives the verdict of the per-point loop over every
+    strict sub-table's local graphs."""
     for k in range(generator_count(gen)):
         f = candidate_network(gen, k)
-        assert theorems._concl_local_subgraph(f) is oracles.local_subgraph_containment(f) is True
+        assert theorems._records_restrict(f) is oracles.local_subgraph_containment(f) is True
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_local_subgraph_planes_catch_every_single_bit_corruption(n):
-    """Any one output bit flipped in any entry of any sub-table is caught, as
-    the per-point loop catches it."""
-    for index in range(3):
-        f = candidate_network(Sample(n, 3, 5), index)
-        items = list(ITEM_TABLES(f, include_self=False))
-        for k, (mask, code, table) in enumerate(items):
-            for y in range(len(table)):
-                for bit in range(mask.bit_count()):
-                    bad = table[:y] + (table[y] ^ 1 << bit,) + table[y + 1 :]
-                    with _corrupt_item(f, k, bad) as fresh:
-                        new = theorems._concl_local_subgraph(fresh)
-                        assert new is oracles.local_subgraph_containment(fresh) is False, (
-                            k, y, bit
-                        )
+    """Any one bit flipped in any gather or scatter entry of any strict record,
+    or a frozen code dropped or duplicated, is a counterexample for both keys."""
+    nets = [candidate_network(Sample(n, 3, 5), index) for index in range(3)]
+    _assert_defects_caught(nets, DEFECT_KINDS[:-1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_local_subgraph_planes_catch_a_sign_only_corruption(n):
-    """One free output plane of one item complemented keeps the item's arcs and
-    flips their signs: a counterexample exactly when that plane has an arc,
-    that is, when it is not constant on the item."""
-    flips = 0
-    for index in range(3):
-        f = candidate_network(Sample(n, 3, 5), index)
-        items = list(ITEM_TABLES(f, include_self=False))
-        for k, (mask, code, table) in enumerate(items):
-            for a in range(mask.bit_count()):
-                bad = tuple(v ^ 1 << a for v in table)
-                signed = len({v >> a & 1 for v in table}) == 2
-                with _corrupt_item(f, k, bad) as fresh:
-                    new = theorems._concl_local_subgraph(fresh)
-                    assert new is oracles.local_subgraph_containment(fresh) is not signed, (k, a)
-                    assert check("LOCAL_SUBGRAPH_CONTAINMENT", fresh).kind is (
-                        VerdictKind.COUNTEREXAMPLE if signed else VerdictKind.CONFIRMED
-                    )
-                flips += signed
-    assert flips
+    """One free bit complemented across a mask's gather complements that
+    output plane on every item: the arcs stay and their signs flip.  It is a
+    counterexample for both keys, wherever the plane is constant on an item
+    too, since the check reads the records, not f's planes."""
+    nets = [candidate_network(Sample(n, 3, 5), index) for index in range(3)]
+    _assert_defects_caught(nets, DEFECT_KINDS[-1:])
 
 
 # the networks of each stream on which every subnetwork's conjugate is bijective
@@ -865,7 +881,7 @@ WIDE_SUBNETWORK_DIGESTS = {
 
 @pytest.mark.parametrize("key, n", sorted(WIDE_SUBNETWORK_DIGESTS))
 def test_subnetwork_identities_keep_their_wide_reports(key, n):
-    """The stacked sub-table planes and the bijectivity permutations at widths
+    """The per-width record check and the bijectivity permutations at widths
     8 and 10, which the report manifest, stopping at width 5, does not reach."""
     gen = Sample(8, 20, 1) if n == 8 else Sample(10, 2, 1)
     for jobs in (1, 2):
