@@ -7,18 +7,20 @@ lexicographic order, then z in lexicographic (bitstring) order, so witnesses
 are deterministic.
 
 Every walk over the subnetworks reads the masks of one SubnetworkPlan per
-width, and each mask's record, built the first time a walk reaches it.  A walk
-builds one item's table at a time from its record; the EOSD search stops at its
-witness.  Whether the records restrict every network correctly is a fact about
-the width, checked once per width by records_are_restrictions.
+width, and each mask's record, built the first time a walk reaches it; a walk
+that lists tables builds one at a time from its record.  Whether the records
+restrict every network correctly is checked once per width.  The counts,
+circular forms, EOSD search and conjugate bijectivity read f's bit planes, a
+mask's items at once: the last two read T_d(U_k) = {x xor d : x in U_k}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import chain, combinations
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, chain, combinations
+from operator import and_, or_, xor
 from typing import Callable, Iterator
 
 from .hypercube import Point, component_mask, coordinate_sets, gather_bits, mask_labels
@@ -29,10 +31,9 @@ from .network import (
     fixed_point_codes,
     memo,
     output_bitsets,
-    table_eosd_class,
     unstable_sets,
 )
-from .siggraph import detect_circular, literal_cycle
+from .siggraph import detect_circular, literal_cycle, local_arc_sets
 
 # Widest network whose subnetworks are walked: a mask's gather table holds 2^n
 # entries, so a walk over every mask keeps 4^n of them, about 12 MB at width 10.
@@ -125,6 +126,12 @@ class SubnetworkPlan:
         for mask in self.masks:
             for code in self.records[mask][0]:
                 yield mask, code
+
+    @cached_property
+    def starts(self) -> dict[int, int]:
+        """The place of each mask's first item in plan order."""
+        sizes = [1 << self.records.n - mask.bit_count() for mask in self.masks]
+        return dict(zip(self.masks, accumulate(sizes, initial=0)))
 
 
 @lru_cache(maxsize=None)
@@ -307,31 +314,93 @@ def subnetworks(
         yield spec, BooleanNetwork(spec.free, table)
 
 
+@lru_cache(maxsize=None)
+def _components(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per mask of width n, (k, 2^k, X_k) for each component k it frees."""
+    cube = coordinate_sets(n)
+    return tuple(tuple((k, 1 << k, cube[k]) for k in range(n) if m >> k & 1) for m in range(1 << n))
+
+
 @memo
-def _first_eosd_item(f: BooleanNetwork) -> tuple[int, int, tuple[int, ...]] | None:
-    """(free_mask, fixed_code, table) of the first even- or odd-self-dual
-    subnetwork in enumeration order, if any; the walk builds one table at a
-    time and stops there."""
-    plan, at = subnetwork_plan(f.width), f.table.__getitem__
-    for mask in plan.masks:
-        codes, scatter, _, gather = plan.records[mask]
-        for code in codes:
-            table = _lookup(at, gather, scatter, code)
-            if table_eosd_class(table) is not None:
-                return mask, code, table
+def _translates(f: BooleanNetwork) -> list[tuple[int, ...]]:
+    """T_d(U_k) = {x xor d : x in U_k} per d, then k: T of d without its top
+    bit, moved across that bit by one flip."""
+    moved, cube = [unstable_sets(f)], coordinate_sets(f.width)
+    for d in range(1, len(f.table)):
+        x, step = cube[d.bit_length() - 1], 1 << d.bit_length() - 1
+        moved.append(tuple([(p & x) >> step | (p & ~x) << step for p in moved[d ^ step]]))
+    return moved
+
+
+def _differ(moved: list, d: int, free: tuple) -> int:
+    """The union of E(d, k) = U_k ^ T_d(U_k) over the free components k."""
+    return reduce(or_, [moved[0][k] ^ moved[d][k] for k, _, _ in free])
+
+
+def _fold(bad: int, free: tuple) -> int:
+    """bad spread across each free bit, so it holds every subcube it meets."""
+    for _, step, x in free:
+        bad |= (bad & x) >> step | (bad & ~x) << step
+    return bad
+
+
+@memo
+def _singleton_points(f: BooleanNetwork) -> list[int]:
+    """Per k, the codes c off X_k where U_k agrees at c and c xor e_k, that
+    is where k -> k is a loop of G(f, c): the even- or odd-self-dual items
+    (e_k, c), and the points E(e_k, k) misses."""
+    arcs, cube = local_arc_sets(f), coordinate_sets(f.width)
+    return [arcs[k][k] & ~x for k, x in enumerate(cube)]
+
+
+def all_subs_conjugate_bijective(f: BooleanNetwork) -> bool:
+    """Every subnetwork's conjugate, f's included, is bijective: for every
+    d != 0, the union of E(d, k) over k in d is the whole cube.  The unit
+    vectors d = e_k, the likeliest to fail, are read from the singleton
+    layer first."""
+    if any(_singleton_points(f)):
+        return False
+    moved, free, full = _translates(f), _components(f.width), (1 << len(f.table)) - 1
+    return all(_differ(moved, d, free[d]) == full for d in range(1, len(f.table)))
+
+
+def _eosd_points(f: BooleanNetwork, mask: int) -> int:
+    """The points of the mask's even- or odd-self-dual items: on the item's
+    subcube, no point lies in E(mask, k) for a free k (self-dual), the XOR
+    of the free U_k is constant (one parity), and for every 0 != d strictly
+    inside the mask, the union of E(d, k) over the free k is all of it."""
+    moved, free, full = _translates(f), _components(f.width)[mask], (1 << len(f.table)) - 1
+    bad = _fold(_differ(moved, mask, free), free)
+    if bad != full:
+        parity = reduce(xor, [moved[0][k] for k, _, _ in free])
+        bad |= _fold(parity, free) & _fold(full ^ parity, free)
+        covered = [_differ(moved, d, free) for d in range(1, mask) if not d & ~mask]
+        bad |= full ^ reduce(and_, covered, full)
+    return full ^ _fold(bad, free)
+
+
+@memo
+def _first_eosd_item(f: BooleanNetwork) -> tuple[int, int] | None:
+    """(free_mask, fixed_code) of the first even- or odd-self-dual item in
+    plan order, if any: the singleton masks first, then each wider mask whole."""
+    plan = subnetwork_plan(f.width)
+    wide = ((mask, _eosd_points(f, mask)) for mask in plan.masks[f.width :])
+    for mask, points in chain(zip(plan.masks, _singleton_points(f)), wide):
+        if points:
+            return mask, next(c for c in plan.records[mask][0] if points >> c & 1)
     return None
 
 
 def find_eosd_subnetwork(
     f: BooleanNetwork,
 ) -> tuple[SubnetworkSpec, BooleanNetwork] | None:
-    """First even- or odd-self-dual subnetwork in enumeration order, if any."""
+    """First even- or odd-self-dual subnetwork in enumeration order, if any;
+    only its table is built."""
     item = _first_eosd_item(f)
     if item is None:
         return None
-    mask, code, table = item
-    spec = SubnetworkSpec(f.components, mask, code)
-    return spec, BooleanNetwork(spec.free, table)
+    spec = SubnetworkSpec(f.components, *item)
+    return spec, induced_subnetwork(f, spec)
 
 
 def has_eosd_subnetwork(f: BooleanNetwork) -> bool:

@@ -66,6 +66,7 @@ from .siggraph import (
 from .subnetwork import (
     BaseProperty,
     all_subnetworks_fixed_point_census,
+    all_subs_conjugate_bijective,
     find_eosd_subnetwork,
     has_eosd_subnetwork,
     is_minimal_violation,
@@ -229,17 +230,6 @@ def _cycle_form(
     return sum(1 << v for v in verts), (tuple(pred), constant)
 
 
-def _all_subs_conjugate_bijective(f: BooleanNetwork) -> bool:
-    """Every subnetwork on I, at every frozen code, has a bijective conjugate
-    exactly when x -> x xor (f(x) and I) permutes the cube: the map keeps the
-    frozen bits and is the conjugate on I."""
-    size, table = len(f.table), f.table
-    return all(
-        len(set(map(xor, range(size), map(mask.__and__, table)))) == size
-        for mask in subnetwork_plan(f.width).masks
-    )
-
-
 # ---------------------------------------------------------------------------
 # Conclusion bodies that need more than one line.
 
@@ -329,9 +319,10 @@ def _concl_minimal_forbidden(f: BooleanNetwork) -> bool:
 
 
 def _concl_cor11(f: BooleanNetwork) -> bool:
-    census_unique = all_subnetworks_fixed_point_census(f) == (1, 1)
+    """Three independent sides: fixed-point planes, EOSD search, translates."""
+    census_unique = all(map(BaseProperty.EXACTLY_ONE.holds, item_fixed_point_counts(f)))
     no_eosd = not has_eosd_subnetwork(f)
-    all_bij = _all_subs_conjugate_bijective(f)
+    all_bij = all_subs_conjugate_bijective(f)
     return census_unique == no_eosd == all_bij
 
 
@@ -358,22 +349,27 @@ def _concl_chordless_local_circular(f: BooleanNetwork) -> bool:
     """Each chordless cycle of G(f) that is a cycle of G(f, x), signed there,
     is the circular form of the subnetwork freeing its vertices at x.  It is
     a local cycle at the points in all its arcs' sets A[j][i], and j -> i is
-    negative at x iff f_i(x) != x_j."""
+    negative at x iff f_i(x) != x_j.  Only the items of the masks the cycles
+    free are read, and each sign pattern's form is solved once per cycle."""
     n, table = f.width, f.table
     pos, neg = global_rows(f)
     arcs = local_arc_sets(f)
-    forms = dict(zip(subnetwork_plan(n).items(), item_circular_forms(f)))
+    plan, forms = subnetwork_plan(n), item_circular_forms(f)
     for verts in rows_chordless_cycles(n, tuple(map(or_, pos, neg))):
         pairs = tuple(zip(verts, verts[1:] + verts[:1]))
         points = reduce(and_, [arcs[j][i] for j, i in pairs])
+        mask = sum(1 << v for v in verts)
+        codes, start = plan.records[mask][0], plan.starts[mask]
+        items, solved = dict(zip(codes, forms[start : start + len(codes)])), {}
         while points:
             low = points & -points
             points ^= low
             x = low.bit_length() - 1
             fx = table[x]
             signs = tuple(-1 if (fx >> i ^ x >> j) & 1 else 1 for j, i in pairs)
-            mask, form = _cycle_form(verts, signs)
-            if forms[mask, x & ~mask] != form:
+            if signs not in solved:
+                solved[signs] = _cycle_form(verts, signs)[1]
+            if items[x & ~mask] != solved[signs]:
                 return False
     return True
 

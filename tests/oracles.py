@@ -6,13 +6,14 @@ Widths stay small in the tests, so quadratic and exponential loops are fine.
 
 from __future__ import annotations
 
+import random
 from itertools import accumulate, combinations, product
 from operator import or_
 from typing import Iterator
 
 from boolcube import BooleanNetwork, FormatError, Point, SignedDigraph, hypercube, neighbor_set
 from boolcube.hypercube import check_components
-from boolcube.network import output_bitsets
+from boolcube.network import output_bitsets, table_eosd_class
 from boolcube.siggraph import (
     Rows,
     _unsigned_cycles,
@@ -54,6 +55,19 @@ def negation_network(n: int) -> BooleanNetwork:
 
 def constant_network(n: int, code: int) -> BooleanNetwork:
     return BooleanNetwork(_labels(n), tuple(code for _ in range(1 << n)))
+
+
+def acyclic_network(n: int, seed: int) -> BooleanNetwork:
+    """f_k a seeded random function of x_1 .. x_(k-1) alone, so G(f) and
+    every subnetwork's graph are acyclic and no subnetwork is even- or
+    odd-self-dual."""
+    rng = random.Random(seed)
+    rules = [rng.getrandbits(1 << k) for k in range(n)]
+    table = tuple(
+        sum((rule >> (x & (1 << k) - 1) & 1) << k for k, rule in enumerate(rules))
+        for x in range(1 << n)
+    )
+    return BooleanNetwork(_labels(n), table)
 
 
 def table_from_index(n: int, index: int) -> tuple[int, ...]:
@@ -205,6 +219,27 @@ def all_subs_conjugate_bijective(f: BooleanNetwork) -> bool:
     read table by table."""
     tables = all_strict_sub_tables(f) + [f.table]
     return all(len({v ^ y for y, v in enumerate(t)}) == len(t) for t in tables)
+
+
+def masked_conjugates_permute(f: BooleanNetwork) -> bool:
+    """COR11's bijectivity leg as one permutation per free set I: every
+    subnetwork on I, at every frozen code, has a bijective conjugate exactly
+    when x -> x xor (f(x) and I) permutes the cube, since the map keeps the
+    frozen bits and is the conjugate on I."""
+    size, table = len(f.table), f.table
+    return all(
+        len({x ^ (v & mask) for x, v in enumerate(table)}) == size
+        for mask in subnetwork_plan(f.width).masks
+    )
+
+
+def first_eosd_item(f: BooleanNetwork) -> tuple[int, int, tuple[int, ...]] | None:
+    """(free_mask, fixed_code, table) of the first even- or odd-self-dual
+    item in plan order, one item's table built and classified at a time."""
+    for mask, code, table in item_tables(f):
+        if table_eosd_class(table) is not None:
+            return mask, code, table
+    return None
 
 
 def strict_sub_planes(f: BooleanNetwork) -> tuple[int, ...]:

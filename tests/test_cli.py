@@ -407,6 +407,22 @@ def test_analyze_at_the_width_cap(tmp_path, capsys):
     assert out == ANALYZE_W10_SEED0
 
 
+# sha256 of analyze's output on the constant width-10 network, every entry 0,
+# recorded while the EOSD search still built and classified every item's
+# table: no subnetwork of it is even- or odd-self-dual, so the search tests
+# every mask
+ANALYZE_W10_CONSTANT_SHA256 = "ac1c77b51cec49426277fe4ec64f7a922e2cce58147f7026b14b22449c2e8189"
+
+
+def test_analyze_of_the_constant_network_at_the_width_cap_is_pinned(tmp_path, capsys):
+    path = tmp_path / "c10.bn"
+    path.write_text(render_bn(oracles.constant_network(10, 0)), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "eosd_subnetwork: none\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_W10_CONSTANT_SHA256
+
+
 def test_graph_judges_each_cycle_like_the_graph_api(tmp_path, capsys):
     """graph judges chords and delocalizers once per vertex sequence; the
     lines match is_chordless and delocalizing_vertices cycle by cycle."""

@@ -32,6 +32,8 @@ from boolcube.network import (
     random_network,
     table_eosd_class,
     table_fixed_point_codes,
+    table_is_self_dual,
+    table_parity,
 )
 from boolcube.subnetwork import (
     has_eosd_subnetwork,
@@ -483,17 +485,99 @@ def test_lazy_walks_agree_with_the_eager_definitions():
 
 
 def test_eosd_search_stops_at_the_witness(table_builds):
-    """The search builds the tables of the items before the witness and of
-    the witness, one at a time, and no other table."""
-    f = random_network(10, 0)
-    spec, _ = find_eosd_subnetwork(f)
+    """The search reads translation planes and builds one table, its
+    witness's; a network with no witness builds none."""
+    spec, _ = find_eosd_subnetwork(random_network(10, 0))
+    assert table_builds == [("item", spec.free_mask, spec.fixed_code)]
     # the second item, I={1} z[10]=1, is the first even- or odd-self-dual one
-    items = list(subnetwork_plan(10).items())
-    assert table_builds == [("item", *item) for item in items[:2]]
-    assert items[1] == (spec.free_mask, spec.fixed_code)
+    assert list(subnetwork_plan(10).items())[1] == (spec.free_mask, spec.fixed_code)
     table_builds.clear()
     assert find_eosd_subnetwork(BooleanNetwork(EX1.components, EX1.table)) is None
-    assert table_builds == [("item", *item) for item in subnetwork_plan(3).items()]
+    assert find_eosd_subnetwork(oracles.constant_network(10, 0)) is None
+    assert table_builds == []
+
+
+def test_mask_eosd_points_classify_every_item():
+    """Each mask's test, read from translation planes, marks exactly the
+    subcubes whose own table is even- or odd-self-dual.  The first EOSD item
+    alone cannot catch a skipped parity or image test: on every network
+    tried, as the main theorem implies, the first self-dual item in plan
+    order is EOSD, so a self-dual item that is not has an EOSD item before
+    it."""
+    mixed = 0
+    for f in plan_networks():
+        plan = subnetwork_plan(f.width)
+        expected = dict.fromkeys(plan.masks, 0)
+        for mask, code, table in item_tables(f):
+            if table_eosd_class(table) is not None:
+                expected[mask] |= plan.records[mask][2] << code
+            mixed += table_is_self_dual(table) and table_parity(table) is ParityClass.NEITHER
+        assert {mask: subnetwork._eosd_points(f, mask) for mask in expected} == expected
+    assert mixed
+
+
+# per stream: the networks whose first even- or odd-self-dual item frees one
+# component, those whose first frees more, and those on which every
+# subnetwork's conjugate is bijective
+TRANSLATION_COUNTS = [
+    (Exhaustive(1), 2, 0, 2),
+    (Exhaustive(2), 240, 4, 12),
+    (AndNets(3), 3273, 111, 27),
+    (NonExpansive(3), 14984, 280, 224),
+    (Circular(4), 0, 96, 0),
+    (Circular(5), 0, 768, 0),
+    (Sample(3, 2000, 1), 1998, 2, 0),
+    (Sample(4, 200, 2), 200, 0, 0),
+    (Sample(5, 40, 3), 40, 0, 0),
+    (Sample(6, 10, 4), 10, 0, 0),
+    (Sample(7, 4, 5), 4, 0, 0),
+    (Sample(8, 3, 6), 3, 0, 0),
+    ("constant and acyclic", 0, 0, 30),
+]
+
+
+def _translation_networks(stream):
+    """Every candidate of the stream, one per orbit of an and-net family, or
+    the constant networks 0 and 1 and three acyclic ones at widths 3-8."""
+    if stream == "constant and acyclic":
+        return [
+            net
+            for n in range(3, 9)
+            for net in (
+                oracles.constant_network(n, 0),
+                oracles.constant_network(n, (1 << n) - 1),
+                *(oracles.acyclic_network(n, seed) for seed in range(3)),
+            )
+        ]
+    if isinstance(stream, AndNets):
+        members, starts = siggraph.simple_digraph_orbits(stream.n)
+        return [candidate_network(stream, members[a]) for a in starts[:-1]]
+    return [candidate_network(stream, k) for k in range(generator_count(stream))]
+
+
+@pytest.mark.parametrize(
+    "stream, singleton, wider, bijective",
+    TRANSLATION_COUNTS,
+    ids=[s if isinstance(s, str) else describe_generator(s) for s, *_ in TRANSLATION_COUNTS],
+)
+def test_translation_planes_match_the_per_item_oracles(stream, singleton, wider, bijective):
+    """The EOSD search and the bijectivity leg, read from translation planes,
+    give the first EOSD item, its table included, and the verdict of the
+    per-item and per-mask loops they replaced."""
+    seen = {"singleton": 0, "wider": 0, "bijective": 0}
+    for f in _translation_networks(stream):
+        found = find_eosd_subnetwork(BooleanNetwork(f.components, f.table))
+        expected = oracles.first_eosd_item(f)
+        if expected is None:
+            assert found is None
+        else:
+            spec, g = found
+            assert (spec.free_mask, spec.fixed_code, g.table) == expected
+            seen["singleton" if spec.free_mask.bit_count() == 1 else "wider"] += 1
+        verdict = subnetwork.all_subs_conjugate_bijective(f)
+        assert verdict is oracles.masked_conjugates_permute(f)
+        seen["bijective"] += verdict
+    assert seen == {"singleton": singleton, "wider": wider, "bijective": bijective}
 
 
 def test_own_circular_item_is_solved_once(monkeypatch):

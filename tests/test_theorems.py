@@ -619,7 +619,7 @@ def test_bijectivity_leg_matches_the_per_table_walk(gen, bijective):
     f's included, where the leg holds and where it fails."""
     verdicts = []
     for f in _reader_networks(gen):
-        verdicts.append(theorems._all_subs_conjugate_bijective(f))
+        verdicts.append(subnetwork.all_subs_conjugate_bijective(f))
         assert verdicts[-1] is oracles.all_subs_conjugate_bijective(f)
     assert verdicts.count(True) == bijective
 
